@@ -11,11 +11,16 @@ class CacheKind(Enum):
     KV = "kv"
 
 
+def blocks_for(tokens: int, block_size: int) -> int:
+    """Whole blocks of ``block_size`` tokens that hold ``tokens``."""
+    return math.ceil(tokens / block_size) if tokens > 0 else 0
+
+
 class BlockManager:
     """Pre-allocates whole blocks per request; every allocation is freed once.
 
-    Block ids are handed out from a free stack so repeated runs allocate
-    identically.
+    Blocks are interchangeable, so only counts are kept: the number of free
+    blocks and the number each request holds. Every operation is O(1).
     """
 
     def __init__(self, kind: CacheKind, block_size: int, total_blocks: int):
@@ -26,36 +31,32 @@ class BlockManager:
         self.kind = kind
         self.block_size = block_size
         self.total_blocks = total_blocks
-        self._free: list[int] = list(range(total_blocks - 1, -1, -1))
-        self.allocated: dict[int, list[int]] = {}
+        self.free_blocks = total_blocks
+        self.allocated: dict[int, int] = {}
 
     def blocks_needed(self, tokens: int) -> int:
-        return math.ceil(tokens / self.block_size) if tokens > 0 else 0
-
-    @property
-    def free_blocks(self) -> int:
-        return len(self._free)
+        return blocks_for(tokens, self.block_size)
 
     @property
     def used_blocks(self) -> int:
-        return self.total_blocks - len(self._free)
+        return self.total_blocks - self.free_blocks
 
     def can_allocate(self, tokens: int) -> bool:
-        return self.blocks_needed(tokens) <= len(self._free)
+        return self.blocks_needed(tokens) <= self.free_blocks
 
-    def allocate(self, request_id: int, tokens: int) -> list[int]:
+    def allocate(self, request_id: int, tokens: int) -> int:
+        """Reserve blocks for ``tokens``; return how many were taken."""
         if request_id in self.allocated:
             raise RuntimeError(f"request {request_id} already holds {self.kind.value} blocks")
         need = self.blocks_needed(tokens)
-        if need > len(self._free):
-            raise RuntimeError(f"{self.kind.value} cache overcommitted ({need} > {len(self._free)})")
-        blocks = [self._free.pop() for _ in range(need)]
-        self.allocated[request_id] = blocks
-        return blocks
+        if need > self.free_blocks:
+            raise RuntimeError(f"{self.kind.value} cache overcommitted ({need} > {self.free_blocks})")
+        self.free_blocks -= need
+        self.allocated[request_id] = need
+        return need
 
     def free(self, request_id: int) -> None:
         try:
-            blocks = self.allocated.pop(request_id)
+            self.free_blocks += self.allocated.pop(request_id)
         except KeyError:
             raise RuntimeError(f"request {request_id} holds no {self.kind.value} blocks") from None
-        self._free.extend(reversed(blocks))

@@ -1,7 +1,7 @@
 """Command-line frontend emitting reproducible CSV/JSON artifacts.
 
 Exit codes: 0 success, 1 runtime error, 2 infeasible configuration,
-3 parse/usage error.
+3 parse/usage error (bad arguments, malformed input files, unknown names).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 from . import ablations, capacity as capacity_mod, metrics as metrics_mod
 from .controller import params_from_dict, write_switch_log
 from .engine import run_simulation
-from .models import StageRole, builtin_catalog, load_catalog
+from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
 from .optimizer import Metric, Objective, Strategy, load_space, solve, write_search_log
 from .presets import (HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
                       ExperimentPreset, candidate_builder, get_preset,
@@ -36,6 +36,25 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
+
+
+class InputError(Exception):
+    """A user-supplied name or input file the command cannot use."""
+
+
+def _named(mapping: dict, name: str, what: str):
+    try:
+        return mapping[name]
+    except KeyError:
+        raise InputError(f"unknown {what} {name!r}; available: {sorted(mapping)}") from None
+
+
+def _load_input(loader, path, *args):
+    """Read a JSON input file; a missing key or unknown name in it is bad input."""
+    try:
+        return loader(path, *args)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing or unknown {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +124,8 @@ def cmd_simulate(args) -> int:
         workload = _preset_workload(preset, args.seed)
         labels = [args.system] if args.system else sorted(preset.systems)
         for label in labels:
-            runs.append((label, _apply_flags(preset.systems[label], args), workload))
+            config = _named(preset.systems, label, f"system of preset {args.preset!r}")
+            runs.append((label, _apply_flags(config, args), workload))
         seed = args.seed if args.seed is not None else preset.seed
         meta_payload = {"preset": args.preset, "seed": seed,
                         "num_requests": len(workload),
@@ -115,7 +135,7 @@ def cmd_simulate(args) -> int:
         if not args.config or not args.workload:
             raise ParseError("--config and --workload required without --preset", 1)
         catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
-        config = _apply_flags(load_system_config(args.config, catalog), args)
+        config = _apply_flags(_load_input(load_system_config, args.config, catalog), args)
         if args.slo is None:
             raise ParseError("--slo TTFT,TPOT required with --workload files", 1)
         if args.workload_rate is not None and args.seed is None:
@@ -216,7 +236,7 @@ def cmd_ablate(args) -> int:
 def cmd_capacity(args) -> int:
     out = _out_dir(args)
     catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
-    models = [catalog[args.model]] if args.model else list(catalog.values())
+    models = [_named(catalog, args.model, "model")] if args.model else list(catalog.values())
     resolution = args.resolution
     rows = []
     shapes = {
@@ -263,7 +283,8 @@ def cmd_capacity(args) -> int:
 def cmd_optimize(args) -> int:
     out = _out_dir(args)
     preset = get_preset(args.preset)
-    space = load_space(args.space) if args.space else optimizer_space(preset.hardware.num_gpus)
+    space = (_load_input(load_space, args.space) if args.space
+             else optimizer_space(preset.hardware.num_gpus))
     objective = Objective(metric=Metric(args.objective), beta=args.beta)
     result = solve(space, preset.workload, objective, candidate_builder(preset),
                    strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,
@@ -405,7 +426,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.hardware = EIGHT_GPU_NODE
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError, KeyError) as exc:
+    except (ParseError, json.JSONDecodeError, InputError, UnknownResolution) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConfigInfeasible, CapacityExceeded) as exc:

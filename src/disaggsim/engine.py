@@ -5,6 +5,14 @@ block-managed caches, FCFS queues, intra-request patch sharding, serialized
 transfer channels between instance pairs, and the optional role-switching
 controller. Identical inputs always produce identical traces; the engine
 itself draws no random numbers.
+
+Per-event work does not grow with queue length or cache size. Caches count
+blocks instead of naming them (:class:`BlockManager`), each instance keeps
+running patch and token sums of its queue and its running batch for the load
+reads, admission compares each request with per-stage cache sizes recorded
+whenever roles change, and dispatch after an event visits only the instances
+that event touched, retrying the wait queues only after a cache free or a
+pool change.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .blocks import BlockManager, CacheKind
+from .blocks import BlockManager, CacheKind, blocks_for
 from .controller import (SwitchDecision, SwitchEventRecord, migration_latency,
                          monitor_and_decide, StageLoad)
 from .costs import (decode_step_latency, encode_latency, parallel_factor,
@@ -49,6 +57,14 @@ _PRIO = {
     _SWITCH_ONLOAD: 5,
     _MONITOR: 6,
     _ARRIVAL: 7,
+}
+
+
+# Roles that serve each stage, as plain tuples for cheap membership tests.
+_SERVES = {
+    "encode": tuple(r for r in StageRole if r.serves_encode),
+    "prefill": tuple(r for r in StageRole if r.serves_prefill),
+    "decode": tuple(r for r in StageRole if r.serves_decode),
 }
 
 
@@ -97,8 +113,6 @@ def form_batch(queue: Sequence[int], max_batch: int, fits: Callable[[int], bool]
 class _RunningBatch:
     rids: tuple[int, ...]
     kind: str
-    start: float
-    end: float
     worker_items: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
 
@@ -136,6 +150,12 @@ class _Instance:
         self.state = "active"  # active | offloading | migrating
         self.queue: deque[int] = deque()
         self.running: Optional[_RunningBatch] = None
+        # Patch and token sums over ``queue`` and over ``running``, kept in
+        # step with them so that load reads never rescan a queue.
+        self.queued_patches = 0
+        self.queued_tokens = 0
+        self.running_patches = 0
+        self.running_tokens = 0
         self.stepping = False
         self.resident: list[int] = []
         self.admit_wait: deque[int] = deque()
@@ -173,6 +193,7 @@ class _Sim:
         self.cost = config.cost
         self.seed = seed
         self.insts = [_Instance(i, cfg, config) for i, cfg in enumerate(config.instances)]
+        self._record_cache_sizes()
 
         self.kv_bpt = kv_bytes_per_token(self.model)
         self.mm_bpt = mm_bytes_per_token(self.model)
@@ -186,6 +207,11 @@ class _Sim:
         self.ep_wait: deque[int] = deque()
         self.pd_wait: deque[int] = deque()
         self.rr = {"encode": 0, "prefill": 0, "decode": 0}
+        # Dispatch work: instances whose queue, batch, residents, caches or
+        # role changed in this event, and whether a wait queue head may now
+        # fit (a cache was freed or the pools changed).
+        self.touched: set[int] = set()
+        self.recheck_waits = False
 
         self.switch_rec: Optional[SwitchEventRecord] = None
         self.switch_target: Optional[StageRole] = None
@@ -267,29 +293,18 @@ class _Sim:
     # --- pools and loads ------------------------------------------------------
 
     def _pool(self, stage: str) -> list[_Instance]:
-        check = {
-            "encode": lambda r: r.serves_encode,
-            "prefill": lambda r: r.serves_prefill,
-            "decode": lambda r: r.serves_decode,
-        }[stage]
-        return [i for i in self.insts if i.state == "active" and check(i.role)]
+        roles = _SERVES[stage]
+        return [i for i in self.insts if i.state == "active" and i.role in roles]
 
     def _arrival_load(self, inst: _Instance) -> float:
         # outstanding work, in-flight batch included, so idle instances win
-        pending = list(inst.queue)
-        if inst.running is not None:
-            pending.extend(inst.running.rids)
-        load = 0.0
-        for rid in pending:
-            r = self.rs[rid]
-            load += r.patches if inst.role is StageRole.ENCODE else r.patches + r.total_tokens
-        return load
+        load = inst.queued_patches + inst.running_patches
+        if inst.role is not StageRole.ENCODE:
+            load += inst.queued_tokens + inst.running_tokens
+        return float(load)
 
     def _prefill_load(self, inst: _Instance) -> float:
-        pending = list(inst.queue)
-        if inst.running is not None:
-            pending.extend(inst.running.rids)
-        return float(sum(self.rs[rid].total_tokens for rid in pending))
+        return float(inst.queued_tokens + inst.running_tokens)
 
     def _decode_load(self, inst: _Instance) -> float:
         return float(len(inst.resident) + len(inst.admit_wait))
@@ -297,7 +312,7 @@ class _Sim:
     def _stage_loads(self) -> dict[StageRole, StageLoad]:
         loads: dict[StageRole, StageLoad] = {}
         for stage, role, per_inst in (
-            ("encode", StageRole.ENCODE, lambda i: float(sum(self.rs[x].patches for x in i.queue))),
+            ("encode", StageRole.ENCODE, lambda i: float(i.queued_patches)),
             ("prefill", StageRole.PREFILL, self._prefill_load),
             ("decode", StageRole.DECODE, self._decode_load),
         ):
@@ -314,6 +329,17 @@ class _Sim:
     def _sample_queue(self, inst: _Instance, t: float) -> None:
         inst.record.queue_samples.append((t, inst.occupancy()))
 
+    def _enqueue(self, inst: _Instance, r: _Req) -> None:
+        inst.queue.append(r.req.id)
+        inst.queued_patches += r.patches
+        inst.queued_tokens += r.total_tokens
+        self.touched.add(inst.iid)
+
+    def _free(self, inst: _Instance, manager: BlockManager, rid: int) -> None:
+        manager.free(rid)
+        self.touched.add(inst.iid)
+        self.recheck_waits = True
+
     # --- admission ------------------------------------------------------------
 
     def _admission_reason(self, r: _Req) -> Optional[str]:
@@ -321,27 +347,30 @@ class _Sim:
             return "empty"
         if r.total_tokens > self.model.max_context_tokens:
             return "context"
-        mm_ok = kv_p_ok = kv_d_ok = False
-        for inst in self.insts:
-            role = inst.role
-            if role.serves_encode and inst.mm is not None:
-                if inst.mm.blocks_needed(r.mm_tokens) <= inst.mm.total_blocks:
-                    mm_ok = True
-            if role.serves_prefill and inst.kv is not None and inst.mm is not None:
-                kv_need = r.total_tokens + (r.req.output_tokens if role is StageRole.MONOLITHIC else 0)
-                if (inst.mm.blocks_needed(r.mm_tokens) <= inst.mm.total_blocks
-                        and inst.kv.blocks_needed(kv_need) <= inst.kv.total_blocks):
-                    kv_p_ok = True
-            if role.serves_decode and inst.kv is not None:
-                if inst.kv.blocks_needed(r.total_tokens + r.req.output_tokens) <= inst.kv.total_blocks:
-                    kv_d_ok = True
-        if not mm_ok:
+        size = self.system.block_size
+        mm_need = blocks_for(r.mm_tokens, size)
+        if mm_need > self.encode_mm_blocks:
             return "mm_capacity"
-        if not kv_p_ok:
+        if not any(mm_need <= mm_blocks
+                   and blocks_for(r.total_tokens + (r.req.output_tokens if mono else 0),
+                                  size) <= kv_blocks
+                   for mm_blocks, kv_blocks, mono in self.prefill_blocks):
             return "kv_capacity"
-        if not kv_d_ok:
+        if blocks_for(r.total_tokens + r.req.output_tokens, size) > self.decode_kv_blocks:
             return "kv_capacity"
         return None
+
+    def _record_cache_sizes(self) -> None:
+        """Whole-cache sizes per stage for the admission check; they change
+        only when an instance takes a new role."""
+        insts = self.insts
+        self.encode_mm_blocks = max((i.mm.total_blocks for i in insts
+                                     if i.role.serves_encode and i.mm is not None), default=-1)
+        self.prefill_blocks = [(i.mm.total_blocks, i.kv.total_blocks,
+                                i.role is StageRole.MONOLITHIC) for i in insts
+                               if i.role.serves_prefill and i.mm is not None and i.kv is not None]
+        self.decode_kv_blocks = max((i.kv.total_blocks for i in insts
+                                     if i.role.serves_decode and i.kv is not None), default=-1)
 
     # --- event handlers ---------------------------------------------------------
 
@@ -363,7 +392,7 @@ class _Sim:
         if inst.role in (StageRole.ENCODE_PREFILL, StageRole.MONOLITHIC):
             r.p_iid = iid
             r.rec.p_instance = iid
-        inst.queue.append(rid)
+        self._enqueue(inst, r)
         self._sample_queue(inst, t)
 
     def _on_worker_done(self, t: float, iid: int, worker: int) -> None:
@@ -378,7 +407,9 @@ class _Sim:
             r.ready_unsent.append(shard_idx)
             if r.dst_reserved:
                 self._send_ready_shards(r, t)
-            elif r.p_iid is None and rid not in self.ep_wait:
+            elif r.p_iid is None and r.shards_run_done == 1:
+                # First shard done: reserve a prefill slot or wait in line.
+                # A later shard finds the request already in ep_wait.
                 if not self._try_reserve_prefill(r, t):
                     self.ep_wait.append(rid)
 
@@ -386,6 +417,8 @@ class _Sim:
         inst = self.insts[iid]
         batch = inst.running
         inst.running = None
+        inst.running_patches = inst.running_tokens = 0
+        self.touched.add(iid)
         if batch.kind == "encode":
             return  # per-worker events already launched the transfers
         # prefill or fused encode+prefill: the first output token exists now
@@ -394,9 +427,9 @@ class _Sim:
             r.rec.prefill_end = t
             r.rec.first_token_time = t
             r.rec.token_times.append(t)
-            inst.mm.free(rid)
+            self._free(inst, inst.mm, rid)
             if r.req.output_tokens == 1:
-                inst.kv.free(rid)
+                self._free(inst, inst.kv, rid)
                 self._complete(r, t)
             elif inst.role is StageRole.MONOLITHIC:
                 r.d_iid = iid
@@ -409,12 +442,13 @@ class _Sim:
     def _on_step_end(self, t: float, iid: int, rids: tuple[int, ...]) -> None:
         inst = self.insts[iid]
         inst.stepping = False
+        self.touched.add(iid)
         for rid in rids:
             r = self.rs[rid]
             r.emitted += 1
             r.rec.token_times.append(t)
             if r.emitted == r.req.output_tokens - 1:
-                inst.kv.free(rid)
+                self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
                 self._complete(r, t)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
@@ -428,13 +462,15 @@ class _Sim:
             if shard_idx >= 0:
                 r.rec.shards[shard_idx].transfer_end = t
             if r.shards_done == len(r.shards):
-                self.insts[r.e_iid].mm.free(rid)
+                src = self.insts[r.e_iid]
+                self._free(src, src.mm, rid)
                 r.rec.ep_transfer_end = t
                 dst = self.insts[r.p_iid]
-                dst.queue.append(rid)
+                self._enqueue(dst, r)
                 self._sample_queue(dst, t)
         else:  # pd
-            self.insts[r.p_iid].kv.free(rid)
+            src = self.insts[r.p_iid]
+            self._free(src, src.kv, rid)
             r.rec.pd_transfer_end = t
             self._admit_decode(self.insts[r.d_iid], rid, t)
 
@@ -448,7 +484,10 @@ class _Sim:
         if self.system.role_max_batch:
             inst.max_batch = self.system.role_max_batch.get(inst.role, inst.max_batch)
         inst.rebuild_caches(self.system)
+        self._record_cache_sizes()
         inst.state = "active"
+        self.touched.add(iid)
+        self.recheck_waits = True
         inst.record.roles.append((t, inst.role))
         self.switch_rec.onload_done = t
         self.switches.append(self.switch_rec)
@@ -479,14 +518,16 @@ class _Sim:
             # Queued encode work holds no cache yet, so it can move to siblings.
             pending = list(inst.queue)
             inst.queue.clear()
+            inst.queued_patches = inst.queued_tokens = 0
             pool = [i for i in self._pool("encode") if i.iid != inst.iid]
             for rid in pending:
                 candidates = [(i.iid, self._arrival_load(i)) for i in pool]
                 iid, self.rr["encode"] = assign_instance(
                     pool[0].policy, candidates, self.rr["encode"])
-                self.insts[iid].queue.append(rid)
-                self.rs[rid].e_iid = iid
-                self.rs[rid].rec.e_instance = iid
+                r = self.rs[rid]
+                self._enqueue(self.insts[iid], r)
+                r.e_iid = iid
+                r.rec.e_instance = iid
                 rec.redistributed += 1
         # Prefill queues and decode residents hold transferred cache data and
         # therefore drain in place before the migration phase starts.
@@ -555,6 +596,7 @@ class _Sim:
         return True
 
     def _admit_decode(self, inst: _Instance, rid: int, t: float) -> None:
+        self.touched.add(inst.iid)
         if len(inst.resident) < inst.max_batch:
             inst.resident.append(rid)
         else:
@@ -567,6 +609,23 @@ class _Sim:
 
     # --- work starting ----------------------------------------------------------
 
+    def _launch(self, inst: _Instance, batch: list[int], kind: str, t: float, end: float,
+                worker_items: Optional[dict[int, list[tuple[int, int]]]] = None) -> None:
+        """Move ``batch`` from the head of the queue into the running slot."""
+        patches = tokens = 0
+        for rid in batch:
+            inst.queue.popleft()
+            r = self.rs[rid]
+            patches += r.patches
+            tokens += r.total_tokens
+        inst.queued_patches -= patches
+        inst.queued_tokens -= tokens
+        inst.running = _RunningBatch(tuple(batch), kind, worker_items or {})
+        inst.running_patches = patches
+        inst.running_tokens = tokens
+        inst.record.busy.append((t, end, kind))
+        self._push(end, _BATCH_END, (inst.iid,))
+
     def _start_encode(self, inst: _Instance, t: float) -> None:
         def fits(rid: int) -> bool:
             r = self.rs[rid]
@@ -578,8 +637,6 @@ class _Sim:
         batch = form_batch(inst.queue, inst.max_batch, fits)
         if not batch:
             return
-        for _ in batch:
-            inst.queue.popleft()
         width = inst.tp
         worker_load = [0] * width
         worker_reqs = [0] * width
@@ -607,10 +664,7 @@ class _Sim:
             finishes[k] = t + encode_latency(self.cost, worker_load[k], tp_width=1,
                                              batch_size=worker_reqs[k])
             self._push(finishes[k], _WORKER_DONE, (inst.iid, k))
-        end = max(finishes.values())
-        inst.running = _RunningBatch(tuple(batch), "encode", t, end, worker_items)
-        inst.record.busy.append((t, end, "encode"))
-        self._push(end, _BATCH_END, (inst.iid,))
+        self._launch(inst, batch, "encode", t, max(finishes.values()), worker_items)
 
     def _start_prefill(self, inst: _Instance, t: float) -> None:
         def fits(rid: int) -> bool:
@@ -623,16 +677,11 @@ class _Sim:
         batch = form_batch(inst.queue, inst.max_batch, fits)
         if not batch:
             return
-        for _ in batch:
-            inst.queue.popleft()
         total = sum(self.rs[rid].total_tokens for rid in batch)
         duration = prefill_latency(self.cost, max(1, total), inst.tp, inst.pp)
         for rid in batch:
             self.rs[rid].rec.prefill_start = t
-        end = t + duration
-        inst.running = _RunningBatch(tuple(batch), "prefill", t, end)
-        inst.record.busy.append((t, end, "prefill"))
-        self._push(end, _BATCH_END, (inst.iid,))
+        self._launch(inst, batch, "prefill", t, t + duration)
 
     def _start_fused(self, inst: _Instance, t: float) -> None:
         mono = inst.role is StageRole.MONOLITHIC
@@ -649,21 +698,16 @@ class _Sim:
         batch = form_batch(inst.queue, inst.max_batch, fits)
         if not batch:
             return
-        for _ in batch:
-            inst.queue.popleft()
         patches = sum(self.rs[rid].patches for rid in batch)
         tokens = sum(self.rs[rid].total_tokens for rid in batch)
         enc_dur = encode_latency(self.cost, patches, tp_width=inst.tp, batch_size=len(batch))
         pre_dur = prefill_latency(self.cost, max(1, tokens), inst.tp, inst.pp)
-        end = t + enc_dur + pre_dur
         for rid in batch:
             rec = self.rs[rid].rec
             rec.encode_start = t
             rec.encode_end = t + enc_dur
             rec.prefill_start = t + enc_dur
-        inst.running = _RunningBatch(tuple(batch), "fused", t, end)
-        inst.record.busy.append((t, end, "fused"))
-        self._push(end, _BATCH_END, (inst.iid,))
+        self._launch(inst, batch, "fused", t, t + enc_dur + pre_dur)
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         batch = tuple(inst.resident)
@@ -689,29 +733,45 @@ class _Sim:
                 break
             self.pd_wait.popleft()
 
-    def _dispatch(self, t: float) -> None:
-        self._retry_waits(t)
-        for inst in self.insts:
-            if inst.state == "migrating":
-                continue
-            if inst.running is not None or inst.stepping:
-                continue
-            role = inst.role
-            if role is StageRole.ENCODE and inst.queue:
-                self._start_encode(inst, t)
-            elif role is StageRole.PREFILL and inst.queue:
-                self._start_prefill(inst, t)
-            elif role is StageRole.ENCODE_PREFILL and inst.queue:
+    def _start_work(self, inst: _Instance, t: float) -> None:
+        if inst.state == "migrating":
+            return
+        if inst.running is not None or inst.stepping:
+            return
+        role = inst.role
+        if role is StageRole.ENCODE and inst.queue:
+            self._start_encode(inst, t)
+        elif role is StageRole.PREFILL and inst.queue:
+            self._start_prefill(inst, t)
+        elif role is StageRole.ENCODE_PREFILL and inst.queue:
+            self._start_fused(inst, t)
+        elif role is StageRole.MONOLITHIC:
+            # Pending prefill work preempts decode between steps.
+            if inst.queue:
                 self._start_fused(inst, t)
-            elif role is StageRole.MONOLITHIC:
-                # Pending prefill work preempts decode between steps.
-                if inst.queue:
-                    self._start_fused(inst, t)
-                if inst.running is None and inst.resident:
-                    self._start_step(inst, t)
-            elif role is StageRole.DECODE and inst.resident:
+            if inst.running is None and inst.resident:
                 self._start_step(inst, t)
-        for inst in self.insts:
+        elif role is StageRole.DECODE and inst.resident:
+            self._start_step(inst, t)
+
+    def _dispatch(self, t: float) -> None:
+        """Start whatever the last event made possible.
+
+        An instance can only become able to start work through an event
+        that touches it, and a wait queue head that failed to reserve can
+        only succeed after a cache free or a pool change, so only those are
+        revisited. Instances start in iid order, as a full scan would.
+        """
+        if self.recheck_waits:
+            self.recheck_waits = False
+            self._retry_waits(t)
+        if self.touched:
+            for iid in sorted(self.touched):
+                self._start_work(self.insts[iid], t)
+            self.touched.clear()
+        # At most one switch is in flight, so only its instance can be offloading.
+        if self.switch_rec is not None:
+            inst = self.insts[self.switch_rec.instance_id]
             if inst.state == "offloading":
                 self._maybe_finish_offload(inst, t)
 

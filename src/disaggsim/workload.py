@@ -122,8 +122,10 @@ def generate_shifted(spec: WorkloadSpec, early: tuple[int, int],
     return requests
 
 
+# ``width``/``height`` hold the first image; ``resolutions`` lists every image
+# as ``WxH`` joined by ``;``. Files without ``resolutions`` repeat the first.
 _TRACE_FIELDS = ("id", "arrival", "prompt_tokens", "num_images", "width",
-                 "height", "output_tokens", "ttft_limit", "tpot_limit")
+                 "height", "output_tokens", "ttft_limit", "tpot_limit", "resolutions")
 
 
 def save_trace(path, requests: Sequence[Request]) -> None:
@@ -135,7 +137,21 @@ def save_trace(path, requests: Sequence[Request]) -> None:
             writer.writerow([
                 r.id, repr(r.arrival_time), r.prompt_tokens, len(r.images),
                 width, height, r.output_tokens, repr(r.slo.ttft), repr(r.slo.tpot),
+                ";".join(f"{w}x{h}" for w, h in r.images),
             ])
+
+
+def _row_images(row: dict) -> tuple[tuple[int, int], ...]:
+    num_images = int(row["num_images"])
+    first = (int(row["width"]), int(row["height"]))
+    if not row.get("resolutions"):
+        return tuple(first for _ in range(num_images))
+    images = tuple((int(w), int(h)) for w, h in
+                   (item.split("x") for item in row["resolutions"].split(";")))
+    if len(images) != num_images or images[0] != first:
+        raise ValueError(f"resolutions {row['resolutions']!r} disagree with "
+                         f"num_images/width/height")
+    return images
 
 
 def load_trace(path, default_slo: Optional[Slo] = None,
@@ -151,8 +167,7 @@ def load_trace(path, default_slo: Optional[Slo] = None,
             raise ParseError(f"missing columns {sorted(missing)}", 1)
         for line_no, row in enumerate(reader, start=2):
             try:
-                num_images = int(row["num_images"])
-                width, height = int(row["width"]), int(row["height"])
+                images = _row_images(row)
                 if "ttft_limit" in row and row.get("ttft_limit"):
                     slo = Slo(float(row["ttft_limit"]), float(row["tpot_limit"]))
                 elif default_slo is not None:
@@ -163,7 +178,7 @@ def load_trace(path, default_slo: Optional[Slo] = None,
                     id=int(row["id"]),
                     arrival_time=float(row["arrival"]),
                     prompt_tokens=int(row["prompt_tokens"]),
-                    images=tuple((width, height) for _ in range(num_images)),
+                    images=images,
                     output_tokens=int(row["output_tokens"]),
                     slo=slo,
                 ))

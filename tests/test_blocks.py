@@ -61,9 +61,23 @@ def test_double_free_raises():
         m.free(1)
 
 
-def test_block_ids_are_reused_deterministically():
-    m = manager()
-    first = m.allocate(1, 32)
+def test_counts_are_recorded_and_restored():
+    m = manager(total=10)
+    assert m.allocate(1, 33) == 3
+    assert m.allocate(2, 16) == 1
+    assert m.allocated == {1: 3, 2: 1}
+    assert (m.free_blocks, m.used_blocks) == (6, 4)
     m.free(1)
-    second = m.allocate(2, 32)
-    assert first == second
+    assert m.allocated == {2: 1}
+    assert (m.free_blocks, m.used_blocks) == (9, 1)
+    assert m.allocate(3, 16 * 9) == 9
+    assert (m.free_blocks, m.used_blocks) == (0, 10)
+    with pytest.raises(RuntimeError):
+        m.allocate(4, 1)  # overcommit
+    with pytest.raises(RuntimeError):
+        m.allocate(3, 1)  # double allocate
+    m.free(2)
+    m.free(3)
+    with pytest.raises(RuntimeError):
+        m.free(3)  # double free
+    assert (m.free_blocks, m.used_blocks, m.allocated) == (10, 0, {})

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from disaggsim.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, main)
+from disaggsim import cli
+from disaggsim.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main)
 from disaggsim.models import builtin_catalog
 from disaggsim.simconfig import save_system_config, system_from_dict
 from disaggsim.workload import Slo, WorkloadSpec, generate_poisson, save_trace
@@ -92,6 +93,30 @@ class TestSimulate:
             run(tmp_path, "simulate", "--preset", "no-such-preset")
         assert excinfo.value.code == EXIT_PARSE
 
+    def test_unknown_system_label_is_parse_error(self, tmp_path, capsys):
+        code = run(tmp_path, "simulate", "--preset", "ttft-minicpm-2img",
+                   "--system", "no-such-system")
+        assert code == EXIT_PARSE
+        assert "unknown system" in capsys.readouterr().err
+
+    def test_unknown_model_in_config_is_parse_error(self, tmp_path, config_file,
+                                                    workload_file):
+        data = json.loads(config_file.read_text())
+        data["model"] = "no-such-model"
+        config_file.write_text(json.dumps(data))
+        code = run(tmp_path, "simulate", "--config", str(config_file),
+                   "--workload", str(workload_file), "--slo", "5.0,0.1")
+        assert code == EXIT_PARSE
+
+    def test_internal_key_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        code = run(tmp_path, "simulate", "--preset", "ttft-minicpm-2img", "--system", "epd")
+        assert code == EXIT_RUNTIME
+        assert "parse error" not in capsys.readouterr().err
+
 
 class TestSweep:
     def test_rerun_byte_identical(self, tmp_path):
@@ -127,6 +152,9 @@ class TestCapacity:
         image_rows = [r for r in rows if "max_images_per_request" in r
                       and r.startswith("internvl2-8b,prefill")]
         assert image_rows and ",19,context_length" in image_rows[0]
+
+    def test_unknown_model_is_parse_error(self, tmp_path):
+        assert run(tmp_path, "capacity", "--model", "no-such-model") == EXIT_PARSE
 
 
 class TestWorkloadCommand:

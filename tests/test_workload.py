@@ -86,6 +86,31 @@ class TestTraceIO:
         save_trace(path, requests)
         assert load_trace(path) == requests
 
+    def test_mixed_resolutions_round_trip(self, tmp_path):
+        slo = Slo(5.0, 0.1)
+        requests = [
+            Request(id=0, arrival_time=0.5, prompt_tokens=22,
+                    images=((4032, 3024), (313, 234)), output_tokens=10, slo=slo),
+            Request(id=1, arrival_time=0.75, prompt_tokens=4, images=(),
+                    output_tokens=3, slo=slo),
+            Request(id=2, arrival_time=1.0, prompt_tokens=8,
+                    images=((787, 444), (4032, 3024), (787, 444)), output_tokens=2, slo=slo),
+        ]
+        path = tmp_path / "mixed.csv"
+        save_trace(path, requests)
+        assert load_trace(path) == requests
+
+    def test_resolutions_must_agree_with_counts(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,arrival,prompt_tokens,num_images,width,height,output_tokens,"
+            "ttft_limit,tpot_limit,resolutions\n"
+            "0,0.5,22,2,4032,3024,10,2.6,0.04,4032x3024;313x234\n"
+            "1,0.7,22,3,4032,3024,10,2.6,0.04,4032x3024;313x234\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_trace(path)
+        assert excinfo.value.line == 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
