@@ -9,10 +9,10 @@ import numpy as np
 
 from .engine import run_simulation
 from .metrics import goodput, request_metrics
-from .optimizer import Metric, Objective, Strategy, evaluate, solve
+from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
 from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
                       build_epd, builtin_model, candidate_builder, get_preset,
-                      optimizer_space, slo_for, offline_requests)
+                      slo_for, offline_requests)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
 from .workload import WorkloadSpec, generate_poisson, generate_shifted
@@ -67,7 +67,7 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
     constant offset and the comparison is on the raw metric.
     """
     preset = preset or get_preset("optimizer-restricted")
-    space = optimizer_space(preset.hardware.num_gpus)
+    space = restricted_space(preset.hardware.num_gpus)
     objective = Objective(metric=Metric.GOODPUT, beta=beta)
     builder = candidate_builder(preset)
     result = solve(space, preset.workload, objective, builder,

@@ -21,10 +21,10 @@ from . import ablations, capacity as capacity_mod, metrics as metrics_mod
 from .controller import params_from_dict, write_switch_log
 from .engine import run_simulation
 from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
-from .optimizer import Metric, Objective, Strategy, load_space, solve, write_search_log
+from .optimizer import (Metric, Objective, Strategy, load_space, restricted_space, solve,
+                        write_search_log)
 from .presets import (HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
-                      ExperimentPreset, candidate_builder, get_preset,
-                      optimizer_space, preset_names)
+                      ExperimentPreset, candidate_builder, get_preset, preset_names)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, disable_irp,
                         load_system_config, save_system_config, system_to_dict)
 from .workload import (ParseError, Slo, WorkloadSpec, generate_poisson,
@@ -47,6 +47,11 @@ def _named(mapping: dict, name: str, what: str):
         return mapping[name]
     except KeyError:
         raise InputError(f"unknown {what} {name!r}; available: {sorted(mapping)}") from None
+
+
+def _load_switch_params(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return params_from_dict(json.load(handle))
 
 
 def _load_input(loader, path, *args):
@@ -108,8 +113,7 @@ def _apply_flags(config, args):
         config = replace(config, role_switch=None)
     params_file = getattr(args, "switch_params", None)
     if params_file:
-        with open(params_file, "r", encoding="utf-8") as handle:
-            config = replace(config, role_switch=params_from_dict(json.load(handle)))
+        config = replace(config, role_switch=_load_input(_load_switch_params, params_file))
     return config
 
 
@@ -284,7 +288,7 @@ def cmd_optimize(args) -> int:
     out = _out_dir(args)
     preset = get_preset(args.preset)
     space = (_load_input(load_space, args.space) if args.space
-             else optimizer_space(preset.hardware.num_gpus))
+             else restricted_space(preset.hardware.num_gpus))
     objective = Objective(metric=Metric(args.objective), beta=args.beta)
     result = solve(space, preset.workload, objective, candidate_builder(preset),
                    strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,

@@ -7,7 +7,7 @@ offload / migration / onload phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 from .costs import CostParams
@@ -116,7 +116,11 @@ def migration_latency(cost: CostParams, source: StageRole, target: StageRole) ->
 
 
 def params_from_dict(data: Mapping) -> ControllerParams:
+    """Controller parameters from a JSON mapping; ``KeyError`` names an unknown key."""
     kwargs = dict(data)
+    unknown = sorted(set(kwargs) - {f.name for f in fields(ControllerParams)})
+    if unknown:
+        raise KeyError(unknown[0])
     if "stage_work_scale" in kwargs and kwargs["stage_work_scale"] is not None:
         kwargs["stage_work_scale"] = {
             StageRole(role): float(scale)

@@ -6,13 +6,25 @@ transfer channels between instance pairs, and the optional role-switching
 controller. Identical inputs always produce identical traces; the engine
 itself draws no random numbers.
 
+One cache-fit rule decides what a request reserves where. Encode instances
+hold an MM cache, prefill instances MM and KV, decode instances KV. An
+instance *holds* request ``r`` when its whole MM cache (if any) fits
+``r.mm_tokens`` and its whole KV cache (if any) fits ``r.total_tokens``, plus
+``r.output_tokens`` when its role serves decode. A request is admitted only
+if every stage has an active instance that holds it, it is only ever routed
+to instances that hold it, and the controller's switch is not begun while it
+would take away the last instance of a role that holds a request still
+waiting for that role. So no request waits for room that never comes.
+At batch start an instance reserves MM if its role serves encode and KV if it
+serves prefill; a prefill instance reserves MM before the encoded data is
+sent to it, and a decode instance KV before the prefilled cache is.
+
 Per-event work does not grow with queue length or cache size. Caches count
 blocks instead of naming them (:class:`BlockManager`), each instance keeps
 running patch and token sums of its queue and its running batch for the load
-reads, admission compares each request with per-stage cache sizes recorded
-whenever roles change, and dispatch after an event visits only the instances
-that event touched, retrying the wait queues only after a cache free or a
-pool change.
+reads, each request's block needs are computed once, and dispatch after an
+event visits only the instances that event touched, retrying the wait queues
+only after a cache free or a pool change.
 """
 
 from __future__ import annotations
@@ -66,6 +78,20 @@ _SERVES = {
     "prefill": tuple(r for r in StageRole if r.serves_prefill),
     "decode": tuple(r for r in StageRole if r.serves_decode),
 }
+# Whether an admitted, open request has yet to start on an instance of a
+# switchable role: queued encode work can still move, prefill and decode
+# instances are chosen once.
+_STILL_NEEDS = {
+    StageRole.ENCODE: lambda r: r.rec.encode_start is None,
+    StageRole.PREFILL: lambda r: r.p_iid is None,
+    StageRole.DECODE: lambda r: r.d_iid is None,
+}
+# Where a routed request records its instance per stage: _Req slot, record column.
+_PLACED = {
+    "encode": ("e_iid", "e_instance"),
+    "prefill": ("p_iid", "p_instance"),
+    "decode": ("d_iid", "d_instance"),
+}
 
 
 def irp_shard(patches: int, width: int) -> list[int]:
@@ -117,16 +143,20 @@ class _RunningBatch:
 
 
 class _Req:
-    __slots__ = ("req", "patches", "mm_tokens", "total_tokens", "rec",
-                 "e_iid", "p_iid", "d_iid", "shards", "shards_run_done",
-                 "ready_unsent", "shards_done", "dst_reserved", "emitted")
+    __slots__ = ("req", "patches", "mm_tokens", "total_tokens", "mm_blocks", "kv_blocks",
+                 "rec", "e_iid", "p_iid", "d_iid", "shards", "shards_run_done",
+                 "ready_unsent", "shards_done", "emitted")
 
     def __init__(self, req: Request, patches: int, mm_tokens: int, total_tokens: int,
-                 rec: RequestRecord):
+                 block_size: int, rec: RequestRecord):
         self.req = req
         self.patches = patches
         self.mm_tokens = mm_tokens
         self.total_tokens = total_tokens
+        self.mm_blocks = blocks_for(mm_tokens, block_size)
+        # KV blocks without and with the output tokens, indexed by serves_decode.
+        self.kv_blocks = (blocks_for(total_tokens, block_size),
+                          blocks_for(total_tokens + req.output_tokens, block_size))
         self.rec = rec
         self.e_iid: Optional[int] = None
         self.p_iid: Optional[int] = None
@@ -135,7 +165,6 @@ class _Req:
         self.shards_run_done = 0
         self.ready_unsent: list[int] = []
         self.shards_done = 0
-        self.dst_reserved = False
         self.emitted = 0
 
 
@@ -170,18 +199,28 @@ class _Instance:
         if free <= 0:
             raise ConfigInfeasible(
                 f"instance {self.iid} ({self.role.value}, {gpus} GPU) cannot hold its weights")
+        # The role's stages, read by the cache-fit rule on every reservation.
+        self.serves_encode = self.role.serves_encode
+        self.serves_prefill = self.role.serves_prefill
+        self.serves_decode = self.role.serves_decode
         self.mm = None
         self.kv = None
-        if self.role.serves_encode or self.role.serves_prefill:
+        if self.serves_encode or self.serves_prefill:
             self.mm = BlockManager(CacheKind.MM, system.block_size,
                                    system.mm_cache_tokens // system.block_size)
-        if self.role.serves_prefill or self.role.serves_decode:
+        if self.serves_prefill or self.serves_decode:
             per_block = kv_bytes_per_token(system.model) * system.block_size
             self.kv = BlockManager(CacheKind.KV, system.block_size,
                                    int(system.kv_fraction * free // per_block))
 
-    def occupancy(self) -> int:
-        return len(self.queue) + len(self.resident) + len(self.admit_wait)
+    def holds(self, r: _Req) -> bool:
+        """The cache-fit rule: whether this instance's whole caches fit ``r``."""
+        return ((self.mm is None or r.mm_blocks <= self.mm.total_blocks)
+                and (self.kv is None or r.kv_blocks[self.serves_decode] <= self.kv.total_blocks))
+
+    def kv_tokens(self, r: _Req) -> int:
+        """KV tokens ``r`` reserves here: its prompt, and its output if this serves decode."""
+        return r.total_tokens + r.req.output_tokens if self.serves_decode else r.total_tokens
 
 
 class _Sim:
@@ -193,7 +232,6 @@ class _Sim:
         self.cost = config.cost
         self.seed = seed
         self.insts = [_Instance(i, cfg, config) for i, cfg in enumerate(config.instances)]
-        self._record_cache_sizes()
 
         self.kv_bpt = kv_bytes_per_token(self.model)
         self.mm_bpt = mm_bytes_per_token(self.model)
@@ -232,7 +270,8 @@ class _Sim:
                                 prompt_tokens=req.prompt_tokens, mm_tokens=mm_tokens,
                                 total_tokens=total_tokens, output_tokens=req.output_tokens,
                                 slo=req.slo)
-            self.rs[req.id] = _Req(req, patches, mm_tokens, total_tokens, rec)
+            self.rs[req.id] = _Req(req, patches, mm_tokens, total_tokens,
+                                   config.block_size, rec)
         self.outstanding = len(self.rs)
 
     # --- event plumbing -----------------------------------------------------
@@ -282,10 +321,7 @@ class _Sim:
             "seed": self.seed,
             "shape": format_shape(self.system.instances),
             "gpus": self.system.gpu_count,
-            "completed": sum(1 for r in requests.values() if r.completed),
-            "rejected": sum(1 for r in requests.values() if r.rejected is not None),
             "horizon": self.last_pop,
-            "blocks_ok": True,
         }
         return SimTrace(requests=requests, instances=instances,
                         switches=self.switches, meta=meta)
@@ -326,9 +362,6 @@ class _Sim:
             loads[role] = StageLoad(total=total, instances=entries)
         return loads
 
-    def _sample_queue(self, inst: _Instance, t: float) -> None:
-        inst.record.queue_samples.append((t, inst.occupancy()))
-
     def _enqueue(self, inst: _Instance, r: _Req) -> None:
         inst.queue.append(r.req.id)
         inst.queued_patches += r.patches
@@ -340,37 +373,56 @@ class _Sim:
         self.touched.add(inst.iid)
         self.recheck_waits = True
 
-    # --- admission ------------------------------------------------------------
+    # --- the cache-fit rule ------------------------------------------------------
 
     def _admission_reason(self, r: _Req) -> Optional[str]:
+        """Why ``r`` can never be served, or None when every stage has an
+        active instance that holds it. A switching instance counts for no
+        stage: it is leaving its old role and has no caches for the new one."""
         if r.total_tokens == 0:
             return "empty"
         if r.total_tokens > self.model.max_context_tokens:
             return "context"
-        size = self.system.block_size
-        mm_need = blocks_for(r.mm_tokens, size)
-        if mm_need > self.encode_mm_blocks:
-            return "mm_capacity"
-        if not any(mm_need <= mm_blocks
-                   and blocks_for(r.total_tokens + (r.req.output_tokens if mono else 0),
-                                  size) <= kv_blocks
-                   for mm_blocks, kv_blocks, mono in self.prefill_blocks):
-            return "kv_capacity"
-        if blocks_for(r.total_tokens + r.req.output_tokens, size) > self.decode_kv_blocks:
-            return "kv_capacity"
-        return None
-
-    def _record_cache_sizes(self) -> None:
-        """Whole-cache sizes per stage for the admission check; they change
-        only when an instance takes a new role."""
         insts = self.insts
-        self.encode_mm_blocks = max((i.mm.total_blocks for i in insts
-                                     if i.role.serves_encode and i.mm is not None), default=-1)
-        self.prefill_blocks = [(i.mm.total_blocks, i.kv.total_blocks,
-                                i.role is StageRole.MONOLITHIC) for i in insts
-                               if i.role.serves_prefill and i.mm is not None and i.kv is not None]
-        self.decode_kv_blocks = max((i.kv.total_blocks for i in insts
-                                     if i.role.serves_decode and i.kv is not None), default=-1)
+        if all(any(i.state == "active" and i.role in roles and i.holds(r) for i in insts)
+               for roles in _SERVES.values()):
+            return None
+        if any(i.serves_encode and r.mm_blocks <= i.mm.total_blocks for i in insts):
+            return "kv_capacity"
+        return "mm_capacity"
+
+    def _room(self, inst: _Instance, r: _Req, mm: bool, kv: bool) -> bool:
+        """Whether ``inst`` has free blocks now for ``r``'s MM tokens (if ``mm``)
+        and its KV tokens (if ``kv``)."""
+        return ((not mm or inst.mm.can_allocate(r.mm_tokens))
+                and (not kv or inst.kv.can_allocate(inst.kv_tokens(r))))
+
+    def _reserve(self, inst: _Instance, r: _Req, mm: bool, kv: bool) -> bool:
+        """Reserve what :meth:`_room` checks, all or nothing."""
+        if not self._room(inst, r, mm, kv):
+            return False
+        if mm:
+            inst.mm.allocate(r.req.id, r.mm_tokens)
+        if kv:
+            inst.kv.allocate(r.req.id, inst.kv_tokens(r))
+        return True
+
+    def _route(self, stage: str, r: _Req, load: Callable[[_Instance], float],
+               mm: bool = False, kv: bool = False) -> Optional[_Instance]:
+        """Assign ``r`` to an active ``stage`` instance that holds it and has
+        room for the caches flagged, reserve them there, and record the
+        choice; None when no instance qualifies."""
+        pool = self._pool(stage)
+        candidates = [(i.iid, load(i)) for i in pool if i.holds(r) and self._room(i, r, mm, kv)]
+        if not candidates:
+            return None
+        iid, self.rr[stage] = assign_instance(pool[0].policy, candidates, self.rr[stage])
+        inst = self.insts[iid]
+        self._reserve(inst, r, mm, kv)
+        slot, column = _PLACED[stage]
+        setattr(r, slot, iid)
+        setattr(r.rec, column, iid)
+        return inst
 
     # --- event handlers ---------------------------------------------------------
 
@@ -383,17 +435,10 @@ class _Sim:
             r.rec.rejected = reason
             self.outstanding -= 1
             return
-        pool = self._pool("encode")
-        candidates = [(i.iid, self._arrival_load(i)) for i in pool]
-        iid, self.rr["encode"] = assign_instance(pool[0].policy, candidates, self.rr["encode"])
-        inst = self.insts[iid]
-        r.e_iid = iid
-        r.rec.e_instance = iid
-        if inst.role in (StageRole.ENCODE_PREFILL, StageRole.MONOLITHIC):
-            r.p_iid = iid
-            r.rec.p_instance = iid
+        inst = self._route("encode", r, self._arrival_load)
+        if inst.serves_prefill:
+            r.p_iid = r.rec.p_instance = inst.iid
         self._enqueue(inst, r)
-        self._sample_queue(inst, t)
 
     def _on_worker_done(self, t: float, iid: int, worker: int) -> None:
         inst = self.insts[iid]
@@ -405,9 +450,9 @@ class _Sim:
             if r.shards_run_done == len(r.shards):
                 r.rec.encode_end = t
             r.ready_unsent.append(shard_idx)
-            if r.dst_reserved:
+            if r.p_iid is not None:  # prefill MM reserved: send as shards finish
                 self._send_ready_shards(r, t)
-            elif r.p_iid is None and r.shards_run_done == 1:
+            elif r.shards_run_done == 1:
                 # First shard done: reserve a prefill slot or wait in line.
                 # A later shard finds the request already in ep_wait.
                 if not self._try_reserve_prefill(r, t):
@@ -431,10 +476,10 @@ class _Sim:
             if r.req.output_tokens == 1:
                 self._free(inst, inst.kv, rid)
                 self._complete(r, t)
-            elif inst.role is StageRole.MONOLITHIC:
+            elif inst.serves_decode:  # monolithic: decode in place
                 r.d_iid = iid
                 r.rec.d_instance = iid
-                self._admit_decode(inst, rid, t)
+                self._admit_decode(inst, rid)
             else:
                 if not self._try_reserve_decode(r, t):
                     self.pd_wait.append(rid)
@@ -453,7 +498,6 @@ class _Sim:
                 self._complete(r, t)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
             inst.resident.append(inst.admit_wait.popleft())
-        self._sample_queue(inst, t)
 
     def _on_transfer_end(self, t: float, kind: str, rid: int, shard_idx: int) -> None:
         r = self.rs[rid]
@@ -465,14 +509,12 @@ class _Sim:
                 src = self.insts[r.e_iid]
                 self._free(src, src.mm, rid)
                 r.rec.ep_transfer_end = t
-                dst = self.insts[r.p_iid]
-                self._enqueue(dst, r)
-                self._sample_queue(dst, t)
+                self._enqueue(self.insts[r.p_iid], r)
         else:  # pd
             src = self.insts[r.p_iid]
             self._free(src, src.kv, rid)
             r.rec.pd_transfer_end = t
-            self._admit_decode(self.insts[r.d_iid], rid, t)
+            self._admit_decode(self.insts[r.d_iid], rid)
 
     def _on_switch_migrated(self, t: float, iid: int) -> None:
         self.switch_rec.migration_done = t
@@ -484,7 +526,6 @@ class _Sim:
         if self.system.role_max_batch:
             inst.max_batch = self.system.role_max_batch.get(inst.role, inst.max_batch)
         inst.rebuild_caches(self.system)
-        self._record_cache_sizes()
         inst.state = "active"
         self.touched.add(iid)
         self.recheck_waits = True
@@ -500,11 +541,20 @@ class _Sim:
         params = self.system.role_switch
         if self.switch_rec is None:
             decision = monitor_and_decide(self._stage_loads(), params, t, self.last_switch)
-            if decision is not None:
+            if decision is not None and not self._strands(decision):
                 self._begin_switch(decision, t)
         self._push(t + params.monitor_interval, _MONITOR, ())
 
     # --- switching --------------------------------------------------------------
+
+    def _strands(self, decision: SwitchDecision) -> bool:
+        """Whether the switch would leave an admitted, open request that still
+        needs the source role with no other instance of it that holds it."""
+        rest = [i for i in self.insts
+                if i.role is decision.source and i.iid != decision.instance_id]
+        needs = _STILL_NEEDS[decision.source]
+        return any(r.e_iid is not None and r.rec.completion_time is None and needs(r)
+                   and not any(i.holds(r) for i in rest) for r in self.rs.values())
 
     def _begin_switch(self, decision: SwitchDecision, t: float) -> None:
         inst = self.insts[decision.instance_id]
@@ -519,15 +569,9 @@ class _Sim:
             pending = list(inst.queue)
             inst.queue.clear()
             inst.queued_patches = inst.queued_tokens = 0
-            pool = [i for i in self._pool("encode") if i.iid != inst.iid]
-            for rid in pending:
-                candidates = [(i.iid, self._arrival_load(i)) for i in pool]
-                iid, self.rr["encode"] = assign_instance(
-                    pool[0].policy, candidates, self.rr["encode"])
+            for rid in pending:  # the offloading instance has left the pool
                 r = self.rs[rid]
-                self._enqueue(self.insts[iid], r)
-                r.e_iid = iid
-                r.rec.e_instance = iid
+                self._enqueue(self._route("encode", r, self._arrival_load), r)
                 rec.redistributed += 1
         # Prefill queues and decode residents hold transferred cache data and
         # therefore drain in place before the migration phase starts.
@@ -567,41 +611,24 @@ class _Sim:
         r.ready_unsent.clear()
 
     def _try_reserve_prefill(self, r: _Req, t: float) -> bool:
-        pool = self._pool("prefill")
-        candidates = [(i.iid, self._prefill_load(i)) for i in pool
-                      if i.mm.can_allocate(r.mm_tokens)]
-        if not candidates:
+        if self._route("prefill", r, self._prefill_load, mm=True) is None:
             return False
-        iid, self.rr["prefill"] = assign_instance(pool[0].policy, candidates, self.rr["prefill"])
-        self.insts[iid].mm.allocate(r.req.id, r.mm_tokens)
-        r.p_iid = iid
-        r.rec.p_instance = iid
-        r.dst_reserved = True
         self._send_ready_shards(r, t)
         return True
 
     def _try_reserve_decode(self, r: _Req, t: float) -> bool:
-        kv_need = r.total_tokens + r.req.output_tokens
-        pool = self._pool("decode")
-        candidates = [(i.iid, self._decode_load(i)) for i in pool
-                      if i.kv.can_allocate(kv_need)]
-        if not candidates:
+        if self._route("decode", r, self._decode_load, kv=True) is None:
             return False
-        iid, self.rr["decode"] = assign_instance(pool[0].policy, candidates, self.rr["decode"])
-        self.insts[iid].kv.allocate(r.req.id, kv_need)
-        r.d_iid = iid
-        r.rec.d_instance = iid
-        self._schedule_transfer("pd", r.req.id, -1, r.p_iid, iid,
+        self._schedule_transfer("pd", r.req.id, -1, r.p_iid, r.d_iid,
                                 r.total_tokens * self.kv_bpt, t)
         return True
 
-    def _admit_decode(self, inst: _Instance, rid: int, t: float) -> None:
+    def _admit_decode(self, inst: _Instance, rid: int) -> None:
         self.touched.add(inst.iid)
         if len(inst.resident) < inst.max_batch:
             inst.resident.append(rid)
         else:
             inst.admit_wait.append(rid)
-        self._sample_queue(inst, t)
 
     def _complete(self, r: _Req, t: float) -> None:
         r.rec.completion_time = t
@@ -626,17 +653,34 @@ class _Sim:
         inst.record.busy.append((t, end, kind))
         self._push(end, _BATCH_END, (inst.iid,))
 
-    def _start_encode(self, inst: _Instance, t: float) -> None:
-        def fits(rid: int) -> bool:
-            r = self.rs[rid]
-            if not inst.mm.can_allocate(r.mm_tokens):
-                return False
-            inst.mm.allocate(rid, r.mm_tokens)
-            return True
-
-        batch = form_batch(inst.queue, inst.max_batch, fits)
+    def _start_batch(self, inst: _Instance, t: float) -> None:
+        """Start the longest queue prefix whose reservations succeed: an
+        encode batch on an encode instance, otherwise a prefill batch, fused
+        with encoding when the instance serves encode too."""
+        encodes, prefills = inst.serves_encode, inst.serves_prefill
+        batch = form_batch(inst.queue, inst.max_batch,
+                           lambda rid: self._reserve(inst, self.rs[rid], encodes, prefills))
         if not batch:
             return
+        if not prefills:
+            self._start_encode(inst, batch, t)
+            return
+        reqs = [self.rs[rid] for rid in batch]
+        enc_dur = 0.0
+        if encodes:
+            enc_dur = encode_latency(self.cost, sum(r.patches for r in reqs),
+                                     tp_width=inst.tp, batch_size=len(batch))
+        pre_dur = prefill_latency(self.cost, max(1, sum(r.total_tokens for r in reqs)),
+                                  inst.tp, inst.pp)
+        for r in reqs:
+            if encodes:
+                r.rec.encode_start = t
+                r.rec.encode_end = t + enc_dur
+            r.rec.prefill_start = t + enc_dur
+        self._launch(inst, batch, "fused" if encodes else "prefill", t, t + enc_dur + pre_dur)
+
+    def _start_encode(self, inst: _Instance, batch: list[int], t: float) -> None:
+        """Shard each request's patches across the instance's workers."""
         width = inst.tp
         worker_load = [0] * width
         worker_reqs = [0] * width
@@ -665,49 +709,6 @@ class _Sim:
                                              batch_size=worker_reqs[k])
             self._push(finishes[k], _WORKER_DONE, (inst.iid, k))
         self._launch(inst, batch, "encode", t, max(finishes.values()), worker_items)
-
-    def _start_prefill(self, inst: _Instance, t: float) -> None:
-        def fits(rid: int) -> bool:
-            r = self.rs[rid]
-            if not inst.kv.can_allocate(r.total_tokens):
-                return False
-            inst.kv.allocate(rid, r.total_tokens)
-            return True
-
-        batch = form_batch(inst.queue, inst.max_batch, fits)
-        if not batch:
-            return
-        total = sum(self.rs[rid].total_tokens for rid in batch)
-        duration = prefill_latency(self.cost, max(1, total), inst.tp, inst.pp)
-        for rid in batch:
-            self.rs[rid].rec.prefill_start = t
-        self._launch(inst, batch, "prefill", t, t + duration)
-
-    def _start_fused(self, inst: _Instance, t: float) -> None:
-        mono = inst.role is StageRole.MONOLITHIC
-
-        def fits(rid: int) -> bool:
-            r = self.rs[rid]
-            kv_need = r.total_tokens + (r.req.output_tokens if mono else 0)
-            if not (inst.mm.can_allocate(r.mm_tokens) and inst.kv.can_allocate(kv_need)):
-                return False
-            inst.mm.allocate(rid, r.mm_tokens)
-            inst.kv.allocate(rid, kv_need)
-            return True
-
-        batch = form_batch(inst.queue, inst.max_batch, fits)
-        if not batch:
-            return
-        patches = sum(self.rs[rid].patches for rid in batch)
-        tokens = sum(self.rs[rid].total_tokens for rid in batch)
-        enc_dur = encode_latency(self.cost, patches, tp_width=inst.tp, batch_size=len(batch))
-        pre_dur = prefill_latency(self.cost, max(1, tokens), inst.tp, inst.pp)
-        for rid in batch:
-            rec = self.rs[rid].rec
-            rec.encode_start = t
-            rec.encode_end = t + enc_dur
-            rec.prefill_start = t + enc_dur
-        self._launch(inst, batch, "fused", t, t + enc_dur + pre_dur)
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         batch = tuple(inst.resident)
@@ -738,20 +739,11 @@ class _Sim:
             return
         if inst.running is not None or inst.stepping:
             return
-        role = inst.role
-        if role is StageRole.ENCODE and inst.queue:
-            self._start_encode(inst, t)
-        elif role is StageRole.PREFILL and inst.queue:
-            self._start_prefill(inst, t)
-        elif role is StageRole.ENCODE_PREFILL and inst.queue:
-            self._start_fused(inst, t)
-        elif role is StageRole.MONOLITHIC:
-            # Pending prefill work preempts decode between steps.
-            if inst.queue:
-                self._start_fused(inst, t)
-            if inst.running is None and inst.resident:
-                self._start_step(inst, t)
-        elif role is StageRole.DECODE and inst.resident:
+        # Queued work (only encode and prefill roles queue) preempts decode
+        # between steps; only decode roles hold residents.
+        if inst.queue:
+            self._start_batch(inst, t)
+        if inst.running is None and inst.resident:
             self._start_step(inst, t)
 
     def _dispatch(self, t: float) -> None:

@@ -155,17 +155,6 @@ def tokens_for_request(model: ModelSpec, request) -> tuple[int, int]:
     return mm_tokens, mm_tokens + request.prompt_tokens
 
 
-@dataclass(frozen=True)
-class MemoryModel:
-    """Pairs a model with hardware so capacity arithmetic has one home."""
-
-    model: ModelSpec
-    hardware: HardwareSpec
-
-    def free_after_weights(self, role: StageRole, gpus: int = 1, overhead: float = 0.0) -> float:
-        return self.hardware.gpu_memory * gpus - weights_bytes(self.model, role, overhead)
-
-
 # --- catalog file I/O -------------------------------------------------------
 
 _INT_FIELDS = (

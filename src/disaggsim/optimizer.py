@@ -196,7 +196,8 @@ def space_from_dict(data: dict) -> ConfigSpace:
     if "irp_choices" in data:
         kwargs["irp_choices"] = tuple(bool(v) for v in data["irp_choices"])
     if "policies" in data:
-        kwargs["policies"] = tuple(SchedulePolicy(p) for p in data["policies"])
+        # dict keeps order and drops "round_robin" beside "fcfs", which name one policy
+        kwargs["policies"] = tuple(dict.fromkeys(SchedulePolicy(p) for p in data["policies"]))
     return ConfigSpace(**kwargs)
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from .controller import ControllerParams
 from .costs import CostParams
 from .models import HardwareSpec, ModelSpec, StageRole, builtin_model
-from .optimizer import Candidate, ConfigSpace, restricted_space
+from .optimizer import Candidate
 from .simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from .workload import Request, Slo, WorkloadSpec
 
@@ -22,7 +22,6 @@ INTERNVL8 = "internvl2-8b"
 INTERNVL26 = "internvl2-26b"
 
 RES_4K = (4032, 3024)
-RES_MID = (787, 444)
 RES_LOW = (313, 234)
 
 # TTFT / TPOT limits (seconds) keyed by (model, images per request).
@@ -261,11 +260,6 @@ def candidate_builder(preset: ExperimentPreset) -> Callable[[Candidate], SystemC
     return build
 
 
-def optimizer_space(gpu_budget: int = 8) -> ConfigSpace:
-    """Named preset space: shared per-stage batches, TP/PP fixed to 1."""
-    return restricted_space(gpu_budget)
-
-
 def offline_preset(seed: int = 20260808, num_requests: int = 200) -> ExperimentPreset:
     """Batch-submitted workload for end-to-end throughput comparisons."""
     model = builtin_model(MINICPM)
@@ -299,20 +293,12 @@ def offline_requests(preset: ExperimentPreset) -> list[Request]:
     ]
 
 
-def irp_ablation_preset(seed: int = 20260808) -> ExperimentPreset:
-    """Fixed-rate workload family for the patch-sharding on/off comparison."""
-    base = ttft_distribution_preset(MINICPM, 2, seed)
-    return replace(base, name="irp-ablation",
-                   notes="sweeps images/request with patch sharding on and off")
-
-
 def _named_presets() -> dict[str, Callable[[], ExperimentPreset]]:
     presets: dict[str, Callable[[], ExperimentPreset]] = {
         "encode-heavy": encode_heavy_preset,
         "switch-shifted": switch_preset,
         "optimizer-restricted": optimizer_preset,
         "offline-throughput": offline_preset,
-        "irp-ablation": irp_ablation_preset,
     }
     for alias, name in _MODEL_ALIASES.items():
         for images in (2, 4, 6, 8):

@@ -21,9 +21,18 @@ class CapacityExceeded(Exception):
 
 
 class SchedulePolicy(Enum):
+    """How a stage assigns requests to its instances.
+
+    FCFS cycles round-robin over the instances; ``"round_robin"``, the old
+    name of the same policy, still reads as FCFS.
+    """
+
     FCFS = "fcfs"
-    ROUND_ROBIN = "round_robin"
     LEAST_LOADED = "least_loaded"
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls.FCFS if value == "round_robin" else None
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,6 @@ class InstanceRecord:
     initial_role: StageRole
     busy: list[tuple[float, float, str]] = field(default_factory=list)
     roles: list[tuple[float, StageRole]] = field(default_factory=list)
-    queue_samples: list[tuple[float, int]] = field(default_factory=list)
 
     def role_at(self, t: float) -> StageRole:
         current = self.initial_role

@@ -228,3 +228,11 @@ class TestSwitchArtifacts:
                    "--switch-params", str(params))
         assert code == EXIT_OK
         assert (tmp_path / "simulate-epd-switches.csv").exists()
+
+    def test_unknown_switch_param_is_parse_error(self, tmp_path, capsys):
+        params = tmp_path / "controller.json"
+        params.write_text(json.dumps({"monitor_interval": 1.0, "no_such_key": 3}))
+        code = run(tmp_path, "simulate", "--preset", "switch-shifted",
+                   "--switch-params", str(params))
+        assert code == EXIT_PARSE
+        assert "no_such_key" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from disaggsim.models import (MemoryModel, ModelSpec, StageRole, UnknownResolution,
+from disaggsim.models import (ModelSpec, StageRole, UnknownResolution,
                               builtin_catalog, builtin_model, kv_bytes_per_token,
                               load_catalog, mm_bytes_per_token, patches_for_image,
                               save_catalog, tokens_for_request, weights_bytes)
@@ -154,8 +154,3 @@ class TestValidationAndCatalog:
     def test_builtin_catalog_has_three_models(self):
         assert sorted(builtin_catalog()) == ["internvl2-26b", "internvl2-8b",
                                              "minicpm-v-2.6"]
-
-    def test_memory_model_free_after_weights(self, toy_model, toy_hw):
-        mm = MemoryModel(model=toy_model, hardware=toy_hw)
-        expected = toy_hw.gpu_memory - toy_model.encoder_params * 2
-        assert mm.free_after_weights(StageRole.ENCODE) == expected

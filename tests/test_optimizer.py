@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from disaggsim.models import StageRole
 from disaggsim.optimizer import (BudgetMode, Candidate, ConfigSpace, EmptyFeasibleSet,
                                  Metric, Objective, StageChoice, Strategy, cost,
-                                 evaluate, restricted_space, solve)
+                                 evaluate, restricted_space, solve, space_from_dict)
 from disaggsim.presets import candidate_builder, optimizer_preset
-from disaggsim.simconfig import InstanceConfig
+from disaggsim.simconfig import InstanceConfig, SchedulePolicy
 from disaggsim.workload import Slo, WorkloadSpec
 
 
@@ -66,6 +66,11 @@ class TestSpace:
         space = small_space()
         for candidate in space.enumerate():
             assert candidate.gpus <= 8
+
+    def test_round_robin_beside_fcfs_is_one_policy(self):
+        space = space_from_dict({"gpu_budget": 8,
+                                 "policies": ["fcfs", "round_robin", "least_loaded"]})
+        assert space.policies == (SchedulePolicy.FCFS, SchedulePolicy.LEAST_LOADED)
 
     def test_irp_choice_shapes_encode_stage(self):
         space = small_space()

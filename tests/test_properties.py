@@ -103,7 +103,6 @@ def test_causality_and_conservation_on_large_random_workload():
     trace = run_simulation(config, workload, seed=1)
     trace.validate()
     assert trace.completed_count + trace.rejected_count == 1000
-    assert trace.meta["blocks_ok"] is True
     # multimodal tokens transferred exactly match tokens encoded, per request
     for rec in trace.completed_records():
         sharded = sum(s.patches for s in rec.shards) * MODEL.tokens_per_patch
@@ -119,7 +118,6 @@ def test_conservation_under_role_switching():
     trace = run_simulation(preset.systems["epd"], workload, seed=3)
     trace.validate()
     assert trace.completed_count == len(workload)
-    assert trace.meta["blocks_ok"] is True
     repeat = run_simulation(preset.systems["epd"], workload, seed=3)
     assert serialized(trace) == serialized(repeat)
 
