@@ -10,9 +10,10 @@ import numpy as np
 from .engine import run_simulation
 from .metrics import goodput, request_metrics
 from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
+from .models import StageRole
 from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
-                      build_epd, builtin_model, candidate_builder, get_preset,
-                      slo_for, offline_requests)
+                      build_system, builtin_model, candidate_builder, get_preset,
+                      offline_batches, slo_for, offline_requests)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
 from .workload import WorkloadSpec, generate_poisson, generate_shifted
@@ -45,7 +46,7 @@ def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
             images_per_request=images, resolution=RES_4K, output_tokens=10,
             seed=seed, slo=slo)
         workload = generate_poisson(spec)
-        with_irp = build_epd(model, cost, e_width=5, p_instances=2, d_instances=1)
+        with_irp = build_system(model, cost, "1E2P1D", tp={StageRole.ENCODE: 5})
         without_irp = disable_irp(with_irp)
         ttft_on = _mean_ttft(run_simulation(with_irp, workload, seed=seed), slo)
         ttft_off = _mean_ttft(run_simulation(without_irp, workload, seed=seed), slo)
@@ -153,13 +154,11 @@ def offline_throughput(seed: int = 20260808) -> list[dict]:
 
     model, cost = preset.model, preset.cost
     for e in range(1, 7):
-        config = build_epd(model, cost, e_instances=e, e_width=1, e_batch=8,
-                           p_instances=7 - e, p_batch=8, d_instances=1, d_batch=128)
+        config = build_system(model, cost, f"{e}E{7 - e}P1D", max_batch=offline_batches(8))
         rows.append({"system": f"epd-{e}E{7 - e}P1D", "sweep": "shape", "value": e,
                      "throughput": throughput(config)})
     for batch in (1, 2, 4, 8, 16):
-        config = build_epd(model, cost, e_instances=5, e_width=1, e_batch=batch,
-                           p_instances=2, p_batch=batch, d_instances=1, d_batch=128)
+        config = build_system(model, cost, "5E2P1D", max_batch=offline_batches(batch))
         rows.append({"system": "epd-5E2P1D", "sweep": "batch", "value": batch,
                      "throughput": throughput(config)})
     return rows

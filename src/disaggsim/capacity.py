@@ -29,7 +29,6 @@ class DeploymentShape:
     mm_cache_tokens: int = 0  # 0 means bounded only by free memory
     act_bytes_per_token: float = 0.0
     enc_act_bytes_per_token: float = 0.0
-    weights_overhead: float = 0.0
     gpus: int = 1
 
     def __post_init__(self) -> None:
@@ -62,7 +61,7 @@ class _Budget:
 
 def _budget(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
             kv_fraction: Optional[float] = None) -> Optional[_Budget]:
-    free = hw.gpu_memory * shape.gpus - weights_bytes(model, shape.role, shape.weights_overhead)
+    free = hw.gpu_memory * shape.gpus - weights_bytes(model, shape.role)
     if free < 0:
         return None
     # Dedicated encode workers reserve nothing for KV cache.
@@ -84,10 +83,10 @@ def _per_request_demand(model: ModelSpec, shape: DeploymentShape, mm_tokens: int
 
 
 def _feasible(model: ModelSpec, shape: DeploymentShape, budget: _Budget,
-              images: int, batch: int, tokens_per_image: int, mm_per_image: int,
+              images: int, batch: int, tokens_per_image: int,
               prompt_tokens: int) -> tuple[bool, LimitingFactor]:
-    total_tokens = images * tokens_per_image + prompt_tokens
-    mm_tokens = images * mm_per_image
+    mm_tokens = images * tokens_per_image
+    total_tokens = mm_tokens + prompt_tokens
     if shape.role is not StageRole.ENCODE and total_tokens > model.max_context_tokens:
         return False, LimitingFactor.CONTEXT_LENGTH
     if shape.mm_cache_tokens and batch * mm_tokens > shape.mm_cache_tokens:
@@ -98,10 +97,8 @@ def _feasible(model: ModelSpec, shape: DeploymentShape, budget: _Budget,
     return True, LimitingFactor.MEMORY
 
 
-def _tokens_per_image(model: ModelSpec, resolution: Resolution) -> tuple[int, int]:
-    patches = patches_for_image(model, resolution)
-    mm = patches * model.tokens_per_patch
-    return mm, mm
+def _tokens_per_image(model: ModelSpec, resolution: Resolution) -> int:
+    return patches_for_image(model, resolution) * model.tokens_per_patch
 
 
 def max_images_per_request(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
@@ -111,12 +108,11 @@ def max_images_per_request(model: ModelSpec, hw: HardwareSpec, shape: Deployment
     budget = _budget(model, hw, shape)
     if budget is None:
         return CapacityReport("max_images_per_request", None, False, LimitingFactor.MEMORY)
-    mm_per_image, tokens_per_image = _tokens_per_image(model, resolution)
+    tokens_per_image = _tokens_per_image(model, resolution)
     best = None
     factor = LimitingFactor.MEMORY
     for n in range(1, limit + 1):
-        ok, why = _feasible(model, shape, budget, n, 1, tokens_per_image,
-                            mm_per_image, prompt_tokens)
+        ok, why = _feasible(model, shape, budget, n, 1, tokens_per_image, prompt_tokens)
         if not ok:
             factor = why
             break
@@ -135,12 +131,12 @@ def max_batch(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
     budget = _budget(model, hw, shape)
     if budget is None:
         return CapacityReport("max_batch", None, False, LimitingFactor.MEMORY)
-    mm_per_image, tokens_per_image = _tokens_per_image(model, resolution)
+    tokens_per_image = _tokens_per_image(model, resolution)
     best = None
     factor = LimitingFactor.MEMORY
     for b in range(1, limit + 1):
         ok, why = _feasible(model, shape, budget, images_per_request, b,
-                            tokens_per_image, mm_per_image, prompt_tokens)
+                            tokens_per_image, prompt_tokens)
         if not ok:
             factor = why
             break
@@ -154,7 +150,7 @@ def max_kv_fraction(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
                     images_per_request: int, resolution: Resolution,
                     prompt_tokens: int = 0) -> CapacityReport:
     """Largest KV reservation (1% steps) keeping a batch-1 request feasible."""
-    mm_per_image, tokens_per_image = _tokens_per_image(model, resolution)
+    tokens_per_image = _tokens_per_image(model, resolution)
     best = None
     factor = LimitingFactor.MEMORY
     for percent in range(0, 101):
@@ -163,7 +159,7 @@ def max_kv_fraction(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
         if budget is None:
             break
         ok, why = _feasible(model, shape, budget, images_per_request, 1,
-                            tokens_per_image, mm_per_image, prompt_tokens)
+                            tokens_per_image, prompt_tokens)
         if ok:
             best = fraction
         else:

@@ -17,16 +17,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from . import ablations, capacity as capacity_mod, metrics as metrics_mod
-from .controller import params_from_dict, write_switch_log
+from . import __version__, ablations, capacity as capacity_mod, metrics as metrics_mod
+from .controller import ControllerParams, write_switch_log
 from .engine import run_simulation
 from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
 from .optimizer import (Metric, Objective, Strategy, load_space, restricted_space, solve,
                         write_search_log)
-from .presets import (HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
+from .presets import (EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
                       ExperimentPreset, candidate_builder, get_preset, preset_names)
-from .simconfig import (CapacityExceeded, ConfigInfeasible, disable_irp,
-                        load_system_config, save_system_config, system_to_dict)
+from .simconfig import (CapacityExceeded, ConfigInfeasible, disable_irp, from_dict,
+                        load_system_config, save_system_config, system_to_dict, to_dict)
 from .workload import (ParseError, Slo, WorkloadSpec, generate_poisson,
                        generate_shifted, load_trace, save_trace)
 
@@ -51,7 +51,7 @@ def _named(mapping: dict, name: str, what: str):
 
 def _load_switch_params(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return params_from_dict(json.load(handle))
+        return from_dict(ControllerParams, json.load(handle))
 
 
 def _load_input(loader, path, *args):
@@ -75,19 +75,22 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _config_hash(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True, default=str).encode()).hexdigest()
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
 
 
-def _write_meta(path: Path, command: str, payload: dict) -> None:
+def _write_meta(path: Path, command: str, inputs: dict, unhashed: Optional[dict] = None) -> None:
+    """Write the sidecar: ``inputs`` with their ``config_hash`` (which also
+    covers the package version), then ``unhashed`` (results, file locations)."""
     meta = {
         "command": command,
-        "config_hash": _config_hash(payload),
+        "config_hash": _digest({**inputs, "version": __version__}),
         "created": datetime.now(timezone.utc).isoformat(),
-        **payload,
+        **inputs,
+        **(unhashed or {}),
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True, default=str)
+        json.dump(meta, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -131,10 +134,8 @@ def cmd_simulate(args) -> int:
             config = _named(preset.systems, label, f"system of preset {args.preset!r}")
             runs.append((label, _apply_flags(config, args), workload))
         seed = args.seed if args.seed is not None else preset.seed
-        meta_payload = {"preset": args.preset, "seed": seed,
-                        "num_requests": len(workload),
-                        "systems": {label: system_to_dict(config)
-                                    for label, config, _ in runs}}
+        inputs = {"preset": args.preset, "seed": seed, "num_requests": len(workload)}
+        files = {}
     else:
         if not args.config or not args.workload:
             raise ParseError("--config and --workload required without --preset", 1)
@@ -148,8 +149,10 @@ def cmd_simulate(args) -> int:
         workload = load_trace(args.workload, default_slo=args.slo,
                               rate_lambda=args.workload_rate, seed=seed)
         runs.append(("run", config, workload))
-        meta_payload = {"config": args.config, "workload": args.workload, "seed": seed,
-                        "systems": {"run": system_to_dict(config)}}
+        inputs = {"seed": seed}
+        files = {"config": args.config, "workload": args.workload}
+    inputs["systems"] = {label: system_to_dict(config) for label, config, _ in runs}
+    inputs["workload_sha256"] = _digest(to_dict(workload))
 
     summary_paths = []
     for label, config, workload in runs:
@@ -161,8 +164,8 @@ def cmd_simulate(args) -> int:
             write_switch_log(out / f"simulate-{label}-switches.csv", trace.switches)
         print(f"{label}: completed={trace.completed_count} rejected={trace.rejected_count} "
               f"horizon={trace.horizon:.3f}s switches={len(trace.switches)}")
-    _write_meta(out / "simulate-meta.json", "simulate",
-                {**meta_payload, "outputs": summary_paths})
+    _write_meta(out / "simulate-meta.json", "simulate", inputs,
+                {**files, "outputs": summary_paths})
     return EXIT_OK
 
 
@@ -185,23 +188,24 @@ def cmd_sweep(args) -> int:
               f"(threshold {threshold:.0%}, grid {rate_grid})")
     _write_meta(out / f"sweep-{preset.name}-meta.json", "sweep", {
         "preset": preset.name, "seed": seed, "rate_grid": rate_grid,
-        "attainment_threshold": threshold, "goodput": goodputs,
+        "attainment_threshold": threshold,
         "systems": {label: system_to_dict(_apply_flags(preset.systems[label], args))
                     for label in sorted(preset.systems)},
-    })
+    }, {"goodput": goodputs})
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else 20260808
+    inputs = {"seed": seed}
     if args.which == "irp":
         rows = ablations.irp_ablation(seed=seed)
         path = out / "ablate-irp.csv"
         _write_csv(path, list(rows[0].keys()), rows)
         for row in rows:
             print(f"images={row['images_per_request']}: ratio={row['ratio']:.2f}")
-        meta = {"rows": len(rows), "seed": seed}
+        results = {"rows": len(rows)}
     elif args.which == "optimizer":
         result = ablations.optimizer_ablation(trials=args.trials, seed=seed, beta=args.beta)
         path = out / "ablate-optimizer.csv"
@@ -213,8 +217,9 @@ def cmd_ablate(args) -> int:
         write_search_log(out / "ablate-optimizer-log.csv", result["search_log"])
         print(f"solver goodput={result['solver_goodput']} "
               f"random mean={result['random_mean_goodput']}")
-        meta = {"solver_goodput": result["solver_goodput"],
-                "random_mean_goodput": result["random_mean_goodput"], "seed": seed}
+        inputs.update(trials=args.trials, beta=args.beta)
+        results = {"solver_goodput": result["solver_goodput"],
+                   "random_mean_goodput": result["random_mean_goodput"]}
     elif args.which == "switch":
         result = ablations.switch_ablation(seed=seed)
         path = out / "ablate-switch.csv"
@@ -224,7 +229,7 @@ def cmd_ablate(args) -> int:
         ]
         _write_csv(path, list(rows[0].keys()), rows)
         print(f"makespan ratio (switch/no-switch)={result['makespan_ratio']:.3f}")
-        meta = {"makespan_ratio": result["makespan_ratio"], "seed": seed}
+        results = {"makespan_ratio": result["makespan_ratio"]}
     else:  # offline
         rows = ablations.offline_throughput(seed=seed)
         path = out / "ablate-offline.csv"
@@ -232,8 +237,9 @@ def cmd_ablate(args) -> int:
         for row in rows:
             if row["sweep"] == "preset":
                 print(f"{row['system']}: {row['throughput']:.3f} r/s")
-        meta = {"rows": len(rows), "seed": seed}
-    _write_meta(out / f"ablate-{args.which}-meta.json", f"ablate-{args.which}", meta)
+        results = {"rows": len(rows)}
+    _write_meta(out / f"ablate-{args.which}-meta.json", f"ablate-{args.which}", inputs,
+                results)
     return EXIT_OK
 
 
@@ -257,11 +263,11 @@ def cmd_capacity(args) -> int:
     for model in models:
         for shape_name, shape in shapes.items():
             reports = [
-                capacity_mod.max_images_per_request(model, args.hardware, shape, resolution,
+                capacity_mod.max_images_per_request(model, EIGHT_GPU_NODE, shape, resolution,
                                                     prompt_tokens=args.prompt_tokens),
-                capacity_mod.max_batch(model, args.hardware, shape, args.images, resolution,
+                capacity_mod.max_batch(model, EIGHT_GPU_NODE, shape, args.images, resolution,
                                        prompt_tokens=args.prompt_tokens),
-                capacity_mod.max_kv_fraction(model, args.hardware, shape, args.images,
+                capacity_mod.max_kv_fraction(model, EIGHT_GPU_NODE, shape, args.images,
                                              resolution, prompt_tokens=args.prompt_tokens),
             ]
             for report in reports:
@@ -290,9 +296,10 @@ def cmd_optimize(args) -> int:
     space = (_load_input(load_space, args.space) if args.space
              else restricted_space(preset.hardware.num_gpus))
     objective = Objective(metric=Metric(args.objective), beta=args.beta)
+    rate_grid = args.rate_grid or list(preset.rate_grid)
     result = solve(space, preset.workload, objective, candidate_builder(preset),
                    strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,
-                   rate_grid=args.rate_grid or list(preset.rate_grid))
+                   rate_grid=rate_grid)
     best_path = out / "optimize-best.json"
     save_system_config(best_path, result.best_config)
     write_search_log(out / "optimize-log.csv", result.log)
@@ -300,9 +307,8 @@ def cmd_optimize(args) -> int:
     _write_meta(out / "optimize-meta.json", "optimize", {
         "preset": preset.name, "objective": args.objective, "beta": args.beta,
         "trials": args.trials, "seed": args.seed, "strategy": args.strategy,
-        "best_score": result.best_score,
-        "best_config": system_to_dict(result.best_config),
-    })
+        "rate_grid": rate_grid, "space": to_dict(space),
+    }, {"best_score": result.best_score, "best_config": system_to_dict(result.best_config)})
     return EXIT_OK
 
 
@@ -317,9 +323,7 @@ def cmd_workload(args) -> int:
     path = out / (args.name or "workload.csv")
     save_trace(path, requests)
     print(f"wrote {len(requests)} requests to {path}")
-    _write_meta(out / "workload-meta.json", "workload", {
-        "seed": args.seed, "rate": args.rate, "num_requests": args.num_requests,
-    })
+    _write_meta(out / "workload-meta.json", "workload", to_dict(spec))
     return EXIT_OK
 
 
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="activation bytes per prefill token")
     cap.add_argument("--enc-act-bytes", type=float, default=HEAVY_ENCODE_ACT_BYTES,
                      help="activation bytes per multimodal token on encode workers")
-    cap.set_defaults(func=cmd_capacity, hardware=None)
+    cap.set_defaults(func=cmd_capacity)
 
     opt = sub.add_parser("optimize", help="search deployment configurations")
     opt.add_argument("--preset", default="optimizer-restricted", choices=preset_names())
@@ -425,9 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "hardware", "missing") is None:
-        from .presets import EIGHT_GPU_NODE
-        args.hardware = EIGHT_GPU_NODE
     try:
         return args.func(args)
     except (ParseError, json.JSONDecodeError, InputError, UnknownResolution) as exc:

@@ -7,7 +7,7 @@ offload / migration / onload phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .costs import CostParams
@@ -113,20 +113,6 @@ def migration_latency(cost: CostParams, source: StageRole, target: StageRole) ->
     if StageRole.ENCODE in (source, target):
         return cost.switch_latency_e
     return cost.switch_latency_pd
-
-
-def params_from_dict(data: Mapping) -> ControllerParams:
-    """Controller parameters from a JSON mapping; ``KeyError`` names an unknown key."""
-    kwargs = dict(data)
-    unknown = sorted(set(kwargs) - {f.name for f in fields(ControllerParams)})
-    if unknown:
-        raise KeyError(unknown[0])
-    if "stage_work_scale" in kwargs and kwargs["stage_work_scale"] is not None:
-        kwargs["stage_work_scale"] = {
-            StageRole(role): float(scale)
-            for role, scale in kwargs["stage_work_scale"].items()
-        }
-    return ControllerParams(**kwargs)
 
 
 def write_switch_log(path, switches: Sequence[SwitchEventRecord]) -> None:

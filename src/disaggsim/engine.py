@@ -401,11 +401,16 @@ class _Sim:
         """Reserve what :meth:`_room` checks, all or nothing."""
         if not self._room(inst, r, mm, kv):
             return False
+        self._allocate(inst, r, mm, kv)
+        return True
+
+    @staticmethod
+    def _allocate(inst: _Instance, r: _Req, mm: bool, kv: bool) -> None:
+        """Take the blocks :meth:`_room` has found free."""
         if mm:
             inst.mm.allocate(r.req.id, r.mm_tokens)
         if kv:
             inst.kv.allocate(r.req.id, inst.kv_tokens(r))
-        return True
 
     def _route(self, stage: str, r: _Req, load: Callable[[_Instance], float],
                mm: bool = False, kv: bool = False) -> Optional[_Instance]:
@@ -418,7 +423,7 @@ class _Sim:
             return None
         iid, self.rr[stage] = assign_instance(pool[0].policy, candidates, self.rr[stage])
         inst = self.insts[iid]
-        self._reserve(inst, r, mm, kv)
+        self._allocate(inst, r, mm, kv)
         slot, column = _PLACED[stage]
         setattr(r, slot, iid)
         setattr(r.rec, column, iid)

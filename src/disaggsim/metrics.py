@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 from .engine import run_simulation
 from .simconfig import SystemConfig
-from .trace import SimTrace
+from .trace import RequestRecord, SimTrace
 from .workload import Slo, WorkloadSpec, generate_poisson
 
 
@@ -47,22 +47,21 @@ class SweepResult:
             raise ValueError("sweep rates must be strictly increasing")
 
 
-def ttft(trace: SimTrace, rid: int) -> float:
-    """Seconds from submission to the first token, queueing included."""
+def _completed(trace: SimTrace, rid: int) -> RequestRecord:
     rec = trace.requests[rid]
     if not rec.completed:
         raise IncompleteRequest(f"request {rid} did not complete")
-    return rec.first_token_time - rec.arrival
+    return rec
+
+
+def ttft(trace: SimTrace, rid: int) -> float:
+    """Seconds from submission to the first token (:attr:`RequestRecord.ttft`)."""
+    return _completed(trace, rid).ttft
 
 
 def tpot(trace: SimTrace, rid: int) -> float:
-    """Mean inter-token gap after the first token; 0 for single-token output."""
-    rec = trace.requests[rid]
-    if not rec.completed:
-        raise IncompleteRequest(f"request {rid} did not complete")
-    if rec.output_tokens < 2:
-        return 0.0
-    return (rec.completion_time - rec.first_token_time) / (rec.output_tokens - 1)
+    """Mean inter-token gap after the first token (:attr:`RequestRecord.tpot`)."""
+    return _completed(trace, rid).tpot
 
 
 def request_metrics(trace: SimTrace, slo: Optional[Slo] = None) -> list[RequestMetrics]:
@@ -73,8 +72,7 @@ def request_metrics(trace: SimTrace, slo: Optional[Slo] = None) -> list[RequestM
     """
     out = []
     for rec in sorted(trace.completed_records(), key=lambda r: r.rid):
-        t_first = ttft(trace, rec.rid)
-        t_out = tpot(trace, rec.rid)
+        t_first, t_out = rec.ttft, rec.tpot
         limits = slo if slo is not None else _request_slo(trace, rec.rid)
         met = t_first <= limits.ttft and t_out <= limits.tpot
         out.append(RequestMetrics(rid=rec.rid, ttft=t_first, tpot=t_out, met_slo=met))

@@ -41,14 +41,6 @@ class StageRole(Enum):
     def serves_decode(self) -> bool:
         return self in (StageRole.DECODE, StageRole.MONOLITHIC)
 
-    @property
-    def holds_encoder(self) -> bool:
-        return self.serves_encode
-
-    @property
-    def holds_llm(self) -> bool:
-        return self is not StageRole.ENCODE
-
 
 class UnknownResolution(KeyError):
     """Image resolution is not present in the model's patch table."""
@@ -118,9 +110,9 @@ def weights_bytes(model: ModelSpec, role: StageRole, overhead: float = 0.0) -> f
     defaults to zero.
     """
     params = 0
-    if role.holds_encoder:
+    if role.serves_encode:
         params += model.encoder_params
-    if role.holds_llm:
+    if role is not StageRole.ENCODE:
         params += model.llm_params
     return params * model.bytes_per_param + overhead
 

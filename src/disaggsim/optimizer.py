@@ -19,7 +19,7 @@ import numpy as np
 from .metrics import goodput, request_metrics
 from .engine import run_simulation
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
-                        SystemConfig)
+                        SystemConfig, from_dict)
 from .models import StageRole
 from .workload import WorkloadSpec, generate_poisson
 
@@ -185,20 +185,9 @@ def restricted_space(gpu_budget: int = 8) -> ConfigSpace:
 
 def space_from_dict(data: dict) -> ConfigSpace:
     """Build a search space from a JSON-friendly mapping."""
-    kwargs = dict(
-        gpu_budget=data["gpu_budget"],
-        budget_mode=BudgetMode(data.get("budget_mode", "exactly")),
-    )
-    for key in ("encode_gpus", "prefill_gpus", "decode_gpus",
-                "encode_batches", "prefill_batches", "decode_batches"):
-        if key in data:
-            kwargs[key] = tuple(int(v) for v in data[key])
-    if "irp_choices" in data:
-        kwargs["irp_choices"] = tuple(bool(v) for v in data["irp_choices"])
-    if "policies" in data:
-        # dict keeps order and drops "round_robin" beside "fcfs", which name one policy
-        kwargs["policies"] = tuple(dict.fromkeys(SchedulePolicy(p) for p in data["policies"]))
-    return ConfigSpace(**kwargs)
+    space = from_dict(ConfigSpace, data)
+    # dict keeps order and drops "round_robin" beside "fcfs", which name one policy
+    return replace(space, policies=tuple(dict.fromkeys(space.policies)))
 
 
 def load_space(path) -> ConfigSpace:

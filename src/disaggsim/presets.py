@@ -14,7 +14,7 @@ from .controller import ControllerParams
 from .costs import CostParams
 from .models import HardwareSpec, ModelSpec, StageRole, builtin_model
 from .optimizer import Candidate
-from .simconfig import InstanceConfig, SchedulePolicy, SystemConfig
+from .simconfig import SchedulePolicy, SystemConfig, expand_shape
 from .workload import Request, Slo, WorkloadSpec
 
 MINICPM = "minicpm-v-2.6"
@@ -93,47 +93,20 @@ class ExperimentPreset:
     shifted_split: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
 
 
-def _instances(groups: list[tuple[int, StageRole, int, int, int]],
-               policy: SchedulePolicy = SchedulePolicy.FCFS) -> tuple[InstanceConfig, ...]:
-    out: list[InstanceConfig] = []
-    for count, role, tp, pp, batch in groups:
-        out.extend(InstanceConfig(role=role, tp=tp, pp=pp, max_batch=batch, policy=policy)
-                   for _ in range(count))
-    return tuple(out)
+def build_system(model: ModelSpec, cost: CostParams, shape: str, *,
+                 tp: Optional[dict[StageRole, int]] = None,
+                 max_batch: Optional[dict[StageRole, int]] = None, **kwargs) -> SystemConfig:
+    """A deployment on the eight-GPU node from xEyPzD shorthand, every stage
+    assigning least-loaded first; ``kwargs`` set the other system fields."""
+    instances = expand_shape(shape, tp=tp, max_batch=max_batch,
+                             policy=SchedulePolicy.LEAST_LOADED)
+    return SystemConfig(instances=instances, hardware=EIGHT_GPU_NODE, model=model, cost=cost,
+                        **kwargs)
 
 
-def build_epd(model: ModelSpec, cost: CostParams, hw: HardwareSpec = EIGHT_GPU_NODE, *,
-              e_instances: int = 1, e_width: int = 4, e_batch: int = 1,
-              p_instances: int = 2, p_tp: int = 1, p_batch: int = 1,
-              d_instances: int = 2, d_tp: int = 1, d_batch: int = 1,
-              policy: SchedulePolicy = SchedulePolicy.LEAST_LOADED,
-              **kwargs) -> SystemConfig:
-    instances = _instances([
-        (e_instances, StageRole.ENCODE, e_width, 1, e_batch),
-        (p_instances, StageRole.PREFILL, p_tp, 1, p_batch),
-        (d_instances, StageRole.DECODE, d_tp, 1, d_batch),
-    ], policy)
-    return SystemConfig(instances=instances, hardware=hw, model=model, cost=cost, **kwargs)
-
-
-def build_distserve(model: ModelSpec, cost: CostParams, hw: HardwareSpec = EIGHT_GPU_NODE, *,
-                    ep_instances: int = 6, ep_tp: int = 1, ep_batch: int = 1,
-                    d_instances: int = 2, d_batch: int = 1,
-                    policy: SchedulePolicy = SchedulePolicy.LEAST_LOADED,
-                    **kwargs) -> SystemConfig:
-    instances = _instances([
-        (ep_instances, StageRole.ENCODE_PREFILL, ep_tp, 1, ep_batch),
-        (d_instances, StageRole.DECODE, 1, 1, d_batch),
-    ], policy)
-    return SystemConfig(instances=instances, hardware=hw, model=model, cost=cost, **kwargs)
-
-
-def build_monolithic(model: ModelSpec, cost: CostParams, hw: HardwareSpec = EIGHT_GPU_NODE, *,
-                     instances: int = 8, batch: int = 1,
-                     policy: SchedulePolicy = SchedulePolicy.LEAST_LOADED,
-                     **kwargs) -> SystemConfig:
-    configs = _instances([(instances, StageRole.MONOLITHIC, 1, 1, batch)], policy)
-    return SystemConfig(instances=configs, hardware=hw, model=model, cost=cost, **kwargs)
+def offline_batches(batch: int) -> dict[StageRole, int]:
+    """Batch caps of the offline systems: ``batch`` for encode and prefill, 128 for decode."""
+    return {StageRole.ENCODE: batch, StageRole.PREFILL: batch, StageRole.DECODE: 128}
 
 
 _FIG5_GRIDS = {
@@ -154,9 +127,9 @@ def _slo_attainment_preset(model_name: str, images: int, seed: int = 20260808) -
         images_per_request=images, resolution=RES_4K, output_tokens=10,
         seed=seed, slo=slo)
     systems = {
-        "epd": build_epd(model, cost),
-        "distserve": build_distserve(model, cost),
-        "monolithic": build_monolithic(model, cost),
+        "epd": build_system(model, cost, "1E2P2D", tp={StageRole.ENCODE: 4}),
+        "distserve": build_system(model, cost, "6EP2D"),
+        "monolithic": build_system(model, cost, "8M"),
     }
     alias = {v: k for k, v in _MODEL_ALIASES.items()}[model_name]
     return ExperimentPreset(
@@ -184,8 +157,8 @@ def ttft_distribution_preset(model_name: str, images: int,
         images_per_request=images, resolution=RES_4K, output_tokens=10,
         seed=seed, slo=slo)
     systems = {
-        "epd": build_epd(model, cost),
-        "distserve": build_distserve(model, cost),
+        "epd": build_system(model, cost, "1E2P2D", tp={StageRole.ENCODE: 4}),
+        "distserve": build_system(model, cost, "6EP2D"),
     }
     alias = {v: k for k, v in _MODEL_ALIASES.items()}[model_name]
     return ExperimentPreset(
@@ -218,16 +191,9 @@ def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentP
             StageRole.DECODE: 1.0,      # sequences
         },
     ) if role_switch else None
-    system = SystemConfig(
-        instances=_instances([
-            (5, StageRole.ENCODE, 1, 1, 1),
-            (1, StageRole.PREFILL, 1, 1, 1),
-            (2, StageRole.DECODE, 1, 1, 5),
-        ], SchedulePolicy.LEAST_LOADED),
-        hardware=EIGHT_GPU_NODE, model=model, cost=cost,
-        role_switch=controller,
-        role_max_batch={StageRole.ENCODE: 1, StageRole.PREFILL: 1, StageRole.DECODE: 5},
-    )
+    system = build_system(
+        model, cost, "5E1P2D", max_batch={StageRole.DECODE: 5}, role_switch=controller,
+        role_max_batch={StageRole.ENCODE: 1, StageRole.PREFILL: 1, StageRole.DECODE: 5})
     return ExperimentPreset(
         name="switch-shifted", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
         workload=workload, systems={"epd": system}, rate_grid=(3.0,), slo=slo,
@@ -270,10 +236,9 @@ def offline_preset(seed: int = 20260808, num_requests: int = 200) -> ExperimentP
         images_per_request=1, resolution=RES_LOW, output_tokens=10,
         seed=seed, slo=slo)
     systems = {
-        "epd-5e2p1d": build_epd(model, cost, e_instances=5, e_width=1, e_batch=8,
-                                p_instances=2, p_batch=8, d_instances=1, d_batch=128),
-        "distserve-7ep1d": build_distserve(model, cost, ep_instances=7, ep_batch=1,
-                                           d_instances=1, d_batch=128),
+        "epd-5e2p1d": build_system(model, cost, "5E2P1D", max_batch=offline_batches(8)),
+        "distserve-7ep1d": build_system(model, cost, "7EP1D",
+                                        max_batch={StageRole.DECODE: 128}),
     }
     return ExperimentPreset(
         name="offline-throughput", model=model, hardware=EIGHT_GPU_NODE, cost=cost,

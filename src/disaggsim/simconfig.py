@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
+from .controller import ControllerParams
 from .costs import Channel, CostParams
 from .models import HardwareSpec, ModelSpec, StageRole
 
@@ -77,7 +79,7 @@ class SystemConfig:
     hardware: HardwareSpec
     model: ModelSpec
     cost: CostParams = field(default_factory=CostParams)
-    role_switch: Optional["ControllerParams"] = None  # noqa: F821 (controller module)
+    role_switch: Optional[ControllerParams] = None
     kv_fraction: float = 0.5
     mm_cache_tokens: int = 48_000
     block_size: int = 16
@@ -191,63 +193,75 @@ def disable_irp(config: SystemConfig) -> SystemConfig:
 
 # --- config file I/O --------------------------------------------------------
 
+def to_dict(value):
+    """JSON-ready form of a config value: dataclasses field by field, enums by
+    value, models by catalog name, tuples as lists and mappings key by key."""
+    if isinstance(value, ModelSpec):
+        return value.name
+    if is_dataclass(value):
+        return {f.name: to_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {to_dict(k): to_dict(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [to_dict(v) for v in value]
+    return value
+
+
+def from_dict(cls, data: Mapping, catalog: Optional[Mapping[str, ModelSpec]] = None):
+    """Inverse of :func:`to_dict` for the dataclass ``cls``, driven by its
+    field annotations. A missing field takes its dataclass default; an unknown
+    key or a missing required field raises ``KeyError`` naming it."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise KeyError(unknown[0])
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in data:
+            kwargs[f.name] = _decode(hints[f.name], data[f.name], catalog)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
+
+def _decode(hint, value, catalog):
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _decode(hint, value, catalog)
+    if hint is ModelSpec:
+        return catalog[value]
+    if is_dataclass(hint):
+        return from_dict(hint, value, catalog)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    if origin in (tuple, Sequence):
+        return tuple(_decode(args[0], item, catalog) for item in value)
+    if origin in (dict, Mapping):
+        return {_decode(args[0], k, catalog): _decode(args[1], v, catalog)
+                for k, v in value.items()}
+    return value
+
+
 def system_to_dict(config: SystemConfig) -> dict:
-    return {
-        "model": config.model.name,
-        "hardware": {
-            "gpu_memory": config.hardware.gpu_memory,
-            "intra_node_bandwidth": config.hardware.intra_node_bandwidth,
-            "inter_node_bandwidth": config.hardware.inter_node_bandwidth,
-            "num_gpus": config.hardware.num_gpus,
-        },
-        "cost": {k: getattr(config.cost, k) for k in CostParams.__dataclass_fields__},
-        "instances": [
-            {"role": i.role.value, "tp": i.tp, "pp": i.pp,
-             "max_batch": i.max_batch, "policy": i.policy.value}
-            for i in config.instances
-        ],
-        "kv_fraction": config.kv_fraction,
-        "mm_cache_tokens": config.mm_cache_tokens,
-        "block_size": config.block_size,
-        "transfer_channel": config.transfer_channel.value,
-        "admission_control": config.admission_control,
-    }
+    return to_dict(config)
 
 
-def system_from_dict(data: dict, catalog: dict[str, ModelSpec]) -> SystemConfig:
-    model = catalog[data["model"]]
-    hw = HardwareSpec(**data["hardware"])
-    cost = CostParams(**data.get("cost", {}))
+def system_from_dict(data: Mapping, catalog: Mapping[str, ModelSpec]) -> SystemConfig:
+    """A system from its JSON mapping. ``"shape"`` shorthand such as ``5E1P2D``,
+    with optional per-role ``tp``/``pp``/``max_batch`` maps and one ``policy``,
+    may stand in for the ``instances`` list."""
     if "shape" in data:
-        instances = expand_shape(
-            data["shape"],
-            tp={StageRole(k): v for k, v in data.get("tp", {}).items()},
-            pp={StageRole(k): v for k, v in data.get("pp", {}).items()},
-            max_batch={StageRole(k): v for k, v in data.get("max_batch", {}).items()},
-            policy=SchedulePolicy(data.get("policy", "fcfs")),
-        )
-    else:
-        instances = tuple(
-            InstanceConfig(
-                role=StageRole(entry["role"]),
-                tp=entry.get("tp", 1),
-                pp=entry.get("pp", 1),
-                max_batch=entry.get("max_batch", 1),
-                policy=SchedulePolicy(entry.get("policy", "fcfs")),
-            )
-            for entry in data["instances"]
-        )
-    return SystemConfig(
-        instances=instances,
-        hardware=hw,
-        model=model,
-        cost=cost,
-        kv_fraction=data.get("kv_fraction", 0.5),
-        mm_cache_tokens=data.get("mm_cache_tokens", 48_000),
-        block_size=data.get("block_size", 16),
-        transfer_channel=Channel(data.get("transfer_channel", "intra")),
-        admission_control=data.get("admission_control", True),
-    )
+        data = dict(data)
+        hints = get_type_hints(expand_shape)
+        options = {key: _decode(hints[key], data.pop(key), catalog)
+                   for key in ("tp", "pp", "max_batch", "policy") if key in data}
+        data["instances"] = to_dict(expand_shape(data.pop("shape"), **options))
+    return from_dict(SystemConfig, data, catalog)
 
 
 def save_system_config(path, config: SystemConfig) -> None:

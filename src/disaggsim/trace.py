@@ -52,6 +52,18 @@ class RequestRecord:
     def completed(self) -> bool:
         return self.completion_time is not None
 
+    @property
+    def ttft(self) -> float:
+        """Seconds from submission to the first token, queueing included."""
+        return self.first_token_time - self.arrival
+
+    @property
+    def tpot(self) -> float:
+        """Mean inter-token gap after the first token; 0 for single-token output."""
+        if self.output_tokens < 2:
+            return 0.0
+        return (self.completion_time - self.first_token_time) / (self.output_tokens - 1)
+
 
 @dataclass
 class InstanceRecord:
@@ -183,11 +195,8 @@ class SimTrace:
                 rows.append({"rid": r.rid, "status": f"rejected:{r.rejected}",
                              "arrival": r.arrival, "ttft": "", "tpot": "", "completion": ""})
                 continue
-            ttft = r.first_token_time - r.arrival
-            tpot = ((r.completion_time - r.first_token_time) / (r.output_tokens - 1)
-                    if r.output_tokens >= 2 else 0.0)
             rows.append({"rid": r.rid, "status": "completed", "arrival": r.arrival,
-                         "ttft": ttft, "tpot": tpot, "completion": r.completion_time})
+                         "ttft": r.ttft, "tpot": r.tpot, "completion": r.completion_time})
         return rows
 
     def write_summary(self, path) -> None:

@@ -108,6 +108,46 @@ class TestSimulate:
                    "--workload", str(workload_file), "--slo", "5.0,0.1")
         assert code == EXIT_PARSE
 
+    def test_unknown_config_key_is_parse_error(self, tmp_path, config_file, workload_file,
+                                               capsys):
+        data = json.loads(config_file.read_text())
+        data["kv_fration"] = 0.3
+        config_file.write_text(json.dumps(data))
+        code = run(tmp_path, "simulate", "--config", str(config_file),
+                   "--workload", str(workload_file), "--slo", "5.0,0.1")
+        assert code == EXIT_PARSE
+        assert "kv_fration" in capsys.readouterr().err
+
+    def test_config_hash_covers_inputs_only(self, tmp_path):
+        def meta(out, *flags):
+            assert run(out, "simulate", "--preset", "switch-shifted", *flags) == EXIT_OK
+            return json.loads((out / "simulate-meta.json").read_text())
+
+        first, second = meta(tmp_path / "a"), meta(tmp_path / "b")
+        off = meta(tmp_path / "c", "--role-switch", "off")
+        assert first["outputs"] != second["outputs"]
+        assert first["config_hash"] == second["config_hash"]
+        assert off["config_hash"] != first["config_hash"]
+        assert first["systems"]["epd"]["role_switch"]["cooldown"] == 4.0
+        assert off["systems"]["epd"]["role_switch"] is None
+
+    def test_config_hash_reads_workload_contents_not_paths(self, tmp_path, config_file,
+                                                           workload_file):
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(workload_file.read_bytes())
+
+        def meta(out, workload, *flags):
+            assert run(out, "simulate", "--config", str(config_file), "--workload",
+                       str(workload), "--slo", "5.0,0.1", *flags) == EXIT_OK
+            return json.loads((out / "simulate-meta.json").read_text())
+
+        first, moved = meta(tmp_path / "a", workload_file), meta(tmp_path / "b", copy)
+        regenerated = meta(tmp_path / "c", workload_file, "--workload-rate", "4.0",
+                           "--seed", "0")
+        assert first["workload"] != moved["workload"]
+        assert first["config_hash"] == moved["config_hash"]
+        assert regenerated["config_hash"] != first["config_hash"]
+
     def test_internal_key_error_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise KeyError("internal")
@@ -165,6 +205,16 @@ class TestWorkloadCommand:
         from disaggsim.workload import load_trace
         requests = load_trace(tmp_path / "workload.csv")
         assert len(requests) == 5
+
+    def test_config_hash_covers_every_parameter(self, tmp_path):
+        def meta(out, *flags):
+            assert run(out, "workload", "--rate", "2.0", "--num-requests", "5",
+                       "--seed", "9", *flags) == EXIT_OK
+            return json.loads((out / "workload-meta.json").read_text())
+
+        plain, images = meta(tmp_path / "a"), meta(tmp_path / "b", "--images", "3")
+        assert plain["images_per_request"] == 0 and images["images_per_request"] == 3
+        assert plain["config_hash"] != images["config_hash"]
 
     def test_seed_is_mandatory(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
