@@ -12,7 +12,7 @@ from .metrics import goodput, request_metrics
 from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
 from .models import StageRole
 from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
-                      build_system, builtin_model, candidate_builder, get_preset,
+                      build_system, builtin_model, get_preset,
                       offline_batches, slo_for, offline_requests)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
@@ -70,8 +70,9 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
     preset = preset or get_preset("optimizer-restricted")
     space = restricted_space(preset.hardware.num_gpus)
     objective = Objective(metric=Metric.GOODPUT, beta=beta)
-    builder = candidate_builder(preset)
-    result = solve(space, preset.workload, objective, builder,
+    base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
+                        cost=preset.cost)
+    result = solve(space, preset.workload, objective, base,
                    strategy=Strategy.SURROGATE, trials=trials, seed=seed,
                    rate_grid=preset.rate_grid)
     solver_goodput = max(rec.f_value for rec in result.log
@@ -81,7 +82,7 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
     random_rows = []
     for index in range(num_random):
         candidate = space.sample(rng)
-        outcome = evaluate(builder(candidate), preset.workload, objective,
+        outcome = evaluate(candidate.deploy(base), preset.workload, objective,
                            seed=seed, rate_grid=preset.rate_grid)
         random_rows.append({
             "index": index,

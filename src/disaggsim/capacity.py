@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .models import (HardwareSpec, ModelSpec, StageRole, kv_bytes_per_token,
                      mm_bytes_per_token, patches_for_image, weights_bytes, Resolution)
@@ -101,25 +101,32 @@ def _tokens_per_image(model: ModelSpec, resolution: Resolution) -> int:
     return patches_for_image(model, resolution) * model.tokens_per_patch
 
 
+def _largest(metric: str, model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
+             resolution: Resolution, prompt_tokens: int, limit: int,
+             load: Callable[[int], tuple[int, int]]) -> CapacityReport:
+    """Largest n in 1..limit whose ``load(n)``, a pair (images per request,
+    concurrent requests), fits; the scan stops at the first failure."""
+    budget = _budget(model, hw, shape)
+    best = None
+    factor = LimitingFactor.MEMORY
+    if budget is not None:
+        tokens_per_image = _tokens_per_image(model, resolution)
+        for n in range(1, limit + 1):
+            ok, why = _feasible(model, shape, budget, *load(n), tokens_per_image,
+                                prompt_tokens)
+            if not ok:
+                factor = why
+                break
+            best = n
+    return CapacityReport(metric, best, best is not None, factor)
+
+
 def max_images_per_request(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
                            resolution: Resolution, prompt_tokens: int = 0,
                            limit: int = 10_000) -> CapacityReport:
     """Largest image count one batch-1 request can carry on this shape."""
-    budget = _budget(model, hw, shape)
-    if budget is None:
-        return CapacityReport("max_images_per_request", None, False, LimitingFactor.MEMORY)
-    tokens_per_image = _tokens_per_image(model, resolution)
-    best = None
-    factor = LimitingFactor.MEMORY
-    for n in range(1, limit + 1):
-        ok, why = _feasible(model, shape, budget, n, 1, tokens_per_image, prompt_tokens)
-        if not ok:
-            factor = why
-            break
-        best = n
-    if best is None:
-        return CapacityReport("max_images_per_request", None, False, factor)
-    return CapacityReport("max_images_per_request", best, True, factor)
+    return _largest("max_images_per_request", model, hw, shape, resolution, prompt_tokens,
+                    limit, lambda n: (n, 1))
 
 
 def max_batch(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
@@ -128,22 +135,8 @@ def max_batch(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
     """Largest number of concurrent requests that fit on this shape."""
     if images_per_request < 1:
         raise ValueError("images_per_request must be >= 1")
-    budget = _budget(model, hw, shape)
-    if budget is None:
-        return CapacityReport("max_batch", None, False, LimitingFactor.MEMORY)
-    tokens_per_image = _tokens_per_image(model, resolution)
-    best = None
-    factor = LimitingFactor.MEMORY
-    for b in range(1, limit + 1):
-        ok, why = _feasible(model, shape, budget, images_per_request, b,
-                            tokens_per_image, prompt_tokens)
-        if not ok:
-            factor = why
-            break
-        best = b
-    if best is None:
-        return CapacityReport("max_batch", None, False, factor)
-    return CapacityReport("max_batch", best, True, factor)
+    return _largest("max_batch", model, hw, shape, resolution, prompt_tokens, limit,
+                    lambda n: (images_per_request, n))
 
 
 def max_kv_fraction(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,

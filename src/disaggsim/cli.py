@@ -24,9 +24,10 @@ from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
 from .optimizer import (Metric, Objective, Strategy, load_space, restricted_space, solve,
                         write_search_log)
 from .presets import (EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
-                      ExperimentPreset, candidate_builder, get_preset, preset_names)
-from .simconfig import (CapacityExceeded, ConfigInfeasible, disable_irp, from_dict,
-                        load_system_config, save_system_config, system_to_dict, to_dict)
+                      ExperimentPreset, get_preset, preset_names)
+from .simconfig import (CapacityExceeded, ConfigInfeasible, SystemConfig, disable_irp,
+                        from_dict, load_system_config, save_system_config, system_to_dict,
+                        to_dict)
 from .workload import (ParseError, Slo, WorkloadSpec, generate_poisson,
                        generate_shifted, load_trace, save_trace)
 
@@ -55,11 +56,14 @@ def _load_switch_params(path):
 
 
 def _load_input(loader, path, *args):
-    """Read a JSON input file; a missing key or unknown name in it is bad input."""
+    """Read a JSON input file; a missing key, an unknown name or a value of the
+    wrong type or range in it is bad input."""
     try:
         return loader(path, *args)
     except KeyError as exc:
         raise InputError(f"{path}: missing or unknown {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -297,7 +301,9 @@ def cmd_optimize(args) -> int:
              else restricted_space(preset.hardware.num_gpus))
     objective = Objective(metric=Metric(args.objective), beta=args.beta)
     rate_grid = args.rate_grid or list(preset.rate_grid)
-    result = solve(space, preset.workload, objective, candidate_builder(preset),
+    base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
+                        cost=preset.cost)
+    result = solve(space, preset.workload, objective, base,
                    strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,
                    rate_grid=rate_grid)
     best_path = out / "optimize-best.json"

@@ -94,10 +94,9 @@ class HardwareSpec:
     num_gpus: int
 
     def __post_init__(self) -> None:
-        if min(self.gpu_memory, self.intra_node_bandwidth, self.inter_node_bandwidth) <= 0:
-            raise ValueError("hardware quantities must be positive")
-        if self.num_gpus <= 0:
-            raise ValueError("num_gpus must be positive")
+        for name in ("gpu_memory", "intra_node_bandwidth", "inter_node_bandwidth", "num_gpus"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.inter_node_bandwidth > self.intra_node_bandwidth:
             raise ValueError("inter-node bandwidth cannot exceed intra-node bandwidth")
 

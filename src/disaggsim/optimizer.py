@@ -1,25 +1,28 @@
 """Black-box configuration search over instance counts, batches and IRP.
 
-The objective is a performance metric minus a weighted GPU cost; the
-simulator is the evaluator. Exhaustive enumeration is the correctness
-oracle for small spaces; random search and a simple surrogate-guided
-proposer cover larger ones.
+A :class:`ConfigSpace` is a tuple of axes (encode GPUs, IRP on/off, batch
+caps, prefill and decode GPUs, policy); a :class:`Candidate` is one point on
+them, deployed onto a base system through ``simconfig.expand_shape``. The
+objective is a performance metric minus a weighted GPU cost; the simulator
+is the evaluator. Exhaustive enumeration is the correctness oracle for small
+spaces; random search and a simple surrogate-guided proposer cover larger ones.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .metrics import goodput, request_metrics
 from .engine import run_simulation
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
-                        SystemConfig, from_dict)
+                        SystemConfig, expand_shape, from_dict)
 from .models import StageRole
 from .workload import WorkloadSpec, generate_poisson
 
@@ -48,66 +51,67 @@ class Strategy(Enum):
 
 
 @dataclass(frozen=True)
-class StageChoice:
-    """Per-stage candidate settings; all instances of a stage are identical."""
-
-    instances: int
-    tp: int = 1
-    pp: int = 1
-    max_batch: int = 1
-
-
-@dataclass(frozen=True)
 class Candidate:
-    encode: StageChoice
-    prefill: StageChoice
-    decode: StageChoice
+    """One point of a :class:`ConfigSpace`: a value on each of its axes."""
+
+    encode_gpus: int
+    irp: bool
+    encode_batch: int
+    prefill_gpus: int
+    prefill_batch: int
+    decode_gpus: int
+    decode_batch: int
     policy: SchedulePolicy = SchedulePolicy.FCFS
 
     @property
     def gpus(self) -> int:
-        return (self.encode.instances * self.encode.tp * self.encode.pp
-                + self.prefill.instances * self.prefill.tp * self.prefill.pp
-                + self.decode.instances * self.decode.tp * self.decode.pp)
+        return self.encode_gpus + self.prefill_gpus + self.decode_gpus
+
+    @property
+    def encode_instances(self) -> int:
+        return 1 if self.irp else self.encode_gpus
+
+    @property
+    def encode_tp(self) -> int:
+        return self.encode_gpus if self.irp else 1
 
     def describe(self) -> dict:
         return {
-            "e_instances": self.encode.instances, "e_tp": self.encode.tp,
-            "e_batch": self.encode.max_batch,
-            "p_instances": self.prefill.instances, "p_tp": self.prefill.tp,
-            "p_pp": self.prefill.pp, "p_batch": self.prefill.max_batch,
-            "d_instances": self.decode.instances, "d_tp": self.decode.tp,
-            "d_pp": self.decode.pp, "d_batch": self.decode.max_batch,
+            "e_instances": self.encode_instances, "e_tp": self.encode_tp,
+            "e_batch": self.encode_batch,
+            "p_instances": self.prefill_gpus, "p_tp": 1, "p_pp": 1,
+            "p_batch": self.prefill_batch,
+            "d_instances": self.decode_gpus, "d_tp": 1, "d_pp": 1,
+            "d_batch": self.decode_batch,
             "policy": self.policy.value, "gpus": self.gpus,
         }
 
     def encode_vector(self) -> np.ndarray:
         """Numeric embedding used by the surrogate's distance weighting."""
         return np.array([
-            self.encode.instances, self.encode.tp, math.log2(self.encode.max_batch),
-            self.prefill.instances, self.prefill.tp * self.prefill.pp,
-            math.log2(self.prefill.max_batch),
-            self.decode.instances, self.decode.tp * self.decode.pp,
-            math.log2(self.decode.max_batch),
+            self.encode_instances, self.encode_tp, math.log2(self.encode_batch),
+            self.prefill_gpus, 1, math.log2(self.prefill_batch),
+            self.decode_gpus, 1, math.log2(self.decode_batch),
             1.0 if self.policy is SchedulePolicy.LEAST_LOADED else 0.0,
         ], dtype=float)
 
-    def instance_configs(self) -> tuple[InstanceConfig, ...]:
-        out: list[InstanceConfig] = []
-        for role, choice in ((StageRole.ENCODE, self.encode),
-                             (StageRole.PREFILL, self.prefill),
-                             (StageRole.DECODE, self.decode)):
-            for _ in range(choice.instances):
-                out.append(InstanceConfig(role=role, tp=choice.tp, pp=choice.pp,
-                                          max_batch=choice.max_batch, policy=self.policy))
-        return tuple(out)
+    def deploy(self, base: SystemConfig) -> SystemConfig:
+        """``base`` (model, hardware, cost) running this candidate's instances."""
+        shape = f"{self.encode_instances}E{self.prefill_gpus}P{self.decode_gpus}D"
+        instances = expand_shape(
+            shape, tp={StageRole.ENCODE: self.encode_tp},
+            max_batch={StageRole.ENCODE: self.encode_batch,
+                       StageRole.PREFILL: self.prefill_batch,
+                       StageRole.DECODE: self.decode_batch},
+            policy=self.policy)
+        return replace(base, instances=instances)
 
 
 @dataclass(frozen=True)
 class ConfigSpace:
     """Search space of Candidate configurations under a GPU budget.
 
-    ``irp_enabled`` offers the choice between one wide encode instance
+    ``irp_choices`` offers the choice between one wide encode instance
     (patches sharded across its workers) and the same GPUs as independent
     width-1 instances.
     """
@@ -123,6 +127,13 @@ class ConfigSpace:
     decode_batches: Sequence[int] = (8, 32, 128)
     policies: Sequence[SchedulePolicy] = (SchedulePolicy.FCFS,)
 
+    @property
+    def axes(self) -> tuple[Sequence, ...]:
+        """The value lists a candidate picks from, in :class:`Candidate` field order."""
+        return (self.encode_gpus, self.irp_choices, self.encode_batches,
+                self.prefill_gpus, self.prefill_batches, self.decode_gpus,
+                self.decode_batches, self.policies)
+
     def fits_budget(self, candidate: Candidate) -> bool:
         if self.budget_mode is BudgetMode.EXACTLY:
             return candidate.gpus == self.gpu_budget
@@ -130,24 +141,8 @@ class ConfigSpace:
 
     def enumerate(self) -> Iterator[Candidate]:
         """Deterministic enumeration of every budget-feasible candidate."""
-        for e_gpus in self.encode_gpus:
-            for irp in self.irp_choices:
-                if irp:
-                    encode_base = StageChoice(instances=1, tp=e_gpus)
-                else:
-                    encode_base = StageChoice(instances=e_gpus, tp=1)
-                for e_batch in self.encode_batches:
-                    encode = replace(encode_base, max_batch=e_batch)
-                    for p_gpus in self.prefill_gpus:
-                        for p_batch in self.prefill_batches:
-                            prefill = StageChoice(instances=p_gpus, max_batch=p_batch)
-                            for d_gpus in self.decode_gpus:
-                                for d_batch in self.decode_batches:
-                                    decode = StageChoice(instances=d_gpus, max_batch=d_batch)
-                                    for policy in self.policies:
-                                        cand = Candidate(encode, prefill, decode, policy)
-                                        if self.fits_budget(cand):
-                                            yield cand
+        return filter(self.fits_budget,
+                      itertools.starmap(Candidate, itertools.product(*self.axes)))
 
     def size(self) -> int:
         return sum(1 for _ in self.enumerate())
@@ -155,17 +150,7 @@ class ConfigSpace:
     def sample(self, rng: np.random.Generator, max_tries: int = 10_000) -> Candidate:
         """Uniform sampling over raw choices with budget rejection."""
         for _ in range(max_tries):
-            e_gpus = int(rng.choice(list(self.encode_gpus)))
-            irp = bool(rng.choice([int(c) for c in self.irp_choices]))
-            encode = (StageChoice(1, tp=e_gpus) if irp else StageChoice(e_gpus, tp=1))
-            candidate = Candidate(
-                encode=replace(encode, max_batch=int(rng.choice(list(self.encode_batches)))),
-                prefill=StageChoice(int(rng.choice(list(self.prefill_gpus))),
-                                    max_batch=int(rng.choice(list(self.prefill_batches)))),
-                decode=StageChoice(int(rng.choice(list(self.decode_gpus))),
-                                   max_batch=int(rng.choice(list(self.decode_batches)))),
-                policy=self.policies[int(rng.integers(len(self.policies)))],
-            )
+            candidate = Candidate(*(axis[int(rng.integers(len(axis)))] for axis in self.axes))
             if self.fits_budget(candidate):
                 return candidate
         raise EmptyFeasibleSet(f"no budget-respecting sample after {max_tries} tries")
@@ -296,10 +281,11 @@ def _surrogate_propose(space: ConfigSpace, rng: np.random.Generator,
 
 
 def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
-          builder: Callable[[Candidate], SystemConfig], strategy: Strategy = Strategy.SURROGATE,
+          base: SystemConfig, strategy: Strategy = Strategy.SURROGATE,
           trials: int = 20, seed: int = 0,
           rate_grid: Optional[Sequence[float]] = None) -> SolveResult:
-    """Maximize the objective over the space; every evaluation is logged."""
+    """Maximize the objective over the space, each candidate deployed onto
+    ``base``; every evaluation is logged."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -323,7 +309,7 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
     any_candidate = False
     for index, candidate in enumerate(candidates):
         any_candidate = True
-        config = builder(candidate)
+        config = candidate.deploy(base)
         result = evaluate(config, workload_spec, objective, seed=seed, rate_grid=rate_grid)
         log.append(TrialRecord(index=index, candidate=candidate.describe(),
                                score=result.score, f_value=result.f_value,

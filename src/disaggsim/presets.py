@@ -13,7 +13,6 @@ from typing import Callable, Optional
 from .controller import ControllerParams
 from .costs import CostParams
 from .models import HardwareSpec, ModelSpec, StageRole, builtin_model
-from .optimizer import Candidate
 from .simconfig import SchedulePolicy, SystemConfig, expand_shape
 from .workload import Request, Slo, WorkloadSpec
 
@@ -216,14 +215,6 @@ def optimizer_preset(seed: int = 20260808) -> ExperimentPreset:
         workload=workload, systems={}, rate_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6),
         slo=slo, seed=seed, images_per_request=6,
         notes="restricted search space; all eight GPUs used by every candidate")
-
-
-def candidate_builder(preset: ExperimentPreset) -> Callable[[Candidate], SystemConfig]:
-    def build(candidate: Candidate) -> SystemConfig:
-        return SystemConfig(
-            instances=candidate.instance_configs(),
-            hardware=preset.hardware, model=preset.model, cost=preset.cost)
-    return build
 
 
 def offline_preset(seed: int = 20260808, num_requests: int = 200) -> ExperimentPreset:

@@ -212,7 +212,8 @@ def to_dict(value):
 def from_dict(cls, data: Mapping, catalog: Optional[Mapping[str, ModelSpec]] = None):
     """Inverse of :func:`to_dict` for the dataclass ``cls``, driven by its
     field annotations. A missing field takes its dataclass default; an unknown
-    key or a missing required field raises ``KeyError`` naming it."""
+    key or a missing required field raises ``KeyError`` naming it, and a value
+    of the wrong type raises ``TypeError`` naming its field."""
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise KeyError(unknown[0])
@@ -220,10 +221,18 @@ def from_dict(cls, data: Mapping, catalog: Optional[Mapping[str, ModelSpec]] = N
     kwargs = {}
     for f in fields(cls):
         if f.name in data:
-            kwargs[f.name] = _decode(hints[f.name], data[f.name], catalog)
+            kwargs[f.name] = _field(f.name, hints[f.name], data[f.name], catalog)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
     return cls(**kwargs)
+
+
+def _field(name: str, hint, value, catalog):
+    """Decode one field's value; a wrong type or value raises naming the field."""
+    try:
+        return _decode(hint, value, catalog)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 def _decode(hint, value, catalog):
@@ -236,14 +245,25 @@ def _decode(hint, value, catalog):
     if hint is ModelSpec:
         return catalog[value]
     if is_dataclass(hint):
-        return from_dict(hint, value, catalog)
+        return from_dict(hint, _expect(value, Mapping), catalog)
     if isinstance(hint, type) and issubclass(hint, Enum):
         return hint(value)
     if origin in (tuple, Sequence):
-        return tuple(_decode(args[0], item, catalog) for item in value)
+        return tuple(_decode(args[0], item, catalog) for item in _expect(value, list, tuple))
     if origin in (dict, Mapping):
         return {_decode(args[0], k, catalog): _decode(args[1], v, catalog)
-                for k, v in value.items()}
+                for k, v in _expect(value, Mapping).items()}
+    if hint is float:
+        return _expect(value, float, int)
+    return _expect(value, hint) if isinstance(hint, type) else value
+
+
+def _expect(value, *kinds):
+    """``value`` if it is one of ``kinds``, else ``TypeError``; a ``bool`` is
+    only ever a ``bool``, never an ``int`` or a ``float``."""
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"expected {names}, got {value!r}")
     return value
 
 
@@ -258,9 +278,9 @@ def system_from_dict(data: Mapping, catalog: Mapping[str, ModelSpec]) -> SystemC
     if "shape" in data:
         data = dict(data)
         hints = get_type_hints(expand_shape)
-        options = {key: _decode(hints[key], data.pop(key), catalog)
-                   for key in ("tp", "pp", "max_batch", "policy") if key in data}
-        data["instances"] = to_dict(expand_shape(data.pop("shape"), **options))
+        options = {key: _field(key, hints[key], data.pop(key), catalog)
+                   for key in ("shape", "tp", "pp", "max_batch", "policy") if key in data}
+        data["instances"] = to_dict(expand_shape(**options))
     return from_dict(SystemConfig, data, catalog)
 
 

@@ -75,7 +75,7 @@ def test_acceptance_3_optimizer_ablation():
     import dataclasses
     from disaggsim.optimizer import (BudgetMode, ConfigSpace, Metric, Objective,
                                      Strategy, evaluate, solve)
-    from disaggsim.presets import candidate_builder, optimizer_preset
+    from disaggsim.presets import optimizer_preset
     preset = optimizer_preset()
     preset = dataclasses.replace(
         preset,
@@ -88,10 +88,11 @@ def test_acceptance_3_optimizer_ablation():
                         prefill_batches=(1,), decode_batches=(8,))
     assert space.size() <= 50
     objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.01)
-    builder = candidate_builder(preset)
-    solved = solve(space, preset.workload, objective, builder,
+    base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
+                        cost=preset.cost)
+    solved = solve(space, preset.workload, objective, base,
                    strategy=Strategy.EXHAUSTIVE, seed=0)
-    brute_best = max(evaluate(builder(c), preset.workload, objective, seed=0).score
+    brute_best = max(evaluate(c.deploy(base), preset.workload, objective, seed=0).score
                      for c in space.enumerate())
     assert solved.best_score == brute_best
     report(3, "optimizer ablation and exhaustive oracle")

@@ -161,6 +161,22 @@ class TestInvariants:
         else:
             assert not report.feasible
 
+    @given(memory=st.integers(min_value=12, max_value=500),
+           per_image=st.integers(min_value=1, max_value=8),
+           images=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=40, deadline=None)
+    def test_max_batch_matches_linear_scan(self, memory, per_image, images):
+        model = toy(hidden=per_image, bpp=2)  # per-image cost = 2 * per_image
+        shape = DeploymentShape(role=StageRole.ENCODE)
+        report = max_batch(model, hw(memory), shape, images, RES)
+        weights = 10
+        cost = 2 * per_image * images
+        feasible = [b for b in range(1, 600) if weights + b * cost <= memory]
+        if feasible:
+            assert report.feasible and report.value == max(feasible)
+        else:
+            assert not report.feasible
+
     def test_reports_are_deterministic(self):
         model = builtin_model("minicpm-v-2.6")
         shape = DeploymentShape(role=StageRole.PREFILL)

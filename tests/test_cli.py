@@ -24,19 +24,41 @@ def workload_file(tmp_path) -> Path:
     return path
 
 
+HARDWARE = {"gpu_memory": 82e9, "intra_node_bandwidth": 300e9,
+            "inter_node_bandwidth": 25e9, "num_gpus": 8}
+SHAPE_CONFIG = {"model": "minicpm-v-2.6", "hardware": HARDWARE, "shape": "1E1P1D",
+                "max_batch": {"D": 8}}
+
+
 @pytest.fixture
 def config_file(tmp_path) -> Path:
-    catalog = builtin_catalog()
-    config = system_from_dict({
-        "model": "minicpm-v-2.6",
-        "hardware": {"gpu_memory": 82e9, "intra_node_bandwidth": 300e9,
-                     "inter_node_bandwidth": 25e9, "num_gpus": 8},
-        "shape": "1E1P1D",
-        "max_batch": {"D": 8},
-    }, catalog)
+    config = system_from_dict(SHAPE_CONFIG, builtin_catalog())
     path = tmp_path / "config.json"
     save_system_config(path, config)
     return path
+
+
+@pytest.mark.parametrize("option, data, field", [
+    ("--config", {**SHAPE_CONFIG, "kv_fraction": "0.3"}, "kv_fraction"),
+    ("--config", {**SHAPE_CONFIG, "tp": {"E": 0}}, "tp"),
+    ("--config", {**SHAPE_CONFIG, "hardware": {**HARDWARE, "gpu_memory": -1}}, "gpu_memory"),
+    ("--config", {**SHAPE_CONFIG, "shape": "1X2P"}, "shape"),
+    ("--switch-params", {"monitor_interval": -1}, "monitor_interval"),
+    ("--space", {"gpu_budget": "8"}, "gpu_budget"),
+], ids=["kv_fraction", "tp", "gpu_memory", "shape", "monitor_interval", "gpu_budget"])
+def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option, data, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "--config": ["simulate", "--config", str(path), "--workload", str(workload_file),
+                     "--slo", "5.0,0.1"],
+        "--switch-params": ["simulate", "--preset", "switch-shifted",
+                            "--switch-params", str(path)],
+        "--space": ["optimize", "--space", str(path), "--trials", "1"],
+    }[option]
+    assert run(tmp_path, *argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
 
 
 class TestSimulate:

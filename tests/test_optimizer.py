@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from disaggsim.models import StageRole
 from disaggsim.optimizer import (BudgetMode, Candidate, ConfigSpace, EmptyFeasibleSet,
-                                 Metric, Objective, StageChoice, Strategy, cost,
+                                 Metric, Objective, Strategy, cost,
                                  evaluate, restricted_space, solve, space_from_dict)
-from disaggsim.presets import candidate_builder, optimizer_preset
-from disaggsim.simconfig import InstanceConfig, SchedulePolicy
+from disaggsim.presets import optimizer_preset
+from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.workload import Slo, WorkloadSpec
 
 
@@ -18,6 +20,28 @@ def small_space() -> ConfigSpace:
         encode_gpus=(4, 5), prefill_gpus=(1, 2), decode_gpus=(1, 2),
         irp_choices=(True, False), encode_batches=(1,), prefill_batches=(1,),
         decode_batches=(8,))
+
+
+def base_system(preset) -> SystemConfig:
+    """The preset's model, hardware and cost with no instances yet."""
+    return SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
+                        cost=preset.cost)
+
+
+def axis(values):
+    """One small axis of a random space: 1-2 distinct values in draw order."""
+    return st.lists(values, min_size=1, max_size=2, unique=True).map(tuple)
+
+
+small_spaces = st.builds(
+    ConfigSpace,
+    gpu_budget=st.integers(3, 10), budget_mode=st.sampled_from(BudgetMode),
+    encode_gpus=axis(st.integers(1, 4)), prefill_gpus=axis(st.integers(1, 3)),
+    decode_gpus=axis(st.integers(1, 3)), irp_choices=axis(st.booleans()),
+    encode_batches=axis(st.sampled_from([1, 2, 4])),
+    prefill_batches=axis(st.sampled_from([1, 2])),
+    decode_batches=axis(st.sampled_from([8, 32])),
+    policies=axis(st.sampled_from(SchedulePolicy)))
 
 
 class TestCostFormula:
@@ -74,11 +98,42 @@ class TestSpace:
 
     def test_irp_choice_shapes_encode_stage(self):
         space = small_space()
-        wide = [c for c in space.enumerate() if c.encode.tp > 1]
-        narrow = [c for c in space.enumerate() if c.encode.tp == 1]
+        wide = [c for c in space.enumerate() if c.encode_tp > 1]
+        narrow = [c for c in space.enumerate() if c.encode_tp == 1]
         assert wide and narrow
-        assert all(c.encode.instances == 1 for c in wide)
-        assert all(c.encode.tp == 1 for c in narrow)
+        assert all(c.irp and c.encode_instances == 1 for c in wide)
+        assert all(not c.irp and c.encode_instances == c.encode_gpus for c in narrow)
+
+    @given(space=small_spaces, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_axis_points_deploy_as_described(self, space, seed):
+        candidates = list(space.enumerate())
+        rng = np.random.default_rng(seed)
+        if not candidates:
+            with pytest.raises(EmptyFeasibleSet):
+                space.sample(rng, max_tries=50)
+            return
+        members = set(candidates)
+        assert all(space.sample(rng) in members for _ in range(5))
+        base = base_system(optimizer_preset())
+        for candidate in candidates:
+            system = candidate.deploy(base)
+            assert system.gpu_count == candidate.gpus
+            assert replace(system, instances=()) == base
+            encode = [i for i in system.instances if i.role is StageRole.ENCODE]
+            if candidate.irp:
+                assert [i.tp for i in encode] == [candidate.encode_gpus]
+            else:
+                assert [i.tp for i in encode] == [1] * candidate.encode_gpus
+            counts = {role: sum(i.role is role for i in system.instances)
+                      for role in (StageRole.PREFILL, StageRole.DECODE)}
+            assert counts == {StageRole.PREFILL: candidate.prefill_gpus,
+                              StageRole.DECODE: candidate.decode_gpus}
+            assert {i.policy for i in system.instances} == {candidate.policy}
+            batches = {StageRole.ENCODE: candidate.encode_batch,
+                       StageRole.PREFILL: candidate.prefill_batch,
+                       StageRole.DECODE: candidate.decode_batch}
+            assert all(i.max_batch == batches[i.role] for i in system.instances)
 
 
 class TestScoreArithmetic:
@@ -109,11 +164,11 @@ class TestSolve:
         preset = _tiny_preset()
         space = small_space()
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.01)
-        builder = candidate_builder(preset)
-        result = solve(space, preset.workload, objective, builder,
+        base = base_system(preset)
+        result = solve(space, preset.workload, objective, base,
                        strategy=Strategy.EXHAUSTIVE, seed=1)
         brute = max(
-            (evaluate(builder(c), preset.workload, objective, seed=1).score, i)
+            (evaluate(c.deploy(base), preset.workload, objective, seed=1).score, i)
             for i, c in enumerate(space.enumerate()))
         assert result.best_score == pytest.approx(brute[0])
         assert len(result.log) == space.size()
@@ -122,7 +177,7 @@ class TestSolve:
         preset = _tiny_preset()
         space = small_space()
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.0)
-        result = solve(space, preset.workload, objective, candidate_builder(preset),
+        result = solve(space, preset.workload, objective, base_system(preset),
                        strategy=Strategy.RANDOM, trials=8, seed=3)
         assert all(result.best_score >= rec.score for rec in result.log)
         assert result.best_candidate.gpus <= 8
@@ -135,7 +190,7 @@ class TestSolve:
                             irp_choices=(True,), encode_batches=(1,),
                             prefill_batches=(1,), decode_batches=(8,))
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.0)
-        result = solve(space, preset.workload, objective, candidate_builder(preset),
+        result = solve(space, preset.workload, objective, base_system(preset),
                        strategy=Strategy.EXHAUSTIVE, seed=0)
         # the 12-GPU encode candidate exceeds the 8-GPU node and scores -inf
         assert any(not rec.feasible for rec in result.log)
@@ -147,12 +202,12 @@ class TestSolve:
         preset = _tiny_preset()
         space = small_space()
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.0)
-        builder = candidate_builder(preset)
+        base = base_system(preset)
         scores = sorted(
-            evaluate(builder(c), preset.workload, objective, seed=2).score
+            evaluate(c.deploy(base), preset.workload, objective, seed=2).score
             for c in space.enumerate())
         median = scores[len(scores) // 2]
-        result = solve(space, preset.workload, objective, builder,
+        result = solve(space, preset.workload, objective, base,
                        strategy=Strategy.RANDOM, trials=space.size(), seed=2)
         assert result.best_score >= median
 
@@ -160,7 +215,7 @@ class TestSolve:
         preset = _tiny_preset()
         space = small_space()
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.0)
-        result = solve(space, preset.workload, objective, candidate_builder(preset),
+        result = solve(space, preset.workload, objective, base_system(preset),
                        strategy=Strategy.SURROGATE, trials=10, seed=4)
         assert len(result.log) == 10
         assert result.best_score >= max(r.score for r in result.log[:1])
@@ -169,9 +224,9 @@ class TestSolve:
         preset = _tiny_preset()
         space = small_space()
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.0)
-        first = solve(space, preset.workload, objective, candidate_builder(preset),
+        first = solve(space, preset.workload, objective, base_system(preset),
                       strategy=Strategy.SURROGATE, trials=6, seed=9)
-        second = solve(space, preset.workload, objective, candidate_builder(preset),
+        second = solve(space, preset.workload, objective, base_system(preset),
                        strategy=Strategy.SURROGATE, trials=6, seed=9)
         assert first.best_score == second.best_score
         assert [r.candidate for r in first.log] == [r.candidate for r in second.log]
@@ -182,16 +237,14 @@ class TestSolve:
         preset = _tiny_preset()
         objective = Objective(metric=Metric.NEG_MEAN_TTFT)
         with pytest.raises(EmptyFeasibleSet):
-            solve(space, preset.workload, objective, candidate_builder(preset),
+            solve(space, preset.workload, objective, base_system(preset),
                   strategy=Strategy.EXHAUSTIVE, seed=0)
 
     def test_infeasible_candidates_logged_with_sentinel(self):
         preset = _tiny_preset()
-        builder = candidate_builder(preset)
-        too_big = Candidate(encode=StageChoice(instances=9, tp=1),
-                            prefill=StageChoice(instances=1),
-                            decode=StageChoice(instances=1))
-        outcome = evaluate(builder(too_big), preset.workload,
+        too_big = Candidate(encode_gpus=9, irp=False, encode_batch=1, prefill_gpus=1,
+                            prefill_batch=1, decode_gpus=1, decode_batch=1)
+        outcome = evaluate(too_big.deploy(base_system(preset)), preset.workload,
                            Objective(metric=Metric.NEG_MEAN_TTFT), seed=0)
         assert outcome.score == float("-inf")
         assert not outcome.feasible
@@ -204,16 +257,14 @@ class TestObjective:
 
     def test_goodput_requires_rate_grid(self):
         preset = _tiny_preset()
-        builder = candidate_builder(preset)
         candidate = next(iter(small_space().enumerate()))
         with pytest.raises(ValueError):
-            evaluate(builder(candidate), preset.workload,
+            evaluate(candidate.deploy(base_system(preset)), preset.workload,
                      Objective(metric=Metric.GOODPUT), seed=0, rate_grid=None)
 
     def test_throughput_metric_positive(self):
         preset = _tiny_preset()
-        builder = candidate_builder(preset)
         candidate = next(iter(small_space().enumerate()))
-        outcome = evaluate(builder(candidate), preset.workload,
+        outcome = evaluate(candidate.deploy(base_system(preset)), preset.workload,
                            Objective(metric=Metric.THROUGHPUT, beta=0.0), seed=0)
         assert outcome.feasible and outcome.f_value > 0

@@ -169,3 +169,23 @@ class TestReading:
         assert explicit.instances[0].policy is SchedulePolicy.FCFS
         assert shorthand.instances[0].policy is SchedulePolicy.FCFS
         assert space.policies == (SchedulePolicy.FCFS,)
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("kv_fraction", "0.3", "kv_fraction"),
+        ("mm_cache_tokens", True, "mm_cache_tokens"),
+        ("mm_cache_tokens", 4.0, "mm_cache_tokens"),
+        ("admission_control", 1, "admission_control"),
+        ("hardware", {**HARDWARE, "num_gpus": "8"}, "num_gpus"),
+        ("instances", [{"role": "M", "max_batch": "4"}], "max_batch"),
+        ("instances", {"role": "M"}, "instances"),
+        ("role_max_batch", [8], "role_max_batch"),
+    ])
+    def test_wrong_value_type_is_named(self, key, value, field):
+        data = {"model": MODEL.name, "hardware": HARDWARE, "instances": [{"role": "M"}]}
+        with pytest.raises(TypeError, match=field):
+            system_from_dict({**data, key: value}, CATALOG)
+
+    def test_int_reads_as_float_field(self):
+        config = system_from_dict({"model": MODEL.name, "hardware": HARDWARE,
+                                   "instances": [{"role": "M"}], "kv_fraction": 1}, CATALOG)
+        assert config.kv_fraction == 1
