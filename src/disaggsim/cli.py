@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime error, 2 infeasible configuration,
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import hashlib
 import json
@@ -26,8 +27,7 @@ from .optimizer import (Metric, Objective, Strategy, load_space, restricted_spac
 from .presets import (EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
                       ExperimentPreset, get_preset, preset_names)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, SystemConfig, disable_irp,
-                        from_dict, load_system_config, save_system_config, system_to_dict,
-                        to_dict)
+                        from_dict, load_system_config, save_system_config, to_dict)
 from .workload import (ParseError, Slo, WorkloadSpec, generate_poisson,
                        generate_shifted, load_trace, save_trace)
 
@@ -56,13 +56,15 @@ def _load_switch_params(path):
 
 
 def _load_input(loader, path, *args):
-    """Read a JSON input file; a missing key, an unknown name or a value of the
-    wrong type or range in it is bad input."""
+    """Read an input file; a file that cannot be read or parsed, a missing key,
+    an unknown name or a value of the wrong type or range in it is bad input."""
     try:
         return loader(path, *args)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
     except KeyError as exc:
         raise InputError(f"{path}: missing or unknown {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, configparser.Error) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -143,24 +145,26 @@ def cmd_simulate(args) -> int:
     else:
         if not args.config or not args.workload:
             raise ParseError("--config and --workload required without --preset", 1)
-        catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
+        catalog = _load_input(load_catalog, args.catalog) if args.catalog else builtin_catalog()
         config = _apply_flags(_load_input(load_system_config, args.config, catalog), args)
         if args.slo is None:
             raise ParseError("--slo TTFT,TPOT required with --workload files", 1)
         if args.workload_rate is not None and args.seed is None:
             raise ParseError("--seed required when regenerating arrivals", 1)
+        if args.workload_rate is not None and args.workload_rate <= 0:
+            raise ParseError("--workload-rate must be positive", 1)
         seed = args.seed or 0
-        workload = load_trace(args.workload, default_slo=args.slo,
-                              rate_lambda=args.workload_rate, seed=seed)
+        workload = _load_input(load_trace, args.workload, args.slo, args.workload_rate, seed)
         runs.append(("run", config, workload))
         inputs = {"seed": seed}
         files = {"config": args.config, "workload": args.workload}
-    inputs["systems"] = {label: system_to_dict(config) for label, config, _ in runs}
+    inputs["systems"] = {label: to_dict(config) for label, config, _ in runs}
     inputs["workload_sha256"] = _digest(to_dict(workload))
 
     summary_paths = []
     for label, config, workload in runs:
         trace = run_simulation(config, workload, seed=seed)
+        trace.validate()
         trace.write_events(out / f"simulate-{label}-events.jsonl")
         trace.write_summary(out / f"simulate-{label}-summary.csv")
         summary_paths.append(str(out / f"simulate-{label}-summary.csv"))
@@ -193,7 +197,7 @@ def cmd_sweep(args) -> int:
     _write_meta(out / f"sweep-{preset.name}-meta.json", "sweep", {
         "preset": preset.name, "seed": seed, "rate_grid": rate_grid,
         "attainment_threshold": threshold,
-        "systems": {label: system_to_dict(_apply_flags(preset.systems[label], args))
+        "systems": {label: to_dict(_apply_flags(preset.systems[label], args))
                     for label in sorted(preset.systems)},
     }, {"goodput": goodputs})
     return EXIT_OK
@@ -249,7 +253,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_capacity(args) -> int:
     out = _out_dir(args)
-    catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
+    catalog = _load_input(load_catalog, args.catalog) if args.catalog else builtin_catalog()
     models = [_named(catalog, args.model, "model")] if args.model else list(catalog.values())
     resolution = args.resolution
     rows = []
@@ -314,7 +318,7 @@ def cmd_optimize(args) -> int:
         "preset": preset.name, "objective": args.objective, "beta": args.beta,
         "trials": args.trials, "seed": args.seed, "strategy": args.strategy,
         "rate_grid": rate_grid, "space": to_dict(space),
-    }, {"best_score": result.best_score, "best_config": system_to_dict(result.best_config)})
+    }, {"best_score": result.best_score, "best_config": to_dict(result.best_config)})
     return EXIT_OK
 
 

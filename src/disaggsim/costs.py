@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from .models import HardwareSpec
 
@@ -118,59 +115,3 @@ def transfer_latency(num_bytes: float, channel: Channel, hw: HardwareSpec,
     bandwidth = hw.intra_node_bandwidth if channel is Channel.INTRA else hw.inter_node_bandwidth
     return num_bytes / bandwidth + setup
 
-
-def load_cost_params(source, section: str = "cost") -> CostParams:
-    """Read one calibration from a key/value config file (same format as the
-    model catalog; unknown keys rejected by the dataclass)."""
-    import configparser
-
-    parser = configparser.ConfigParser()
-    if hasattr(source, "read"):
-        parser.read_file(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    return CostParams(**{key: float(value) for key, value in parser[section].items()})
-
-
-def save_cost_params(path, params: CostParams, section: str = "cost") -> None:
-    import configparser
-
-    parser = configparser.ConfigParser()
-    parser[section] = {key: repr(getattr(params, key))
-                       for key in CostParams.__dataclass_fields__}
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)
-
-
-def calibrate(encode_samples: Sequence[tuple[float, float]],
-              prefill_samples: Sequence[tuple[float, float]],
-              decode_samples: Sequence[tuple[tuple[float, float], float]],
-              **overrides) -> CostParams:
-    """Least-squares fit of the three stage polynomials from samples.
-
-    ``encode_samples``: (patches, seconds); ``prefill_samples``:
-    (tokens, seconds); ``decode_samples``: ((batch, kv_tokens), seconds).
-    Fitted coefficients are clipped at zero to keep the model valid.
-    """
-    def fit(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-        coef, *_ = np.linalg.lstsq(rows, y, rcond=None)
-        return np.clip(coef, 0.0, None)
-
-    enc_x = np.array([[1.0, p] for p, _ in encode_samples])
-    enc_y = np.array([s for _, s in encode_samples])
-    pre_x = np.array([[1.0, t, t * t] for t, _ in prefill_samples])
-    pre_y = np.array([s for _, s in prefill_samples])
-    dec_x = np.array([[1.0, b, kv] for (b, kv), _ in decode_samples])
-    dec_y = np.array([s for _, s in decode_samples])
-
-    enc = fit(enc_x, enc_y)
-    pre = fit(pre_x, pre_y)
-    dec = fit(dec_x, dec_y)
-    fields = dict(
-        enc_base=enc[0], enc_per_patch=enc[1],
-        prefill_base=pre[0], prefill_per_token=pre[1], prefill_quad=pre[2],
-        decode_base=dec[0], decode_per_seq=dec[1], decode_per_kv_token=dec[2],
-    )
-    fields.update(overrides)
-    return CostParams(**fields)

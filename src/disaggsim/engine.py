@@ -24,7 +24,9 @@ blocks instead of naming them (:class:`BlockManager`), each instance keeps
 running patch and token sums of its queue and its running batch for the load
 reads, each request's block needs are computed once, and dispatch after an
 event visits only the instances that event touched, retrying the wait queues
-only after a cache free or a pool change.
+only after a cache free or a pool change. A request's engine state is kept
+only while it is open, from admission to completion; its trace record is
+written as the run goes, and no decision reads it.
 """
 
 from __future__ import annotations
@@ -78,11 +80,12 @@ _SERVES = {
     "prefill": tuple(r for r in StageRole if r.serves_prefill),
     "decode": tuple(r for r in StageRole if r.serves_decode),
 }
-# Whether an admitted, open request has yet to start on an instance of a
-# switchable role: queued encode work can still move, prefill and decode
-# instances are chosen once.
+# Whether an open request has yet to start on an instance of a switchable
+# role: queued encode work can still move, prefill and decode instances are
+# chosen once. Switching needs dedicated E/P/D instances, so every encode of a
+# switching system shards the request in _start_encode.
 _STILL_NEEDS = {
-    StageRole.ENCODE: lambda r: r.rec.encode_start is None,
+    StageRole.ENCODE: lambda r: not r.shards,
     StageRole.PREFILL: lambda r: r.p_iid is None,
     StageRole.DECODE: lambda r: r.d_iid is None,
 }
@@ -138,7 +141,6 @@ def form_batch(queue: Sequence[int], max_batch: int, fits: Callable[[int], bool]
 @dataclass
 class _RunningBatch:
     rids: tuple[int, ...]
-    kind: str
     worker_items: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
 
 
@@ -238,7 +240,6 @@ class _Sim:
 
         self.heap: list = []
         self.seq = itertools.count()
-        self.now = 0.0
         self.last_pop = 0.0
 
         self.chan_free: dict[tuple[int, int], float] = {}
@@ -256,10 +257,13 @@ class _Sim:
         self.last_switch = float("-inf")
         self.switches: list[SwitchEventRecord] = []
 
+        # Open requests (admitted, not yet complete) by id; every request's
+        # trace record, which no decision reads.
         self.rs: dict[int, _Req] = {}
+        self.records: dict[int, RequestRecord] = {}
         last_arrival = float("-inf")
         for req in workload:
-            if req.id in self.rs:
+            if req.id in self.records:
                 raise ValueError(f"duplicate request id {req.id}")
             if req.arrival_time < last_arrival:
                 raise ValueError("workload must be sorted by arrival time")
@@ -270,9 +274,10 @@ class _Sim:
                                 prompt_tokens=req.prompt_tokens, mm_tokens=mm_tokens,
                                 total_tokens=total_tokens, output_tokens=req.output_tokens,
                                 slo=req.slo)
-            self.rs[req.id] = _Req(req, patches, mm_tokens, total_tokens,
-                                   config.block_size, rec)
-        self.outstanding = len(self.rs)
+            self.records[req.id] = rec
+            self._push(req.arrival_time, _ARRIVAL,
+                       (_Req(req, patches, mm_tokens, total_tokens, config.block_size, rec),))
+        self.outstanding = len(self.records)
 
     # --- event plumbing -----------------------------------------------------
 
@@ -280,9 +285,7 @@ class _Sim:
         heapq.heappush(self.heap, (t, _PRIO[kind], next(self.seq), kind, data))
 
     def run(self) -> SimTrace:
-        for r in self.rs.values():
-            self._push(r.req.arrival_time, _ARRIVAL, (r.req.id,))
-        if self.system.role_switch is not None and self.rs:
+        if self.system.role_switch is not None and self.records:
             self._push(self.system.role_switch.monitor_interval, _MONITOR, ())
 
         handlers = {
@@ -300,7 +303,6 @@ class _Sim:
             if t < self.last_pop - 1e-12:
                 raise RuntimeError("event heap popped an event in the past")
             self.last_pop = t
-            self.now = t
             handlers[kind](t, *data)
             self._dispatch(t)
 
@@ -315,7 +317,6 @@ class _Sim:
                     raise RuntimeError(
                         f"instance {inst.iid} leaked {manager.used_blocks} "
                         f"{manager.kind.value} blocks")
-        requests = {rid: r.rec for rid, r in self.rs.items()}
         instances = {inst.iid: inst.record for inst in self.insts}
         meta = {
             "seed": self.seed,
@@ -323,7 +324,7 @@ class _Sim:
             "gpus": self.system.gpu_count,
             "horizon": self.last_pop,
         }
-        return SimTrace(requests=requests, instances=instances,
+        return SimTrace(requests=self.records, instances=instances,
                         switches=self.switches, meta=meta)
 
     # --- pools and loads ------------------------------------------------------
@@ -431,15 +432,15 @@ class _Sim:
 
     # --- event handlers ---------------------------------------------------------
 
-    def _on_arrival(self, t: float, rid: int) -> None:
-        r = self.rs[rid]
+    def _on_arrival(self, t: float, r: _Req) -> None:
         reason = self._admission_reason(r)
         if reason is not None:
             if not self.system.admission_control:
-                raise CapacityExceeded(f"request {rid} can never fit: {reason}")
+                raise CapacityExceeded(f"request {r.req.id} can never fit: {reason}")
             r.rec.rejected = reason
             self.outstanding -= 1
             return
+        self.rs[r.req.id] = r
         inst = self._route("encode", r, self._arrival_load)
         if inst.serves_prefill:
             r.p_iid = r.rec.p_instance = inst.iid
@@ -469,8 +470,8 @@ class _Sim:
         inst.running = None
         inst.running_patches = inst.running_tokens = 0
         self.touched.add(iid)
-        if batch.kind == "encode":
-            return  # per-worker events already launched the transfers
+        if not inst.serves_prefill:
+            return  # encode batch: per-worker events already launched the transfers
         # prefill or fused encode+prefill: the first output token exists now
         for rid in batch.rids:
             r = self.rs[rid]
@@ -553,13 +554,12 @@ class _Sim:
     # --- switching --------------------------------------------------------------
 
     def _strands(self, decision: SwitchDecision) -> bool:
-        """Whether the switch would leave an admitted, open request that still
-        needs the source role with no other instance of it that holds it."""
+        """Whether the switch would leave an open request that still needs
+        the source role with no other instance of it that holds it."""
         rest = [i for i in self.insts
                 if i.role is decision.source and i.iid != decision.instance_id]
         needs = _STILL_NEEDS[decision.source]
-        return any(r.e_iid is not None and r.rec.completion_time is None and needs(r)
-                   and not any(i.holds(r) for i in rest) for r in self.rs.values())
+        return any(needs(r) and not any(i.holds(r) for i in rest) for r in self.rs.values())
 
     def _begin_switch(self, decision: SwitchDecision, t: float) -> None:
         inst = self.insts[decision.instance_id]
@@ -637,11 +637,12 @@ class _Sim:
 
     def _complete(self, r: _Req, t: float) -> None:
         r.rec.completion_time = t
+        del self.rs[r.req.id]
         self.outstanding -= 1
 
     # --- work starting ----------------------------------------------------------
 
-    def _launch(self, inst: _Instance, batch: list[int], kind: str, t: float, end: float,
+    def _launch(self, inst: _Instance, batch: list[int], end: float,
                 worker_items: Optional[dict[int, list[tuple[int, int]]]] = None) -> None:
         """Move ``batch`` from the head of the queue into the running slot."""
         patches = tokens = 0
@@ -652,10 +653,9 @@ class _Sim:
             tokens += r.total_tokens
         inst.queued_patches -= patches
         inst.queued_tokens -= tokens
-        inst.running = _RunningBatch(tuple(batch), kind, worker_items or {})
+        inst.running = _RunningBatch(tuple(batch), worker_items or {})
         inst.running_patches = patches
         inst.running_tokens = tokens
-        inst.record.busy.append((t, end, kind))
         self._push(end, _BATCH_END, (inst.iid,))
 
     def _start_batch(self, inst: _Instance, t: float) -> None:
@@ -682,7 +682,7 @@ class _Sim:
                 r.rec.encode_start = t
                 r.rec.encode_end = t + enc_dur
             r.rec.prefill_start = t + enc_dur
-        self._launch(inst, batch, "fused" if encodes else "prefill", t, t + enc_dur + pre_dur)
+        self._launch(inst, batch, t + enc_dur + pre_dur)
 
     def _start_encode(self, inst: _Instance, batch: list[int], t: float) -> None:
         """Shard each request's patches across the instance's workers."""
@@ -697,9 +697,6 @@ class _Sim:
             else:
                 shard_counts = [(k, p) for k, p in enumerate(irp_shard(r.patches, width)) if p > 0]
             r.shards = shard_counts
-            r.shards_run_done = 0
-            r.shards_done = 0
-            r.ready_unsent = []
             r.rec.encode_start = t
             r.rec.shards = [ShardRecord(worker=k, patches=p, start=t) for k, p in shard_counts]
             for shard_idx, (k, p) in enumerate(shard_counts):
@@ -713,7 +710,7 @@ class _Sim:
             finishes[k] = t + encode_latency(self.cost, worker_load[k], tp_width=1,
                                              batch_size=worker_reqs[k])
             self._push(finishes[k], _WORKER_DONE, (inst.iid, k))
-        self._launch(inst, batch, "encode", t, max(finishes.values()), worker_items)
+        self._launch(inst, batch, max(finishes.values()), worker_items)
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         batch = tuple(inst.resident)
@@ -721,9 +718,7 @@ class _Sim:
         duration = decode_step_latency(self.cost, len(batch), kv_tokens)
         duration *= parallel_factor(self.cost, inst.tp, inst.pp)
         inst.stepping = True
-        end = t + duration
-        inst.record.busy.append((t, end, "decode"))
-        self._push(end, _STEP_END, (inst.iid, batch))
+        self._push(t + duration, _STEP_END, (inst.iid, batch))
 
     # --- dispatch -----------------------------------------------------------------
 

@@ -267,10 +267,6 @@ def _expect(value, *kinds):
     return value
 
 
-def system_to_dict(config: SystemConfig) -> dict:
-    return to_dict(config)
-
-
 def system_from_dict(data: Mapping, catalog: Mapping[str, ModelSpec]) -> SystemConfig:
     """A system from its JSON mapping. ``"shape"`` shorthand such as ``5E1P2D``,
     with optional per-role ``tp``/``pp``/``max_batch`` maps and one ``policy``,
@@ -286,7 +282,7 @@ def system_from_dict(data: Mapping, catalog: Mapping[str, ModelSpec]) -> SystemC
 
 def save_system_config(path, config: SystemConfig) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(system_to_dict(config), handle, indent=2, sort_keys=True)
+        json.dump(to_dict(config), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

@@ -69,7 +69,6 @@ class RequestRecord:
 class InstanceRecord:
     iid: int
     initial_role: StageRole
-    busy: list[tuple[float, float, str]] = field(default_factory=list)
     roles: list[tuple[float, StageRole]] = field(default_factory=list)
 
     def role_at(self, t: float) -> StageRole:
@@ -80,11 +79,6 @@ class InstanceRecord:
             else:
                 break
         return current
-
-    def utilization(self, horizon: float) -> float:
-        if horizon <= 0:
-            return 0.0
-        return sum(end - start for start, end, _ in self.busy) / horizon
 
 
 @dataclass

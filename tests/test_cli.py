@@ -61,6 +61,37 @@ def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option,
     assert str(path) in err and field in err
 
 
+# Each input flag's command, with ``{path}`` for the file under test.
+INPUT_FILE_ARGV = {
+    "--config": ["simulate", "--config", "{path}", "--workload", "{workload}",
+                 "--slo", "5.0,0.1"],
+    "--workload": ["simulate", "--config", "{config}", "--workload", "{path}",
+                   "--slo", "5.0,0.1"],
+    "--catalog": ["simulate", "--catalog", "{path}", "--config", "{config}",
+                  "--workload", "{workload}", "--slo", "5.0,0.1"],
+    "capacity --catalog": ["capacity", "--catalog", "{path}"],
+    "--switch-params": ["simulate", "--preset", "switch-shifted", "--switch-params", "{path}"],
+    "--space": ["optimize", "--space", "{path}", "--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("option, content", [
+    *((option, None) for option in INPUT_FILE_ARGV),
+    ("--catalog", "encoder_params = 1\n"),
+    ("capacity --catalog", "[m]\nencoder_params = x\n"),
+], ids=[*(f"missing {option}" for option in INPUT_FILE_ARGV),
+        "catalog without section header", "catalog with non-integer field"])
+def test_unreadable_input_file_is_parse_error(tmp_path, config_file, workload_file, capsys,
+                                              option, content):
+    path = tmp_path / "input.file"
+    if content is not None:
+        path.write_text(content)
+    argv = [arg.format(path=path, config=config_file, workload=workload_file)
+            for arg in INPUT_FILE_ARGV[option]]
+    assert run(tmp_path, *argv) == EXIT_PARSE
+    assert str(path) in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_single_run_smoke(self, tmp_path, config_file, workload_file):
         code = run(tmp_path, "simulate", "--config", str(config_file),
@@ -101,6 +132,15 @@ class TestSimulate:
                    "--workload", str(workload_file), "--slo", "5.0,0.1",
                    "--workload-rate", "4.0")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("rate", ["0", "-1"])
+    def test_non_positive_workload_rate_is_parse_error(self, tmp_path, config_file,
+                                                       workload_file, capsys, rate):
+        code = run(tmp_path, "simulate", "--config", str(config_file),
+                   "--workload", str(workload_file), "--slo", "5.0,0.1",
+                   f"--workload-rate={rate}", "--seed", "3")
+        assert code == EXIT_PARSE
+        assert "--workload-rate" in capsys.readouterr().err
 
     def test_malformed_workload_exit_code(self, tmp_path, config_file):
         bad = tmp_path / "bad.csv"
@@ -178,6 +218,21 @@ class TestSimulate:
         code = run(tmp_path, "simulate", "--preset", "ttft-minicpm-2img", "--system", "epd")
         assert code == EXIT_RUNTIME
         assert "parse error" not in capsys.readouterr().err
+
+    def test_invalid_trace_is_not_exported(self, tmp_path, monkeypatch, capsys):
+        simulate = cli.run_simulation
+
+        def broken(*args, **kwargs):
+            trace = simulate(*args, **kwargs)
+            trace.completed_records()[0].token_times.pop()
+            return trace
+
+        monkeypatch.setattr(cli, "run_simulation", broken)
+        code = run(tmp_path, "simulate", "--preset", "ttft-minicpm-2img", "--system", "epd")
+        assert code == EXIT_RUNTIME
+        assert "token times" in capsys.readouterr().err
+        assert not (tmp_path / "simulate-epd-summary.csv").exists()
+        assert not (tmp_path / "simulate-epd-events.jsonl").exists()
 
 
 class TestSweep:

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disaggsim.costs import (Channel, CostParams, calibrate, decode_step_latency,
-                             encode_latency, load_cost_params, pp_factor,
-                             prefill_latency, save_cost_params, tp_speedup,
-                             transfer_latency)
+from disaggsim.costs import (Channel, CostParams, decode_step_latency, encode_latency,
+                             pp_factor, prefill_latency, tp_speedup, transfer_latency)
 from disaggsim.models import HardwareSpec
 
 
@@ -138,27 +136,3 @@ class TestValidationAndCalibration:
     def test_rejects_bad_tp_efficiency(self):
         with pytest.raises(ValueError):
             CostParams(tp_efficiency=0.0)
-
-    def test_cost_params_config_round_trip(self, tmp_path):
-        params = CostParams(enc_base=0.12, enc_per_patch=0.034, prefill_quad=3e-9,
-                            switch_latency_e=0.7, switch_latency_pd=0.2)
-        path = tmp_path / "cost.cfg"
-        save_cost_params(path, params)
-        assert load_cost_params(path) == params
-
-    def test_calibrate_recovers_planted_polynomials(self):
-        truth = CostParams(enc_base=0.12, enc_per_patch=0.03,
-                           prefill_base=0.05, prefill_per_token=2e-4, prefill_quad=1e-8,
-                           decode_base=0.01, decode_per_seq=0.002,
-                           decode_per_kv_token=1e-6)
-        enc = [(p, encode_latency(truth, p)) for p in (0, 5, 10, 50, 100)]
-        pre = [(t, prefill_latency(truth, t)) for t in (1, 10, 100, 1000, 5000)]
-        dec = [((b, kv), decode_step_latency(truth, b, kv))
-               for b in (1, 4, 16) for kv in (0, 1000, 50_000)]
-        fitted = calibrate(enc, pre, dec)
-        assert fitted.enc_base == pytest.approx(truth.enc_base, rel=1e-6)
-        assert fitted.enc_per_patch == pytest.approx(truth.enc_per_patch, rel=1e-6)
-        assert fitted.prefill_per_token == pytest.approx(truth.prefill_per_token, rel=1e-4)
-        assert fitted.prefill_quad == pytest.approx(truth.prefill_quad, rel=1e-3)
-        assert fitted.decode_per_seq == pytest.approx(truth.decode_per_seq, rel=1e-6)
-        assert fitted.decode_per_kv_token == pytest.approx(truth.decode_per_kv_token, rel=1e-6)

@@ -5,9 +5,11 @@ queues only after a cache free or a pool change, reads queue loads from
 running sums, and admits requests by its cache-fit rule. ``FullScanSim``
 undoes these shortcuts: it marks every instance and both wait queues on
 every event, as a full scan does, checks admission with its own scan of
-every instance's caches, and after every event checks each running sum and
-block count against a fresh rescan. Its traces must equal the real
-engine's, byte for byte, and no run may stall.
+every instance's caches, decides whether a role switch strands a request by
+scanning every request that has arrived, and after every event checks each
+running sum, block count and the set of open requests against a fresh
+rescan. Its traces must equal the real engine's, byte for byte, and no run
+may stall.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ def rescan_errors(sim: _Sim) -> list[str]:
             if manager is not None and \
                     manager.free_blocks + sum(manager.allocated.values()) != manager.total_blocks:
                 errors.append(f"instance {inst.iid} {manager.kind.value} blocks do not add up")
+    open_rids = {r.req.id for r in sim.arrived
+                 if r.rec.rejected is None and r.rec.completion_time is None}
+    if set(sim.rs) != open_rids:
+        errors.append(f"open requests {sorted(sim.rs)} != rescan {sorted(open_rids)}")
     offloading = [inst.iid for inst in sim.insts if inst.state == "offloading"]
     if offloading and (sim.switch_rec is None or offloading != [sim.switch_rec.instance_id]):
         errors.append(f"offloading {offloading} is not the switching instance")
@@ -69,6 +75,14 @@ def rescan_errors(sim: _Sim) -> list[str]:
 
 class CheckedSim(_Sim):
     """The real engine, checked against a rescan and for a stall after every event."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.arrived = []  # every request that has arrived, admitted or not
+
+    def _on_arrival(self, t: float, r) -> None:
+        self.arrived.append(r)
+        super()._on_arrival(t, r)
 
     def _dispatch(self, t: float) -> None:
         super()._dispatch(t)
@@ -79,8 +93,9 @@ class CheckedSim(_Sim):
 
 
 class FullScanSim(CheckedSim):
-    """Every instance and both wait queues revisited on every event, and
-    admission checked against every instance's cache."""
+    """Every instance and both wait queues revisited on every event,
+    admission checked against every instance's cache, and a switch's
+    stranding decided over every request that has arrived."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -112,6 +127,15 @@ class FullScanSim(CheckedSim):
             return "kv_capacity"
         return None
 
+    def _strands(self, decision) -> bool:
+        rest = [i for i in self.insts
+                if i.role is decision.source and i.iid != decision.instance_id]
+        needs = {StageRole.ENCODE: lambda r: r.rec.encode_start is None,
+                 StageRole.PREFILL: lambda r: r.p_iid is None,
+                 StageRole.DECODE: lambda r: r.d_iid is None}[decision.source]
+        return any(r.e_iid is not None and r.rec.completion_time is None and needs(r)
+                   and not any(i.holds(r) for i in rest) for r in self.arrived)
+
     def _dispatch(self, t: float) -> None:
         self.max_waits = [max(self.max_waits[0], len(self.ep_wait)),
                           max(self.max_waits[1], len(self.pd_wait))]
@@ -133,8 +157,10 @@ def outcome(sim: _Sim):
 def assert_equivalent(config: SystemConfig, workload: list[Request]) -> FullScanSim:
     reference = FullScanSim(config, workload, 7)
     expected = outcome(reference)
-    assert outcome(CheckedSim(config, workload, 7)) == expected
+    checked = CheckedSim(config, workload, 7)
+    assert outcome(checked) == expected
     if not isinstance(expected, tuple):
+        assert not reference.rs and not checked.rs, "requests still open after the run"
         assert run_simulation(config, workload, seed=7) == expected
     return reference
 
@@ -173,7 +199,7 @@ def test_admission_at_exact_cache_sizes(mm_cache_tokens):
     total = first.prompt_tokens + 640
     workload = [replace(first, id=0, output_tokens=decode_tokens - total),
                 replace(first, id=1, output_tokens=decode_tokens - total + 1)]
-    reasons = [r.rec.rejected for r in assert_equivalent(config, workload).rs.values()]
+    reasons = [rec.rejected for rec in assert_equivalent(config, workload).records.values()]
     assert reasons == (["mm_capacity"] * 2 if mm_cache_tokens < 640 else [None, "kv_capacity"])
 
 

@@ -368,18 +368,6 @@ class TestDeterminismAndEdges:
         assert list(first.events()) == list(second.events())
         assert json.dumps(first.summary_rows()) == json.dumps(second.summary_rows())
 
-    def test_instance_records_carry_busy_and_queue_series(self, toy_model, simple_cost):
-        config = system([inst(StageRole.ENCODE), inst(StageRole.PREFILL),
-                         inst(StageRole.DECODE, max_batch=4)], toy_model, fast_hw(),
-                        simple_cost)
-        trace = run_simulation(config, [req(i, 0.2 * i) for i in range(6)])
-        horizon = trace.horizon
-        assert horizon > 0
-        for record in trace.instances.values():
-            assert record.busy, record.iid
-            assert all(end >= start for start, end, _ in record.busy)
-            assert 0.0 < record.utilization(horizon) <= 1.0 + 1e-9
-
     def test_text_only_request_flows_through_encode(self, toy_model, simple_cost):
         config = system([inst(StageRole.ENCODE, tp=2), inst(StageRole.PREFILL),
                          inst(StageRole.DECODE, max_batch=4)], toy_model, fast_hw(),

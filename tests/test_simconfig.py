@@ -11,7 +11,7 @@ from disaggsim.models import HardwareSpec, StageRole, builtin_catalog
 from disaggsim.optimizer import BudgetMode, ConfigSpace, restricted_space, space_from_dict
 from disaggsim.presets import get_preset, preset_names
 from disaggsim.simconfig import (InstanceConfig, SchedulePolicy, SystemConfig, from_dict,
-                                 system_from_dict, system_to_dict, to_dict)
+                                 system_from_dict, to_dict)
 
 CATALOG = builtin_catalog()
 MODEL = CATALOG["minicpm-v-2.6"]
@@ -78,7 +78,7 @@ systems = st.sampled_from(FAMILIES).flatmap(lambda roles: st.builds(
 
 
 def round_trip(config: SystemConfig) -> SystemConfig:
-    return system_from_dict(through_json(system_to_dict(config)), CATALOG)
+    return system_from_dict(through_json(to_dict(config)), CATALOG)
 
 
 class TestRoundTrip:
@@ -93,7 +93,7 @@ class TestRoundTrip:
             assert round_trip(config) == config
 
     def test_switch_preset_keeps_controller_and_batch_caps(self):
-        data = system_to_dict(get_preset("switch-shifted").systems["epd"])
+        data = to_dict(get_preset("switch-shifted").systems["epd"])
         assert data["role_switch"]["stage_work_scale"] == {"E": 10.0, "P": 662.0, "D": 1.0}
         assert data["role_max_batch"] == {"E": 1, "P": 1, "D": 5}
 
