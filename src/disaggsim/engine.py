@@ -22,11 +22,12 @@ sent to it, and a decode instance KV before the prefilled cache is.
 Per-event work does not grow with queue length or cache size. Caches count
 blocks instead of naming them (:class:`BlockManager`), each instance keeps
 running patch and token sums of its queue and its running batch for the load
-reads, each request's block needs are computed once, and dispatch after an
-event visits only the instances that event touched, retrying the wait queues
-only after a cache free or a pool change. A request's engine state is kept
-only while it is open, from admission to completion; its trace record is
-written as the run goes, and no decision reads it.
+reads and of its decode batch's KV tokens for the step time, each request's
+block needs are computed once, and dispatch after an event visits only the
+instances that event touched, retrying the wait queues only after a cache
+free or a pool change. A request's engine state is kept only while it is
+open, from admission to completion; its trace record is written as the run
+goes, and no decision reads it.
 """
 
 from __future__ import annotations
@@ -80,12 +81,9 @@ _SERVES = {
     "prefill": tuple(r for r in StageRole if r.serves_prefill),
     "decode": tuple(r for r in StageRole if r.serves_decode),
 }
-# Whether an open request has yet to start on an instance of a switchable
-# role: queued encode work can still move, prefill and decode instances are
-# chosen once. Switching needs dedicated E/P/D instances, so every encode of a
-# switching system shards the request in _start_encode.
+# Whether an open request has yet to be placed on an instance of the role
+# a switch would take one from; each is chosen once.
 _STILL_NEEDS = {
-    StageRole.ENCODE: lambda r: not r.shards,
     StageRole.PREFILL: lambda r: r.p_iid is None,
     StageRole.DECODE: lambda r: r.d_iid is None,
 }
@@ -189,6 +187,9 @@ class _Instance:
         self.running_tokens = 0
         self.stepping = False
         self.resident: list[int] = []
+        # KV tokens held by ``resident``: prompt plus tokens emitted so far,
+        # kept in step with it so that a decode step never re-sums its batch.
+        self.resident_kv = 0
         self.admit_wait: deque[int] = deque()
         self.mm: Optional[BlockManager] = None
         self.kv: Optional[BlockManager] = None
@@ -205,6 +206,8 @@ class _Instance:
         self.serves_encode = self.role.serves_encode
         self.serves_prefill = self.role.serves_prefill
         self.serves_decode = self.role.serves_decode
+        # Decode-step slowdown of this instance's tp x pp layout.
+        self.step_factor = parallel_factor(system.cost, self.tp, self.pp)
         self.mm = None
         self.kv = None
         if self.serves_encode or self.serves_prefill:
@@ -494,6 +497,7 @@ class _Sim:
         inst = self.insts[iid]
         inst.stepping = False
         self.touched.add(iid)
+        inst.resident_kv += len(rids)
         for rid in rids:
             r = self.rs[rid]
             r.emitted += 1
@@ -501,9 +505,10 @@ class _Sim:
             if r.emitted == r.req.output_tokens - 1:
                 self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
+                inst.resident_kv -= r.total_tokens + r.emitted
                 self._complete(r, t)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
-            inst.resident.append(inst.admit_wait.popleft())
+            self._reside(inst, inst.admit_wait.popleft())
 
     def _on_transfer_end(self, t: float, kind: str, rid: int, shard_idx: int) -> None:
         r = self.rs[rid]
@@ -556,6 +561,10 @@ class _Sim:
     def _strands(self, decision: SwitchDecision) -> bool:
         """Whether the switch would leave an open request that still needs
         the source role with no other instance of it that holds it."""
+        if decision.source is StageRole.ENCODE:
+            # Every encode instance has the same MM cache, which holds every
+            # admitted request, and the controller never takes a role's last.
+            return False
         rest = [i for i in self.insts
                 if i.role is decision.source and i.iid != decision.instance_id]
         needs = _STILL_NEEDS[decision.source]
@@ -631,9 +640,14 @@ class _Sim:
     def _admit_decode(self, inst: _Instance, rid: int) -> None:
         self.touched.add(inst.iid)
         if len(inst.resident) < inst.max_batch:
-            inst.resident.append(rid)
+            self._reside(inst, rid)
         else:
             inst.admit_wait.append(rid)
+
+    def _reside(self, inst: _Instance, rid: int) -> None:
+        r = self.rs[rid]
+        inst.resident.append(rid)
+        inst.resident_kv += r.total_tokens + r.emitted
 
     def _complete(self, r: _Req, t: float) -> None:
         r.rec.completion_time = t
@@ -714,9 +728,8 @@ class _Sim:
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         batch = tuple(inst.resident)
-        kv_tokens = sum(self.rs[rid].total_tokens + self.rs[rid].emitted for rid in batch)
-        duration = decode_step_latency(self.cost, len(batch), kv_tokens)
-        duration *= parallel_factor(self.cost, inst.tp, inst.pp)
+        duration = decode_step_latency(self.cost, len(batch), inst.resident_kv)
+        duration *= inst.step_factor
         inst.stepping = True
         self._push(t + duration, _STEP_END, (inst.iid, batch))
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -13,6 +15,17 @@ from .models import StageRole
 
 class TraceInvariantError(ValueError):
     """A trace violated a causality or conservation invariant."""
+
+
+# Lines of events.jsonl formatted before each write.
+_CHUNK_ROWS = 8192
+
+
+def _json_number(value) -> str:
+    """``value`` as ``json.dumps`` writes it: a finite float by ``float.__repr__``."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 @dataclass
@@ -154,13 +167,15 @@ class SimTrace:
 
     # --- export -------------------------------------------------------------
 
-    def events(self) -> Iterator[tuple[int, str, float]]:
-        """Flat (request id, event, time) stream sorted by time then id."""
-        rows: list[tuple[int, str, float]] = []
+    def _event_rows(self) -> list[tuple[float, int, str]]:
+        """Every (time, request id, event) row, sorted by time, then id, then event."""
+        rows: list[tuple[float, int, str]] = []
+        token_labels: list[str] = []  # "token:0", "token:1", ...: one string per index
         for r in self.requests.values():
-            rows.append((r.rid, "arrival", r.arrival))
+            rid = r.rid
+            rows.append((r.arrival, rid, "arrival"))
             if r.rejected is not None:
-                rows.append((r.rid, f"rejected:{r.rejected}", r.arrival))
+                rows.append((r.arrival, rid, f"rejected:{r.rejected}"))
                 continue
             for label, value in (
                 ("encode_start", r.encode_start), ("encode_end", r.encode_end),
@@ -171,16 +186,37 @@ class SimTrace:
                 ("completion", r.completion_time),
             ):
                 if value is not None:
-                    rows.append((r.rid, label, value))
-            for i, t in enumerate(r.token_times):
-                rows.append((r.rid, f"token:{i}", t))
-        rows.sort(key=lambda row: (row[2], row[0], row[1]))
-        return iter(rows)
+                    rows.append((value, rid, label))
+            for i in range(len(token_labels), len(r.token_times)):
+                token_labels.append(f"token:{i}")
+            rows.extend(zip(r.token_times, itertools.repeat(rid), token_labels))
+        rows.sort()
+        return rows
+
+    def events(self) -> Iterator[tuple[int, str, float]]:
+        """Flat (request id, event, time) stream sorted by time then id."""
+        return ((rid, event, t) for t, rid, event in self._event_rows())
 
     def write_events(self, path) -> None:
+        """One JSON object per row, ``{"rid": …, "event": …, "time": …}``,
+        in the bytes ``json.dumps`` gives each row's dict.
+
+        Every event label is plain ASCII that needs no escaping, and a time
+        is written as ``json.dumps`` writes a number. A time is formatted
+        once per run of rows that hold the same float object (one decode
+        step's tokens share one); equal values are not enough, as 0.0 and
+        -0.0 are equal but written apart. Lines go out in fixed-size chunks.
+        """
+        rows = self._event_rows()
+        last = text = None
         with open(path, "w", encoding="utf-8") as handle:
-            for rid, event, t in self.events():
-                handle.write(json.dumps({"rid": rid, "event": event, "time": t}) + "\n")
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                lines = []
+                for t, rid, event in rows[start:start + _CHUNK_ROWS]:
+                    if t is not last:
+                        last, text = t, _json_number(t)
+                    lines.append(f'{{"rid": {rid}, "event": "{event}", "time": {text}}}\n')
+                handle.write("".join(lines))
 
     def summary_rows(self) -> list[dict]:
         rows = []

@@ -6,10 +6,11 @@ running sums, and admits requests by its cache-fit rule. ``FullScanSim``
 undoes these shortcuts: it marks every instance and both wait queues on
 every event, as a full scan does, checks admission with its own scan of
 every instance's caches, decides whether a role switch strands a request by
-scanning every request that has arrived, and after every event checks each
-running sum, block count and the set of open requests against a fresh
-rescan. Its traces must equal the real engine's, byte for byte, and no run
-may stall.
+scanning every request that has arrived (for an encode source too, which
+the engine skips), and after every event checks each running sum (the
+resident KV tokens of a decode batch included), each decode-step factor,
+block count and the set of open requests against a fresh rescan. Its traces
+must equal the real engine's, byte for byte, and no run may stall.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from disaggsim.cli import _preset_workload
 from disaggsim.controller import ControllerParams
+from disaggsim.costs import parallel_factor
 from disaggsim.engine import _Sim, run_simulation
 from disaggsim.models import StageRole
 from disaggsim.presets import switch_preset
@@ -59,6 +61,13 @@ def rescan_errors(sim: _Sim) -> list[str]:
             if getattr(inst, field) != expected:
                 errors.append(f"instance {inst.iid} {field}={getattr(inst, field)} "
                               f"!= rescan {expected}")
+        resident_kv = sum(sim.rs[rid].total_tokens + sim.rs[rid].emitted
+                          for rid in inst.resident)
+        if inst.resident_kv != resident_kv:
+            errors.append(f"instance {inst.iid} resident_kv={inst.resident_kv} "
+                          f"!= rescan {resident_kv}")
+        if inst.step_factor != parallel_factor(sim.cost, inst.tp, inst.pp):
+            errors.append(f"instance {inst.iid} step_factor is not its tp x pp factor")
         for manager in (inst.mm, inst.kv):
             if manager is not None and \
                     manager.free_blocks + sum(manager.allocated.values()) != manager.total_blocks:
@@ -128,6 +137,7 @@ class FullScanSim(CheckedSim):
         return None
 
     def _strands(self, decision) -> bool:
+        # Encode included: the engine skips that scan, which never finds one.
         rest = [i for i in self.insts
                 if i.role is decision.source and i.iid != decision.instance_id]
         needs = {StageRole.ENCODE: lambda r: r.rec.encode_start is None,
