@@ -28,12 +28,27 @@ instances that event touched, retrying the wait queues only after a cache
 free or a pool change. A request's engine state is kept only while it is
 open, from admission to completion; its trace record is written as the run
 goes, and no decision reads it.
+
+A decode instance does not pop one event per step. It plans a *segment*:
+the run of steps from now through the first in which a member emits its
+last token, each step timed by the batch and KV tokens it will have, under
+one STEP_END at the segment's end, which hands every member all of its
+tokens at once.
+Only a change to the batch or the queue makes later steps differ: a
+request taking a free batch slot, or queued work on an instance that also
+prefills (which plans one step at a time while its queue is not empty).
+Either *cuts* the segment: the steps already ended are applied, the step
+in flight becomes its last, and the old STEP_END, whose serial is now
+stale, is dropped when it pops. STEP_ENDs at the same time pop in iid
+order, which does not depend on when each was pushed, so traces are those
+of one event per step under the same order.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -185,7 +200,12 @@ class _Instance:
         self.queued_tokens = 0
         self.running_patches = 0
         self.running_tokens = 0
-        self.stepping = False
+        # The open decode segment: its members and the end of each planned
+        # step, empty while the instance is not stepping; ``serial`` tags
+        # the segment's one live STEP_END.
+        self.seg_rids: tuple[int, ...] = ()
+        self.seg_ends: list[float] = []
+        self.serial = 0
         self.resident: list[int] = []
         # KV tokens held by ``resident``: prompt plus tokens emitted so far,
         # kept in step with it so that a decode step never re-sums its batch.
@@ -301,8 +321,11 @@ class _Sim:
             _SWITCH_ONLOAD: self._on_switch_onload,
             _MONITOR: self._on_monitor,
         }
+        insts = self.insts
         while self.heap:
             t, _, _, kind, data = heapq.heappop(self.heap)
+            if kind == _STEP_END and data[1] != insts[data[0]].serial:
+                continue  # the end of a segment that was cut short
             if t < self.last_pop - 1e-12:
                 raise RuntimeError("event heap popped an event in the past")
             self.last_pop = t
@@ -366,7 +389,8 @@ class _Sim:
             loads[role] = StageLoad(total=total, instances=entries)
         return loads
 
-    def _enqueue(self, inst: _Instance, r: _Req) -> None:
+    def _enqueue(self, inst: _Instance, r: _Req, t: float) -> None:
+        self._cut(inst, t)  # queued work is tried between decode steps
         inst.queue.append(r.req.id)
         inst.queued_patches += r.patches
         inst.queued_tokens += r.total_tokens
@@ -447,7 +471,7 @@ class _Sim:
         inst = self._route("encode", r, self._arrival_load)
         if inst.serves_prefill:
             r.p_iid = r.rec.p_instance = inst.iid
-        self._enqueue(inst, r)
+        self._enqueue(inst, r, t)
 
     def _on_worker_done(self, t: float, iid: int, worker: int) -> None:
         inst = self.insts[iid]
@@ -488,20 +512,20 @@ class _Sim:
             elif inst.serves_decode:  # monolithic: decode in place
                 r.d_iid = iid
                 r.rec.d_instance = iid
-                self._admit_decode(inst, rid)
+                self._admit_decode(inst, rid, t)
             else:
                 if not self._try_reserve_decode(r, t):
                     self.pd_wait.append(rid)
 
-    def _on_step_end(self, t: float, iid: int, rids: tuple[int, ...]) -> None:
+    def _on_step_end(self, t: float, iid: int, serial: int) -> None:
         inst = self.insts[iid]
-        inst.stepping = False
+        self._emit(inst, inst.seg_ends)
+        rids = inst.seg_rids
+        inst.seg_rids = ()
+        inst.seg_ends = []
         self.touched.add(iid)
-        inst.resident_kv += len(rids)
         for rid in rids:
             r = self.rs[rid]
-            r.emitted += 1
-            r.rec.token_times.append(t)
             if r.emitted == r.req.output_tokens - 1:
                 self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
@@ -520,12 +544,12 @@ class _Sim:
                 src = self.insts[r.e_iid]
                 self._free(src, src.mm, rid)
                 r.rec.ep_transfer_end = t
-                self._enqueue(self.insts[r.p_iid], r)
+                self._enqueue(self.insts[r.p_iid], r, t)
         else:  # pd
             src = self.insts[r.p_iid]
             self._free(src, src.kv, rid)
             r.rec.pd_transfer_end = t
-            self._admit_decode(self.insts[r.d_iid], rid)
+            self._admit_decode(self.insts[r.d_iid], rid, t)
 
     def _on_switch_migrated(self, t: float, iid: int) -> None:
         self.switch_rec.migration_done = t
@@ -585,7 +609,7 @@ class _Sim:
             inst.queued_patches = inst.queued_tokens = 0
             for rid in pending:  # the offloading instance has left the pool
                 r = self.rs[rid]
-                self._enqueue(self._route("encode", r, self._arrival_load), r)
+                self._enqueue(self._route("encode", r, self._arrival_load), r, t)
                 rec.redistributed += 1
         # Prefill queues and decode residents hold transferred cache data and
         # therefore drain in place before the migration phase starts.
@@ -593,12 +617,14 @@ class _Sim:
     def _maybe_finish_offload(self, inst: _Instance, t: float) -> None:
         if inst.state != "offloading":
             return
-        if inst.running is not None or inst.stepping:
+        if inst.running is not None or inst.seg_ends:
             return
         if inst.queue or inst.resident or inst.admit_wait:
             return
-        if (inst.mm is not None and inst.mm.used_blocks) or \
-           (inst.kv is not None and inst.kv.used_blocks):
+        # A reservation counts even when it holds no blocks: a text-only
+        # request's MM reservation still has its encoded data on the way.
+        if (inst.mm is not None and inst.mm.allocated) or \
+           (inst.kv is not None and inst.kv.allocated):
             return
         self.switch_rec.offload_done = t
         inst.state = "migrating"
@@ -637,9 +663,10 @@ class _Sim:
                                 r.total_tokens * self.kv_bpt, t)
         return True
 
-    def _admit_decode(self, inst: _Instance, rid: int) -> None:
+    def _admit_decode(self, inst: _Instance, rid: int, t: float) -> None:
         self.touched.add(inst.iid)
         if len(inst.resident) < inst.max_batch:
+            self._cut(inst, t)  # the next step's batch grows
             self._reside(inst, rid)
         else:
             inst.admit_wait.append(rid)
@@ -727,11 +754,57 @@ class _Sim:
         self._launch(inst, batch, max(finishes.values()), worker_items)
 
     def _start_step(self, inst: _Instance, t: float) -> None:
-        batch = tuple(inst.resident)
-        duration = decode_step_latency(self.cost, len(batch), inst.resident_kv)
-        duration *= inst.step_factor
-        inst.stepping = True
-        self._push(t + duration, _STEP_END, (inst.iid, batch))
+        """Open a segment: the run of decode steps from ``t`` through the
+        first in which a member emits its last token, under one STEP_END.
+        With prefill work queued the segment is one step, so that the queue
+        head is retried after every step."""
+        rids = tuple(inst.resident)
+        n = len(rids)
+        steps = 1
+        if not inst.queue:
+            rs = self.rs
+            steps = min(rs[rid].req.output_tokens - 1 - rs[rid].emitted for rid in rids)
+        cost, factor, kv = self.cost, inst.step_factor, inst.resident_kv
+        ends = []
+        for _ in range(steps):
+            duration = decode_step_latency(cost, n, kv)
+            duration *= factor
+            t = t + duration
+            kv += n
+            ends.append(t)
+        inst.seg_rids = rids
+        inst.seg_ends = ends
+        self._push_step_end(inst, t)
+
+    def _emit(self, inst: _Instance, ends: list[float]) -> None:
+        """Give each member of ``inst``'s segment one token at each of ``ends``."""
+        inst.resident_kv += len(ends) * len(inst.seg_rids)
+        for rid in inst.seg_rids:
+            r = self.rs[rid]
+            r.emitted += len(ends)
+            r.rec.token_times.extend(ends)
+
+    def _cut(self, inst: _Instance, t: float) -> None:
+        """Shorten ``inst``'s open segment to the step in flight at ``t``,
+        whose batch or queue is about to change. Only events that pop after
+        every STEP_END at ``t`` cut, so each step ending by ``t`` is done."""
+        ends = inst.seg_ends
+        if len(ends) < 2:
+            return
+        done = bisect_right(ends, t)
+        if done == len(ends) - 1:
+            return
+        self._emit(inst, ends[:done])
+        inst.seg_ends = [ends[done]]
+        self._push_step_end(inst, ends[done])
+
+    def _push_step_end(self, inst: _Instance, end: float) -> None:
+        """Push the one live STEP_END of ``inst``'s segment. STEP_ENDs at the
+        same time pop in iid order rather than push order: a segment's end is
+        pushed when it opens or is cut, not when its last step starts."""
+        inst.serial += 1
+        heapq.heappush(self.heap, (end, _PRIO[_STEP_END], inst.iid, _STEP_END,
+                                   (inst.iid, inst.serial)))
 
     # --- dispatch -----------------------------------------------------------------
 
@@ -750,7 +823,7 @@ class _Sim:
     def _start_work(self, inst: _Instance, t: float) -> None:
         if inst.state == "migrating":
             return
-        if inst.running is not None or inst.stepping:
+        if inst.running is not None or inst.seg_ends:
             return
         # Queued work (only encode and prefill roles queue) preempts decode
         # between steps; only decode roles hold residents.

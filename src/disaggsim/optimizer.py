@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -22,7 +23,7 @@ import numpy as np
 from .metrics import goodput, request_metrics
 from .engine import run_simulation
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
-                        SystemConfig, expand_shape, from_dict)
+                        SystemConfig, expand_shape, from_dict, to_dict)
 from .models import StageRole
 from .workload import WorkloadSpec, generate_poisson
 
@@ -176,8 +177,6 @@ def space_from_dict(data: dict) -> ConfigSpace:
 
 
 def load_space(path) -> ConfigSpace:
-    import json
-
     with open(path, "r", encoding="utf-8") as handle:
         return space_from_dict(json.load(handle))
 
@@ -285,15 +284,21 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
           trials: int = 20, seed: int = 0,
           rate_grid: Optional[Sequence[float]] = None) -> SolveResult:
     """Maximize the objective over the space, each candidate deployed onto
-    ``base``; every evaluation is logged."""
+    ``base``; every candidate is logged. Exhaustive search evaluates each
+    deployed system once: IRP on and off with one encode GPU deploy the
+    same system. Random and surrogate search still evaluate every draw:
+    perfbench's optimizer-search golden digests cover each of their
+    simulations."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     log: list[TrialRecord] = []
+    exhaustive = strategy is Strategy.EXHAUSTIVE
+    results: dict[str, EvalResult] = {}  # exhaustive only, by deployed system
     seen: list[tuple[np.ndarray, float]] = []
     best: Optional[tuple[float, Candidate, SystemConfig]] = None
 
-    if strategy is Strategy.EXHAUSTIVE:
+    if exhaustive:
         candidates: Iterator[Candidate] = space.enumerate()
     elif strategy is Strategy.RANDOM:
         candidates = (space.sample(rng) for _ in range(trials))
@@ -310,7 +315,12 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
     for index, candidate in enumerate(candidates):
         any_candidate = True
         config = candidate.deploy(base)
-        result = evaluate(config, workload_spec, objective, seed=seed, rate_grid=rate_grid)
+        key = json.dumps(to_dict(config), sort_keys=True) if exhaustive else None
+        result = results.get(key)
+        if result is None:
+            result = evaluate(config, workload_spec, objective, seed=seed, rate_grid=rate_grid)
+            if exhaustive:
+                results[key] = result
         log.append(TrialRecord(index=index, candidate=candidate.describe(),
                                score=result.score, f_value=result.f_value,
                                cost_value=result.cost_value, feasible=result.feasible))

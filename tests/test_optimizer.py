@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disaggsim import optimizer
+from disaggsim.engine import run_simulation
 from disaggsim.models import StageRole
 from disaggsim.optimizer import (BudgetMode, Candidate, ConfigSpace, EmptyFeasibleSet,
-                                 Metric, Objective, Strategy, cost,
-                                 evaluate, restricted_space, solve, space_from_dict)
+                                 Metric, Objective, Strategy, TrialRecord, cost,
+                                 evaluate, restricted_space, solve, space_from_dict,
+                                 write_search_log)
 from disaggsim.presets import optimizer_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.workload import Slo, WorkloadSpec
@@ -172,6 +175,32 @@ class TestSolve:
             for i, c in enumerate(space.enumerate()))
         assert result.best_score == pytest.approx(brute[0])
         assert len(result.log) == space.size()
+
+    def test_each_deployed_system_is_simulated_once(self, monkeypatch, tmp_path):
+        # IRP on and off with one encode GPU deploy the same system; exhaustive
+        # search simulates it once.
+        preset = _tiny_preset()
+        spec = replace(preset.workload, num_requests=3, output_tokens=2)
+        space = restricted_space(8)
+        objective = Objective(metric=Metric.NEG_MEAN_TTFT)
+        base = base_system(preset)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run_simulation(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "run_simulation", counted)
+        result = solve(space, spec, objective, base, strategy=Strategy.EXHAUSTIVE, seed=1)
+        assert (space.size(), len(calls), len(set(map(repr, calls)))) == (504, 432, 432)
+        each = []
+        for index, candidate in enumerate(space.enumerate()):
+            r = evaluate(candidate.deploy(base), spec, objective, seed=1)
+            each.append(TrialRecord(index, candidate.describe(), r.score, r.f_value,
+                                    r.cost_value, r.feasible))
+        write_search_log(tmp_path / "once.csv", result.log)
+        write_search_log(tmp_path / "each.csv", each)
+        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "each.csv").read_bytes()
 
     def test_returned_score_dominates_log(self):
         preset = _tiny_preset()
