@@ -11,6 +11,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -151,8 +152,6 @@ def cmd_simulate(args) -> int:
             raise ParseError("--slo TTFT,TPOT required with --workload files", 1)
         if args.workload_rate is not None and args.seed is None:
             raise ParseError("--seed required when regenerating arrivals", 1)
-        if args.workload_rate is not None and args.workload_rate <= 0:
-            raise ParseError("--workload-rate must be positive", 1)
         seed = args.seed or 0
         workload = _load_input(load_trace, args.workload, args.slo, args.workload_rate, seed)
         runs.append(("run", config, workload))
@@ -340,18 +339,38 @@ def cmd_workload(args) -> int:
 # --- argument plumbing ------------------------------------------------------------
 
 
+def _ranged(convert, rule: str, accept):
+    """An argparse type: ``convert`` the text and require ``accept`` of the
+    value, so that a number out of range is a usage error naming its flag."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
+_AT_LEAST_ONE = _ranged(int, "an integer >= 1", lambda v: v >= 1)
+_NON_NEGATIVE_INT = _ranged(int, "an integer >= 0", lambda v: v >= 0)
+_POSITIVE = _ranged(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = _ranged(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)
+_FRACTION = _ranged(float, "in (0, 1]", lambda v: 0 < v <= 1)
+_UNIT_INTERVAL = _ranged(float, "in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 def _resolution(text: str) -> tuple[int, int]:
     w, h = text.lower().split("x")
-    return int(w), int(h)
+    return _AT_LEAST_ONE(w), _AT_LEAST_ONE(h)
 
 
 def _slo(text: str) -> Slo:
     ttft, tpot = text.split(",")
-    return Slo(float(ttft), float(tpot))
+    return Slo(_POSITIVE(ttft), _POSITIVE(tpot))
 
 
 def _rate_grid(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [_POSITIVE(part) for part in text.split(",") if part.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--system", help="restrict a preset to one system label")
     sim.add_argument("--config", help="system config JSON (without --preset)")
     sim.add_argument("--workload", help="workload trace CSV (without --preset)")
-    sim.add_argument("--workload-rate", dest="workload_rate", type=float,
+    sim.add_argument("--workload-rate", dest="workload_rate", type=_POSITIVE,
                      help="regenerate trace arrivals at this rate (needs --seed)")
     sim.add_argument("--catalog", help="model catalog file")
     sim.add_argument("--slo", type=_slo, help="TTFT,TPOT limits for trace workloads")
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--seed", type=_NON_NEGATIVE_INT)
     sim.add_argument("--irp", choices=("on", "off"), default="on")
     sim.add_argument("--role-switch", dest="role_switch", choices=("on", "off"), default="on")
     sim.add_argument("--switch-params", dest="switch_params",
@@ -381,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         swp = sub.add_parser(name, help="rate sweep with SLO attainment per system")
         swp.add_argument("--preset", required=True, choices=preset_names())
         swp.add_argument("--rate-grid", type=_rate_grid)
-        swp.add_argument("--threshold", type=float, default=0.9)
-        swp.add_argument("--seed", type=int)
+        swp.add_argument("--threshold", type=_FRACTION, default=0.9)
+        swp.add_argument("--seed", type=_NON_NEGATIVE_INT)
         swp.add_argument("--irp", choices=("on", "off"), default="on")
         swp.add_argument("--role-switch", dest="role_switch", choices=("on", "off"),
                          default="on")
@@ -390,21 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     abl = sub.add_parser("ablate", help="paired feature on/off comparisons")
     abl.add_argument("which", choices=("irp", "optimizer", "switch", "offline"))
-    abl.add_argument("--seed", type=int)
-    abl.add_argument("--trials", type=int, default=24)
-    abl.add_argument("--beta", type=float, default=0.075)
+    abl.add_argument("--seed", type=_NON_NEGATIVE_INT)
+    abl.add_argument("--trials", type=_AT_LEAST_ONE, default=24)
+    abl.add_argument("--beta", type=_NON_NEGATIVE, default=0.075)
     abl.set_defaults(func=cmd_ablate)
 
     cap = sub.add_parser("capacity", help="feasibility table for deployment shapes")
     cap.add_argument("--model", help="catalog model name (default: all)")
     cap.add_argument("--catalog")
     cap.add_argument("--resolution", type=_resolution, default=(4032, 3024))
-    cap.add_argument("--images", type=int, default=10)
-    cap.add_argument("--prompt-tokens", type=int, default=22)
-    cap.add_argument("--kv-fraction", dest="kv_fraction", type=float, default=0.8)
-    cap.add_argument("--act-bytes", type=float, default=HEAVY_PREFILL_ACT_BYTES,
+    cap.add_argument("--images", type=_AT_LEAST_ONE, default=10)
+    cap.add_argument("--prompt-tokens", type=_NON_NEGATIVE_INT, default=22)
+    cap.add_argument("--kv-fraction", dest="kv_fraction", type=_UNIT_INTERVAL, default=0.8)
+    cap.add_argument("--act-bytes", type=_NON_NEGATIVE, default=HEAVY_PREFILL_ACT_BYTES,
                      help="activation bytes per prefill token")
-    cap.add_argument("--enc-act-bytes", type=float, default=HEAVY_ENCODE_ACT_BYTES,
+    cap.add_argument("--enc-act-bytes", type=_NON_NEGATIVE, default=HEAVY_ENCODE_ACT_BYTES,
                      help="activation bytes per multimodal token on encode workers")
     cap.set_defaults(func=cmd_capacity)
 
@@ -413,23 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--space", help="search-space JSON file (default: restricted preset)")
     opt.add_argument("--objective", default="goodput",
                      choices=[m.value for m in Metric])
-    opt.add_argument("--beta", type=float, default=0.075)
-    opt.add_argument("--trials", type=int, default=24)
-    opt.add_argument("--seed", type=int, default=0)
+    opt.add_argument("--beta", type=_NON_NEGATIVE, default=0.075)
+    opt.add_argument("--trials", type=_AT_LEAST_ONE, default=24)
+    opt.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     opt.add_argument("--strategy", default="surrogate",
                      choices=[s.value for s in Strategy])
     opt.add_argument("--rate-grid", type=_rate_grid)
     opt.set_defaults(func=cmd_optimize)
 
     wl = sub.add_parser("workload", help="generate and export a Poisson workload")
-    wl.add_argument("--rate", type=float, required=True)
-    wl.add_argument("--num-requests", type=int, required=True)
-    wl.add_argument("--images", type=int, default=0)
+    wl.add_argument("--rate", type=_POSITIVE, required=True)
+    wl.add_argument("--num-requests", type=_AT_LEAST_ONE, required=True)
+    wl.add_argument("--images", type=_NON_NEGATIVE_INT, default=0)
     wl.add_argument("--resolution", type=_resolution, default=(4032, 3024))
-    wl.add_argument("--prompt-tokens", type=int, default=22)
-    wl.add_argument("--output-tokens", type=int, default=10)
+    wl.add_argument("--prompt-tokens", type=_NON_NEGATIVE_INT, default=22)
+    wl.add_argument("--output-tokens", type=_AT_LEAST_ONE, default=10)
     wl.add_argument("--slo", type=_slo, default=Slo(10.0, 1.0))
-    wl.add_argument("--seed", type=int, required=True)
+    wl.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     wl.add_argument("--name")
     wl.set_defaults(func=cmd_workload)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .models import HardwareSpec
 
 
@@ -105,6 +107,23 @@ def decode_step_latency(params: CostParams, batch_size: int, resident_kv_tokens:
     return (params.decode_base
             + params.decode_per_seq * batch_size
             + params.decode_per_kv_token * resident_kv_tokens)
+
+
+def decode_step_latencies(params: CostParams, batch_size: int, resident_kv_tokens: int,
+                          steps: int) -> np.ndarray:
+    """Seconds for each of ``steps`` consecutive decode steps of one batch,
+    whose KV tokens start at ``resident_kv_tokens`` and grow by one token per
+    sequence a step. Each element equals :func:`decode_step_latency`'s value
+    for its step bit for bit: the same operations in the same order, on KV
+    counts that convert to float exactly."""
+    if batch_size < 1:
+        raise ValueError("decode step needs at least one sequence")
+    if resident_kv_tokens < 0:
+        raise ValueError("resident KV tokens must be non-negative")
+    kv = np.arange(resident_kv_tokens, resident_kv_tokens + steps * batch_size, batch_size)
+    return (params.decode_base
+            + params.decode_per_seq * batch_size
+            + params.decode_per_kv_token * kv)
 
 
 def transfer_latency(num_bytes: float, channel: Channel, hw: HardwareSpec,

@@ -92,6 +92,44 @@ def test_unreadable_input_file_is_parse_error(tmp_path, config_file, workload_fi
     assert str(path) in capsys.readouterr().err
 
 
+WORKLOAD = ("workload", "--rate", "1", "--num-requests", "5", "--seed", "1")
+SWEEP = ("sweep", "--preset", "ttft-minicpm-2img")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (("ablate", "optimizer"), "--trials", "0"),
+    (("ablate", "optimizer"), "--beta", "-1"),
+    (("optimize",), "--trials", "0"),
+    (("optimize",), "--beta", "-1"),
+    (("optimize",), "--rate-grid", "0.5,-1"),
+    (WORKLOAD, "--num-requests", "-5"),
+    (WORKLOAD, "--rate", "-1"),
+    (WORKLOAD, "--rate", "inf"),
+    (WORKLOAD, "--output-tokens", "0"),
+    (WORKLOAD, "--prompt-tokens", "-4"),
+    (WORKLOAD, "--images", "-1"),
+    (WORKLOAD, "--seed", "-1"),
+    (WORKLOAD, "--slo", "-1,0.5"),
+    (("workload", "--rate", "1", "--num-requests", "5", "--seed", "1", "--images", "1"),
+     "--resolution", "0x100"),
+    (("simulate", "--preset", "switch-shifted"), "--seed", "-1"),
+    (("simulate", "--preset", "switch-shifted"), "--workload-rate", "nan"),
+    (("capacity",), "--images", "0"),
+    (("capacity",), "--prompt-tokens", "-4"),
+    (("capacity",), "--kv-fraction", "1.5"),
+    (("capacity",), "--act-bytes", "-1"),
+    (SWEEP, "--threshold", "2"),
+    (SWEEP, "--threshold", "-1"),
+    (SWEEP, "--threshold", "0"),
+], ids=lambda case: case if isinstance(case, str) else case[0])
+def test_out_of_range_number_is_parse_error(tmp_path, capsys, command, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        run(tmp_path, *command, f"{flag}={value}")
+    assert excinfo.value.code == EXIT_PARSE
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir()), "a rejected command wrote output"
+
+
 class TestSimulate:
     def test_single_run_smoke(self, tmp_path, config_file, workload_file):
         code = run(tmp_path, "simulate", "--config", str(config_file),
@@ -136,10 +174,11 @@ class TestSimulate:
     @pytest.mark.parametrize("rate", ["0", "-1"])
     def test_non_positive_workload_rate_is_parse_error(self, tmp_path, config_file,
                                                        workload_file, capsys, rate):
-        code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1",
-                   f"--workload-rate={rate}", "--seed", "3")
-        assert code == EXIT_PARSE
+        with pytest.raises(SystemExit) as excinfo:
+            run(tmp_path, "simulate", "--config", str(config_file),
+                "--workload", str(workload_file), "--slo", "5.0,0.1",
+                f"--workload-rate={rate}", "--seed", "3")
+        assert excinfo.value.code == EXIT_PARSE
         assert "--workload-rate" in capsys.readouterr().err
 
     def test_malformed_workload_exit_code(self, tmp_path, config_file):
@@ -243,6 +282,12 @@ class TestSweep:
         for name in ("sweep-ttft-minicpm-2img-epd.csv",
                      "sweep-ttft-minicpm-2img-distserve.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_threshold_of_one_is_accepted(self, tmp_path):
+        assert run(tmp_path, "sweep", "--preset", "ttft-minicpm-2img", "--rate-grid", "0.25",
+                   "--threshold", "1") == EXIT_OK
+        meta = json.loads((tmp_path / "sweep-ttft-minicpm-2img-meta.json").read_text())
+        assert meta["attainment_threshold"] == 1.0
 
     def test_threshold_recorded_in_metadata(self, tmp_path):
         assert run(tmp_path, "goodput", "--preset", "ttft-minicpm-2img",

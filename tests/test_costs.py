@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from disaggsim.costs import (Channel, CostParams, decode_step_latency, encode_latency,
-                             pp_factor, prefill_latency, tp_speedup, transfer_latency)
+from disaggsim.costs import (Channel, CostParams, decode_step_latencies, decode_step_latency,
+                             encode_latency, pp_factor, prefill_latency, tp_speedup,
+                             transfer_latency)
 from disaggsim.models import HardwareSpec
 
 
@@ -75,6 +76,27 @@ class TestDecodeStepLatency:
                             decode_per_kv_token=0.0)
         delta = decode_step_latency(params, 16, 0) - decode_step_latency(params, 8, 0)
         assert delta == pytest.approx(0.002 * 8)
+
+    # A config file may give any coefficient as a JSON integer.
+    @given(batch=st.integers(1, 64), kv=st.integers(0, 10**6), steps=st.integers(0, 600),
+           coefficients=st.tuples(*[st.one_of(st.floats(0, 1, allow_subnormal=False),
+                                              st.integers(0, 1000))] * 3))
+    @example(batch=3, kv=10**6, steps=40, coefficients=(1, 0, 0))
+    @example(batch=3, kv=10**6, steps=40, coefficients=(1, 2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_latencies_equal_the_scalar_form_element_for_element(self, batch, kv, steps,
+                                                                  coefficients):
+        base, per_seq, per_kv = coefficients
+        params = CostParams(decode_base=base, decode_per_seq=per_seq, decode_per_kv_token=per_kv)
+        vector = decode_step_latencies(params, batch, kv, steps)
+        assert vector.tolist() == [decode_step_latency(params, batch, kv + k * batch)
+                                   for k in range(steps)]
+
+    def test_latencies_validate_like_the_scalar_form(self):
+        with pytest.raises(ValueError, match="at least one sequence"):
+            decode_step_latencies(CostParams(), 0, 0, 5)
+        with pytest.raises(ValueError, match="non-negative"):
+            decode_step_latencies(CostParams(), 1, -1, 5)
 
 
 class TestTransferLatency:

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from disaggsim.cli import _preset_workload
 from disaggsim.controller import ControllerParams
 from disaggsim.costs import CostParams, decode_step_latency, parallel_factor
-from disaggsim.engine import _STEP_END, _Sim, run_simulation
+from disaggsim.engine import _STEP_END, _VECTOR_STEPS, _Sim, run_simulation
 from disaggsim.models import StageRole
 from disaggsim.presets import switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
@@ -264,6 +264,34 @@ def test_switch_shifted_matches_full_scan(config):
     assert reference.switches, "the controller never switched"
     if config.mm_cache_tokens < BASE.mm_cache_tokens:
         assert min(reference.max_waits) > 0, "a wait queue never filled"
+
+
+class SegmentSim(CheckedSim):
+    """The checked engine, recording each segment's step count and step factor."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.segments = []
+
+    def _start_step(self, inst, t: float) -> None:
+        super()._start_step(inst, t)
+        self.segments.append((len(inst.seg_ends), inst.step_factor))
+
+
+def test_long_outputs_on_wide_and_deep_decode_matches_per_step():
+    """The preset's 500-token outputs on one decode instance two GPUs wide
+    and one two stages deep: long segments, planned in one numpy pass, with
+    step factors other than 1, against one event per decode step."""
+    *others, first, second = BASE.instances
+    config = replace(BASE, instances=(*others, replace(first, tp=2), replace(second, pp=2)),
+                     hardware=replace(BASE.hardware, num_gpus=10))
+    workload = _preset_workload(PRESET, None)
+    assert_equivalent(config, workload)
+    sim = SegmentSim(config, workload, 7)
+    sim.run()
+    assert sim.switches, "the controller never switched"
+    vector_factors = {factor for steps, factor in sim.segments if steps >= _VECTOR_STEPS}
+    assert {parallel_factor(config.cost, 2, 1), parallel_factor(config.cost, 1, 2)} <= vector_factors
 
 
 def test_single_output_token_matches_full_scan():

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disaggsim import engine
 from disaggsim.blocks import BlockManager, CacheKind
-from disaggsim.costs import CostParams, decode_step_latency, encode_latency, prefill_latency
-from disaggsim.engine import assign_instance, form_batch, irp_shard, run_simulation
+from disaggsim.costs import (CostParams, decode_step_latency, encode_latency, parallel_factor,
+                             prefill_latency)
+from disaggsim.engine import (_VECTOR_STEPS, assign_instance, form_batch, irp_shard,
+                              plan_steps, plan_steps_numpy, run_simulation)
 from disaggsim.models import HardwareSpec, ModelSpec, StageRole
 from disaggsim.simconfig import (CapacityExceeded, ConfigInfeasible, InstanceConfig,
                                  SchedulePolicy, SystemConfig)
@@ -87,6 +90,36 @@ class TestFormBatch:
 
     def test_stops_at_first_misfit_without_reordering(self):
         assert form_batch([1, 2, 3], 3, lambda rid: rid != 2) == [1]
+
+
+# Coefficients with no short binary form, so that every sum and product rounds.
+ROUNDING_COST = CostParams(decode_base=0.0123456789, decode_per_seq=0.00271828,
+                           decode_per_kv_token=3.1415926e-7, tp_efficiency=0.83,
+                           pp_fill_penalty=0.137)
+# A config file may give the coefficients as JSON integers.
+INTEGER_COST = CostParams(decode_base=1, decode_per_seq=2, decode_per_kv_token=3)
+
+
+class TestPlanSteps:
+    @pytest.mark.parametrize("steps", [_VECTOR_STEPS - 1, _VECTOR_STEPS, _VECTOR_STEPS + 1, 500])
+    @pytest.mark.parametrize("tp, pp", [(1, 1), (2, 1), (1, 2), (3, 2), (8, 4)])
+    @pytest.mark.parametrize("batch, kv", [(1, 0), (7, 12_345), (64, 10**6)])
+    @pytest.mark.parametrize("cost", [ROUNDING_COST, INTEGER_COST], ids=["rounding", "integer"])
+    def test_numpy_pass_equals_the_loop_bit_for_bit(self, steps, tp, pp, batch, kv, cost):
+        factor = parallel_factor(cost, tp, pp)
+        args = (cost, batch, kv, factor, 1234.567891, steps)
+        loop, vector = plan_steps(*args), plan_steps_numpy(*args)
+        assert all(type(end) is float for end in vector)
+        assert [end.hex() for end in vector] == [end.hex() for end in loop]
+
+    def test_numpy_pass_times_its_first_step_by_the_scalar_form(self, monkeypatch):
+        calls = []
+        def counted(*args):
+            calls.append(args)
+            return decode_step_latency(*args)
+        monkeypatch.setattr(engine, "decode_step_latency", counted)
+        plan_steps_numpy(ROUNDING_COST, 7, 12_345, 1.0, 0.0, 500)
+        assert calls == [(ROUNDING_COST, 7, 12_345)]
 
 
 class TestSinglePipelineClosedForm:
