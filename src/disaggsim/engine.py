@@ -25,9 +25,19 @@ running patch and token sums of its queue and its running batch for the load
 reads and of its decode batch's KV tokens for the step time, each request's
 block needs are computed once, and dispatch after an event visits only the
 instances that event touched, retrying the wait queues only after a cache
-free or a pool change. A request's engine state is kept only while it is
-open, from admission to completion; its trace record is written as the run
-goes, and no decision reads it.
+free or a pool change, whose stage pools are rebuilt only when a switch
+begins or ends. A request's engine state is kept only while it is open;
+its trace record is written as the run goes, and no decision reads it.
+
+Events whose outcome is fixed when they are pushed are folded, leaving 7
+per request on encode-heavy ``epd`` where there were 13. Only the next
+arrival waits in the heap; ARRIVAL is alone at its priority, so arrivals
+pop in workload order. An encode batch pushes one WORKER_DONE per distinct
+finish time, over its workers in id order: they are pushed back to back,
+so nothing pops between two at one time, and none leaves work to dispatch.
+A request's shards share one FIFO channel, so the last sent arrives last:
+each shard's transfer end is written when it is sent, and only the last
+pushes a TRANSFER_END.
 
 A decode instance does not pop one event per step. It plans a *segment*:
 the run of steps from now through the first in which a member emits its
@@ -51,7 +61,6 @@ import heapq
 import itertools
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -189,16 +198,10 @@ def plan_steps_numpy(cost: CostParams, batch: int, kv: int, factor: float, start
     return np.add.accumulate(durations).tolist()
 
 
-@dataclass
-class _RunningBatch:
-    rids: tuple[int, ...]
-    worker_items: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-
-
 class _Req:
     __slots__ = ("req", "patches", "mm_tokens", "total_tokens", "mm_blocks", "kv_blocks",
                  "rec", "e_iid", "p_iid", "d_iid", "shards", "shards_run_done",
-                 "ready_unsent", "shards_done", "emitted")
+                 "ready_unsent", "emitted")
 
     def __init__(self, req: Request, patches: int, mm_tokens: int, total_tokens: int,
                  block_size: int, rec: RequestRecord):
@@ -217,7 +220,6 @@ class _Req:
         self.shards: list[tuple[int, int]] = []  # (worker, patches) per shard
         self.shards_run_done = 0
         self.ready_unsent: list[int] = []
-        self.shards_done = 0
         self.emitted = 0
 
 
@@ -231,7 +233,7 @@ class _Instance:
         self.policy = cfg.policy
         self.state = "active"  # active | offloading | migrating
         self.queue: deque[int] = deque()
-        self.running: Optional[_RunningBatch] = None
+        self.running: Optional[tuple[int, ...]] = None  # the ids of the batch in flight
         # Patch and token sums over ``queue`` and over ``running``, kept in
         # step with them so that load reads never rescan a queue.
         self.queued_patches = 0
@@ -295,6 +297,7 @@ class _Sim:
         self.cost = config.cost
         self.seed = seed
         self.insts = [_Instance(i, cfg, config) for i, cfg in enumerate(config.instances)]
+        self._rebuild_pools()
 
         self.kv_bpt = kv_bytes_per_token(self.model)
         self.mm_bpt = mm_bytes_per_token(self.model)
@@ -322,6 +325,7 @@ class _Sim:
         # trace record, which no decision reads.
         self.rs: dict[int, _Req] = {}
         self.records: dict[int, RequestRecord] = {}
+        arrivals = []
         last_arrival = float("-inf")
         for req in workload:
             if req.id in self.records:
@@ -336,8 +340,8 @@ class _Sim:
                                 total_tokens=total_tokens, output_tokens=req.output_tokens,
                                 slo=req.slo)
             self.records[req.id] = rec
-            self._push(req.arrival_time, _ARRIVAL,
-                       (_Req(req, patches, mm_tokens, total_tokens, config.block_size, rec),))
+            arrivals.append(_Req(req, patches, mm_tokens, total_tokens, config.block_size, rec))
+        self.arrivals = iter(arrivals)  # those not yet pushed
         self.outstanding = len(self.records)
 
     # --- event plumbing -----------------------------------------------------
@@ -345,7 +349,13 @@ class _Sim:
     def _push(self, t: float, kind: str, data: tuple) -> None:
         heapq.heappush(self.heap, (t, _PRIO[kind], next(self.seq), kind, data))
 
+    def _push_arrival(self) -> None:
+        r = next(self.arrivals, None)
+        if r is not None:
+            self._push(r.req.arrival_time, _ARRIVAL, (r,))
+
     def run(self) -> SimTrace:
+        self._push_arrival()
         if self.system.role_switch is not None and self.records:
             self._push(self.system.role_switch.monitor_interval, _MONITOR, ())
 
@@ -393,9 +403,10 @@ class _Sim:
 
     # --- pools and loads ------------------------------------------------------
 
-    def _pool(self, stage: str) -> list[_Instance]:
-        roles = _SERVES[stage]
-        return [i for i in self.insts if i.state == "active" and i.role in roles]
+    def _rebuild_pools(self) -> None:
+        """The active instances that serve each stage, in iid order."""
+        self.pools = {stage: [i for i in self.insts if i.state == "active" and i.role in roles]
+                      for stage, roles in _SERVES.items()}
 
     def _arrival_load(self, inst: _Instance) -> float:
         # outstanding work, in-flight batch included, so idle instances win
@@ -417,7 +428,7 @@ class _Sim:
             ("prefill", StageRole.PREFILL, self._prefill_load),
             ("decode", StageRole.DECODE, self._decode_load),
         ):
-            pool = [i for i in self._pool(stage) if i.role is role]
+            pool = [i for i in self.pools[stage] if i.role is role]
             entries = tuple((i.iid, per_inst(i)) for i in pool)
             total = sum(load for _, load in entries)
             if stage == "prefill":
@@ -449,11 +460,9 @@ class _Sim:
             return "empty"
         if r.total_tokens > self.model.max_context_tokens:
             return "context"
-        insts = self.insts
-        if all(any(i.state == "active" and i.role in roles and i.holds(r) for i in insts)
-               for roles in _SERVES.values()):
+        if all(any(i.holds(r) for i in pool) for pool in self.pools.values()):
             return None
-        if any(i.serves_encode and r.mm_blocks <= i.mm.total_blocks for i in insts):
+        if any(i.serves_encode and r.mm_blocks <= i.mm.total_blocks for i in self.insts):
             return "kv_capacity"
         return "mm_capacity"
 
@@ -483,7 +492,7 @@ class _Sim:
         """Assign ``r`` to an active ``stage`` instance that holds it and has
         room for the caches flagged, reserve them there, and record the
         choice; None when no instance qualifies."""
-        pool = self._pool(stage)
+        pool = self.pools[stage]
         candidates = [(i.iid, load(i)) for i in pool if i.holds(r) and self._room(i, r, mm, kv)]
         if not candidates:
             return None
@@ -498,6 +507,7 @@ class _Sim:
     # --- event handlers ---------------------------------------------------------
 
     def _on_arrival(self, t: float, r: _Req) -> None:
+        self._push_arrival()
         reason = self._admission_reason(r)
         if reason is not None:
             if not self.system.admission_control:
@@ -511,10 +521,8 @@ class _Sim:
             r.p_iid = r.rec.p_instance = inst.iid
         self._enqueue(inst, r, t)
 
-    def _on_worker_done(self, t: float, iid: int, worker: int) -> None:
-        inst = self.insts[iid]
-        batch = inst.running
-        for rid, shard_idx in batch.worker_items.get(worker, ()):
+    def _on_worker_done(self, t: float, items: list[tuple[int, int]]) -> None:
+        for rid, shard_idx in items:
             r = self.rs[rid]
             r.rec.shards[shard_idx].end = t
             r.shards_run_done += 1
@@ -536,9 +544,9 @@ class _Sim:
         inst.running_patches = inst.running_tokens = 0
         self.touched.add(iid)
         if not inst.serves_prefill:
-            return  # encode batch: per-worker events already launched the transfers
+            return  # encode batch: worker events already launched the transfers
         # prefill or fused encode+prefill: the first output token exists now
-        for rid in batch.rids:
+        for rid in batch:
             r = self.rs[rid]
             r.rec.prefill_end = t
             r.rec.first_token_time = t
@@ -572,17 +580,13 @@ class _Sim:
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
             self._reside(inst, inst.admit_wait.popleft())
 
-    def _on_transfer_end(self, t: float, kind: str, rid: int, shard_idx: int) -> None:
+    def _on_transfer_end(self, t: float, kind: str, rid: int) -> None:
         r = self.rs[rid]
-        if kind == "ep":
-            r.shards_done += 1
-            if shard_idx >= 0:
-                r.rec.shards[shard_idx].transfer_end = t
-            if r.shards_done == len(r.shards):
-                src = self.insts[r.e_iid]
-                self._free(src, src.mm, rid)
-                r.rec.ep_transfer_end = t
-                self._enqueue(self.insts[r.p_iid], r, t)
+        if kind == "ep":  # the request's last shard has arrived
+            src = self.insts[r.e_iid]
+            self._free(src, src.mm, rid)
+            r.rec.ep_transfer_end = t
+            self._enqueue(self.insts[r.p_iid], r, t)
         else:  # pd
             src = self.insts[r.p_iid]
             self._free(src, src.kv, rid)
@@ -600,6 +604,7 @@ class _Sim:
             inst.max_batch = self.system.role_max_batch.get(inst.role, inst.max_batch)
         inst.rebuild_caches(self.system)
         inst.state = "active"
+        self._rebuild_pools()
         self.touched.add(iid)
         self.recheck_waits = True
         inst.record.roles.append((t, inst.role))
@@ -640,6 +645,7 @@ class _Sim:
         self.switch_target = decision.target
         self.last_switch = t
         inst.state = "offloading"
+        self._rebuild_pools()
         if inst.role is StageRole.ENCODE and inst.queue:
             # Queued encode work holds no cache yet, so it can move to siblings.
             pending = list(inst.queue)
@@ -671,22 +677,27 @@ class _Sim:
 
     # --- transfers ----------------------------------------------------------------
 
-    def _schedule_transfer(self, kind: str, rid: int, shard_idx: int, src: int,
-                           dst: int, nbytes: float, ready: float) -> None:
+    def _schedule_transfer(self, src: int, dst: int, nbytes: float, ready: float) -> float:
+        """Queue a transfer on the FIFO channel ``(src, dst)``; its end time."""
         key = (src, dst)
         start = max(ready, self.chan_free.get(key, 0.0))
         duration = transfer_latency(nbytes, self.system.transfer_channel, self.hw,
                                     self.cost.transfer_setup)
-        end = start + duration
-        self.chan_free[key] = end
-        self._push(end, _TRANSFER_END, (kind, rid, shard_idx))
+        self.chan_free[key] = start + duration
+        return start + duration
 
     def _send_ready_shards(self, r: _Req, t: float) -> None:
+        """Send the shards that are encoded and not yet sent. All of a
+        request's shards share one FIFO channel, so the last one sent ends
+        last: only it pushes a TRANSFER_END."""
         for shard_idx in r.ready_unsent:
             _, patches = r.shards[shard_idx]
             nbytes = patches * self.model.tokens_per_patch * self.mm_bpt
-            self._schedule_transfer("ep", r.req.id, shard_idx, r.e_iid, r.p_iid, nbytes, t)
+            end = self._schedule_transfer(r.e_iid, r.p_iid, nbytes, t)
+            r.rec.shards[shard_idx].transfer_end = end
         r.ready_unsent.clear()
+        if r.shards_run_done == len(r.shards):
+            self._push(end, _TRANSFER_END, ("ep", r.req.id))
 
     def _try_reserve_prefill(self, r: _Req, t: float) -> bool:
         if self._route("prefill", r, self._prefill_load, mm=True) is None:
@@ -697,8 +708,8 @@ class _Sim:
     def _try_reserve_decode(self, r: _Req, t: float) -> bool:
         if self._route("decode", r, self._decode_load, kv=True) is None:
             return False
-        self._schedule_transfer("pd", r.req.id, -1, r.p_iid, r.d_iid,
-                                r.total_tokens * self.kv_bpt, t)
+        end = self._schedule_transfer(r.p_iid, r.d_iid, r.total_tokens * self.kv_bpt, t)
+        self._push(end, _TRANSFER_END, ("pd", r.req.id))
         return True
 
     def _admit_decode(self, inst: _Instance, rid: int, t: float) -> None:
@@ -721,8 +732,7 @@ class _Sim:
 
     # --- work starting ----------------------------------------------------------
 
-    def _launch(self, inst: _Instance, batch: list[int], end: float,
-                worker_items: Optional[dict[int, list[tuple[int, int]]]] = None) -> None:
+    def _launch(self, inst: _Instance, batch: list[int], end: float) -> None:
         """Move ``batch`` from the head of the queue into the running slot."""
         patches = tokens = 0
         for rid in batch:
@@ -732,7 +742,7 @@ class _Sim:
             tokens += r.total_tokens
         inst.queued_patches -= patches
         inst.queued_tokens -= tokens
-        inst.running = _RunningBatch(tuple(batch), worker_items or {})
+        inst.running = tuple(batch)
         inst.running_patches = patches
         inst.running_tokens = tokens
         self._push(end, _BATCH_END, (inst.iid,))
@@ -764,11 +774,12 @@ class _Sim:
         self._launch(inst, batch, t + enc_dur + pre_dur)
 
     def _start_encode(self, inst: _Instance, batch: list[int], t: float) -> None:
-        """Shard each request's patches across the instance's workers."""
+        """Shard each request's patches across the instance's workers, and
+        push one WORKER_DONE per distinct finish time, over its workers'
+        (request, shard) items in worker id order."""
         width = inst.tp
         worker_load = [0] * width
-        worker_reqs = [0] * width
-        worker_items: dict[int, list[tuple[int, int]]] = {}
+        worker_items: list[list[tuple[int, int]]] = [[] for _ in range(width)]
         for rid in batch:
             r = self.rs[rid]
             if r.patches == 0:
@@ -780,16 +791,15 @@ class _Sim:
             r.rec.shards = [ShardRecord(worker=k, patches=p, start=t) for k, p in shard_counts]
             for shard_idx, (k, p) in enumerate(shard_counts):
                 worker_load[k] += p
-                worker_reqs[k] += 1
-                worker_items.setdefault(k, []).append((rid, shard_idx))
-        finishes = {}
-        for k in range(width):
-            if worker_reqs[k] == 0:
-                continue
-            finishes[k] = t + encode_latency(self.cost, worker_load[k], tp_width=1,
-                                             batch_size=worker_reqs[k])
-            self._push(finishes[k], _WORKER_DONE, (inst.iid, k))
-        self._launch(inst, batch, max(finishes.values()), worker_items)
+                worker_items[k].append((rid, shard_idx))
+        done: dict[float, list[tuple[int, int]]] = {}
+        for load, items in zip(worker_load, worker_items):
+            if items:  # a request puts at most one shard on a worker
+                finish = t + encode_latency(self.cost, load, tp_width=1, batch_size=len(items))
+                done.setdefault(finish, []).extend(items)
+        for finish, items in done.items():
+            self._push(finish, _WORKER_DONE, (items,))
+        self._launch(inst, batch, max(done))
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         """Open a segment: the run of decode steps from ``t`` through the

@@ -143,10 +143,18 @@ class SimTrace:
         ordered("arrival/encode", r.arrival, r.encode_start)
         ordered("encode start/end", r.encode_start, r.encode_end)
         for shard in r.shards:
+            if shard.end is None or shard.transfer_end is None:
+                raise TraceInvariantError(
+                    f"request {r.rid}: shard on worker {shard.worker} never ended or arrived")
             ordered("shard start", r.encode_start, shard.start)
             ordered("shard run", shard.start, shard.end)
             ordered("shard transfer", shard.end, shard.transfer_end)
             ordered("shard/ep-end", shard.transfer_end, r.ep_transfer_end)
+        # A request's shards share one FIFO channel: its transfer ends with the last.
+        if r.shards and r.ep_transfer_end != max(shard.transfer_end for shard in r.shards):
+            raise TraceInvariantError(
+                f"request {r.rid}: E->P transfer end {r.ep_transfer_end} is not its "
+                "last shard's transfer end")
         ordered("encode/transfer", r.encode_end, r.ep_transfer_end)
         ordered("transfer/prefill", r.ep_transfer_end, r.prefill_start)
         ordered("prefill run", r.prefill_start, r.prefill_end)

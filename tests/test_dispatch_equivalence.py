@@ -9,8 +9,9 @@ every instance's caches, decides whether a role switch strands a request by
 scanning every request that has arrived (for an encode source too, which
 the engine skips), and after every event checks each running sum (the
 resident KV tokens of a decode batch included), each decode-step factor,
-block count and the set of open requests against a fresh rescan. Its traces
-must equal the real engine's, byte for byte, and no run may stall.
+block count, the set of open requests and the cached stage pools against a
+fresh rescan. Its traces must equal the real engine's, byte for byte, and no
+run may stall.
 
 The engine also plans each decode instance's steps in segments under one
 heap event, cut short when the batch or the queue changes. ``PerStepSim``
@@ -19,10 +20,17 @@ too: on every system here, on hand-built cases with exact costs where a cut
 falls on a step end, on a segment's last step, or on an instance that also
 prefills, and on random systems with exact costs, where events of different
 instances tie.
+
+The engine folds events whose outcome is fixed when they are pushed: it
+keeps only the next arrival in the heap, pushes one WORKER_DONE per distinct
+finish time of an encode batch and one E→P TRANSFER_END per request, for its
+last shard. ``PerEventSim`` keeps the unfolded shape, and its traces must
+equal the engine's on every case here as well.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -32,12 +40,14 @@ from hypothesis import strategies as st
 
 from disaggsim.cli import _preset_workload
 from disaggsim.controller import ControllerParams
-from disaggsim.costs import CostParams, decode_step_latency, parallel_factor
-from disaggsim.engine import _STEP_END, _VECTOR_STEPS, _Sim, run_simulation
+from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
+from disaggsim.engine import (_ARRIVAL, _STEP_END, _TRANSFER_END, _VECTOR_STEPS, _WORKER_DONE,
+                              _Sim, irp_shard, run_simulation)
 from disaggsim.models import StageRole
-from disaggsim.presets import switch_preset
+from disaggsim.presets import get_preset, switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
-from disaggsim.workload import Request, Slo
+from disaggsim.trace import ShardRecord
+from disaggsim.workload import Request, Slo, generate_poisson
 
 PRESET = switch_preset()
 BASE = PRESET.systems["epd"]
@@ -60,7 +70,7 @@ def rescan_errors(sim: _Sim) -> list[str]:
     """Every running total or block count that disagrees with a rescan."""
     errors = []
     for inst in sim.insts:
-        running = inst.running.rids if inst.running is not None else ()
+        running = inst.running or ()
         for field, rids, attr in (("queued_patches", inst.queue, "patches"),
                                   ("queued_tokens", inst.queue, "total_tokens"),
                                   ("running_patches", running, "patches"),
@@ -90,6 +100,11 @@ def rescan_errors(sim: _Sim) -> list[str]:
                  if r.rec.rejected is None and r.rec.completion_time is None}
     if set(sim.rs) != open_rids:
         errors.append(f"open requests {sorted(sim.rs)} != rescan {sorted(open_rids)}")
+    for stage in ("encode", "prefill", "decode"):
+        pool = [inst.iid for inst in sim.insts
+                if inst.state == "active" and getattr(inst.role, f"serves_{stage}")]
+        if [inst.iid for inst in sim.pools[stage]] != pool:
+            errors.append(f"{stage} pool {[i.iid for i in sim.pools[stage]]} != rescan {pool}")
     offloading = [inst.iid for inst in sim.insts if inst.state == "offloading"]
     if offloading and (sim.switch_rec is None or offloading != [sim.switch_rec.instance_id]):
         errors.append(f"offloading {offloading} is not the switching instance")
@@ -114,7 +129,16 @@ def segment_errors(sim: _Sim, inst) -> list[str]:
     return errors
 
 
-class CheckedSim(_Sim):
+class BoundedSim(_Sim):
+    """The engine, raising :class:`Stalled` once an event pops at ``STALL_TIME``."""
+
+    def _dispatch(self, t: float) -> None:
+        super()._dispatch(t)
+        if t >= STALL_TIME:
+            raise Stalled(f"{self.outstanding} requests still open at t={t}")
+
+
+class CheckedSim(BoundedSim):
     """The real engine, checked against a rescan and for a stall after every event."""
 
     def __init__(self, *args, **kwargs):
@@ -129,8 +153,6 @@ class CheckedSim(_Sim):
         super()._dispatch(t)
         errors = rescan_errors(self)
         assert not errors, f"t={t}: {errors}"
-        if t >= STALL_TIME:
-            raise Stalled(f"{self.outstanding} requests still open at t={t}")
 
 
 class FullScanSim(CheckedSim):
@@ -186,7 +208,7 @@ class FullScanSim(CheckedSim):
         super()._dispatch(t)
 
 
-class PerStepSim(_Sim):
+class PerStepSim(BoundedSim):
     """The engine with one STEP_END per decode step, each over the
     residents of its start, and no segment to cut."""
 
@@ -218,10 +240,53 @@ class PerStepSim(_Sim):
     def _cut(self, inst, t: float) -> None:
         pass
 
-    def _dispatch(self, t: float) -> None:
-        super()._dispatch(t)
-        if t >= STALL_TIME:
-            raise Stalled(f"{self.outstanding} requests still open at t={t}")
+
+class PerEventSim(BoundedSim):
+    """The engine with its events unfolded: every arrival pushed at the
+    start, one WORKER_DONE per encode worker, and one TRANSFER_END per E→P
+    shard, which writes the shard's transfer end when it pops."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shards_done = Counter()
+        for r in self.arrivals:  # leaves none for the engine to push
+            self._push(r.req.arrival_time, _ARRIVAL, (r,))
+
+    def _start_encode(self, inst, batch, t: float) -> None:
+        worker_load = [0] * inst.tp
+        worker_items = {}
+        for rid in batch:
+            r = self.rs[rid]
+            r.shards = [(k, p) for k, p in enumerate(irp_shard(r.patches, inst.tp)) if p > 0]
+            r.shards = r.shards or [(0, 0)]  # text-only still pays the batch base cost
+            r.rec.encode_start = t
+            r.rec.shards = [ShardRecord(worker=k, patches=p, start=t) for k, p in r.shards]
+            for shard_idx, (k, p) in enumerate(r.shards):
+                worker_load[k] += p
+                worker_items.setdefault(k, []).append((rid, shard_idx))
+        finishes = []
+        for k, items in sorted(worker_items.items()):
+            finishes.append(t + encode_latency(self.cost, worker_load[k], tp_width=1,
+                                               batch_size=len(items)))
+            self._push(finishes[-1], _WORKER_DONE, (items,))
+        self._launch(inst, batch, max(finishes))
+
+    def _send_ready_shards(self, r, t: float) -> None:
+        for shard_idx in r.ready_unsent:
+            _, patches = r.shards[shard_idx]
+            nbytes = patches * self.model.tokens_per_patch * self.mm_bpt
+            end = self._schedule_transfer(r.e_iid, r.p_iid, nbytes, t)
+            self._push(end, _TRANSFER_END, ("ep", r.req.id, shard_idx))
+        r.ready_unsent.clear()
+
+    def _on_transfer_end(self, t: float, kind: str, rid: int, shard_idx=None) -> None:
+        if kind == "ep":
+            r = self.rs[rid]
+            r.rec.shards[shard_idx].transfer_end = t
+            self.shards_done[rid] += 1
+            if self.shards_done[rid] < len(r.shards):
+                return
+        super()._on_transfer_end(t, kind, rid)
 
 
 def outcome(sim: _Sim):
@@ -240,6 +305,7 @@ def assert_equivalent(config: SystemConfig, workload: list[Request]) -> FullScan
     checked = CheckedSim(config, workload, 7)
     assert outcome(checked) == expected
     assert outcome(PerStepSim(config, workload, 7)) == expected
+    assert outcome(PerEventSim(config, workload, 7)) == expected
     if not isinstance(expected, tuple):
         assert not reference.rs and not checked.rs, "requests still open after the run"
         assert run_simulation(config, workload, seed=7) == expected
@@ -476,6 +542,75 @@ def test_step_ends_at_one_time_pop_in_instance_order():
                              exact_request(2, 16.0, 60)])
     assert sim.records[0].completion_time == sim.records[1].completion_time == 25.375
     assert [sim.records[rid].d_instance for rid in range(3)] == [3, 2, 2]
+
+
+class CountingSim(_Sim):
+    """The engine, counting the events it pushes by kind (each pops once, as
+    the heap drains) and the most ARRIVALs the heap has held at once."""
+
+    def __init__(self, *args, **kwargs):
+        self.pushed = Counter()
+        self.most_arrivals = 0
+        super().__init__(*args, **kwargs)
+
+    def _push(self, t: float, kind: str, data: tuple) -> None:
+        super()._push(t, kind, data)
+        self.pushed[kind] += 1
+        if kind == _ARRIVAL:
+            waiting = sum(event[3] == _ARRIVAL for event in self.heap)
+            self.most_arrivals = max(self.most_arrivals, waiting)
+
+    def _push_step_end(self, inst, end: float) -> None:
+        super()._push_step_end(inst, end)
+        self.pushed[_STEP_END] += 1
+
+
+class CountingPerEventSim(CountingSim, PerEventSim):
+    """``PerEventSim``, counting its events."""
+
+
+def test_tied_workers_and_interleaved_shards_fold_exactly():
+    # Four requests of 6 patches arrive at 0, each sharded [2, 2, 1, 1] over
+    # four encode workers. Request 0 is encoded alone: workers 2 and 3 tie at
+    # 0.1875, workers 0 and 1 at 0.25. Requests 1 and 2 follow as one batch:
+    # its workers tie in pairs at 0.5 and 0.625, and at each time the two
+    # requests' shards go out in turn on the one E→P channel, 0.0625 s each.
+    # Request 3 is encoded from 0.625 and finds the prefill MM held by
+    # requests 0, 1 and 2, so it waits in ep_wait with shards ready until
+    # request 0's prefill ends at 0.9375; its shards then queue on the
+    # channel behind request 2's last, which arrives at 1.0.
+    config = exact_system((StageRole.ENCODE, 2), (StageRole.PREFILL, 1), (StageRole.DECODE, 4))
+    config = replace(config, mm_cache_tokens=3 * 384,
+                     instances=(replace(config.instances[0], tp=4), *config.instances[1:]),
+                     cost=replace(EXACT_COST, enc_per_patch=1 / 16, prefill_base=0.5))
+    workload = [replace(exact_request(rid, 0.0, 3), images=((787, 444),) * 2)
+                for rid in range(4)]
+    assert assert_equivalent(config, workload).max_waits[0] == 1
+    sim, unfolded = CountingSim(config, workload, 7), CountingPerEventSim(config, workload, 7)
+    records = sim.run().requests
+    unfolded.run()
+    assert [[s.end for s in records[rid].shards] for rid in range(4)] == \
+        [[0.25, 0.25, 0.1875, 0.1875]] + [[0.625, 0.625, 0.5, 0.5]] * 2 + \
+        [[0.875, 0.875, 0.8125, 0.8125]]
+    sent = sorted((s.transfer_end, rid) for rid in (1, 2) for s in records[rid].shards)
+    assert sent == [(0.5 + 0.0625 * k, 2 - k % 2) for k in range(1, 9)]
+    assert sorted(s.transfer_end for s in records[3].shards) == \
+        [1.0 + 0.0625 * k for k in range(1, 5)]
+    assert (sim.pushed[_WORKER_DONE], unfolded.pushed[_WORKER_DONE]) == (6, 12)
+    assert (sim.pushed[_TRANSFER_END], unfolded.pushed[_TRANSFER_END]) == (8, 20)
+    assert (sim.most_arrivals, unfolded.most_arrivals) == (1, 4)
+
+
+def test_encode_heavy_epd_event_budget():
+    """At most 7 events per request on encode-heavy ``epd``, where unfolded
+    arrivals, worker events and shard transfers made 13, and one arrival in
+    the heap at a time."""
+    preset = get_preset("encode-heavy")
+    spec = replace(preset.workload, num_requests=300, rate_lambda=2.0, seed=3)
+    sim = CountingSim(preset.systems["epd"], generate_poisson(spec), 7)
+    sim.run()
+    assert sum(sim.pushed.values()) <= 7 * spec.num_requests, sim.pushed
+    assert sim.most_arrivals == 1
 
 
 def exact_case(seed: int) -> tuple[SystemConfig, list[Request]]:

@@ -3,11 +3,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from disaggsim.costs import CostParams
 from disaggsim.engine import run_simulation
 from disaggsim.models import HardwareSpec, StageRole, builtin_model
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
+from disaggsim.trace import TraceInvariantError
 from disaggsim.workload import Request, Slo
 
 MODEL = builtin_model("minicpm-v-2.6")
@@ -108,6 +110,28 @@ def test_causality_and_conservation_on_large_random_workload():
         sharded = sum(s.patches for s in rec.shards) * MODEL.tokens_per_patch
         assert sharded == rec.mm_tokens
         assert all(s.transfer_end is not None for s in rec.shards)
+
+
+def test_validate_requires_every_shard_to_end_and_arrive_last_with_its_request():
+    config = SystemConfig(
+        instances=(InstanceConfig(role=StageRole.ENCODE, tp=3, max_batch=2),
+                   InstanceConfig(role=StageRole.PREFILL, max_batch=2),
+                   InstanceConfig(role=StageRole.DECODE, max_batch=8)),
+        hardware=HW, model=MODEL, cost=COST)
+    workload = random_workload(np.random.default_rng(3), 40)
+    rid = next(r.id for r in workload if len(r.images) == 2)
+    for field, value in (("end", None), ("transfer_end", None), ("transfer_end", -1.0)):
+        trace = run_simulation(config, workload)
+        trace.validate()
+        rec = trace.requests[rid]
+        assert len(rec.shards) == 3
+        setattr(rec.shards[1], field, value)
+        with pytest.raises(TraceInvariantError, match=f"request {rid}: "):
+            trace.validate()
+    trace = run_simulation(config, workload)
+    trace.requests[rid].ep_transfer_end += 1e-13  # within the ordering tolerance
+    with pytest.raises(TraceInvariantError, match="last shard's transfer end"):
+        trace.validate()
 
 
 def test_conservation_under_role_switching():
