@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .controller import SwitchEventRecord
 from .models import StageRole
 
@@ -19,6 +21,15 @@ class TraceInvariantError(ValueError):
 
 # Lines of events.jsonl formatted before each write.
 _CHUNK_ROWS = 8192
+# A served request's stage stamps: event labels 1-8, each its field less "_time".
+_STAMPS = ("encode_start", "encode_end", "ep_transfer_end", "prefill_start",
+           "prefill_end", "first_token_time", "pd_transfer_end", "completion_time")
+_LINE_END = np.frombuffer(b"}\n", dtype=np.uint8)
+
+
+def _byte_table(texts: np.ndarray) -> np.ndarray:
+    """A bytes array's items as the rows of a uint8 matrix, null-padded."""
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
 def _json_number(value) -> str:
@@ -175,56 +186,79 @@ class SimTrace:
 
     # --- export -------------------------------------------------------------
 
-    def _event_rows(self) -> list[tuple[float, int, str]]:
-        """Every (time, request id, event) row, sorted by time, then id, then event."""
-        rows: list[tuple[float, int, str]] = []
-        token_labels: list[str] = []  # "token:0", "token:1", ...: one string per index
-        for r in self.requests.values():
-            rid = r.rid
-            rows.append((r.arrival, rid, "arrival"))
-            if r.rejected is not None:
-                rows.append((r.arrival, rid, f"rejected:{r.rejected}"))
-                continue
-            for label, value in (
-                ("encode_start", r.encode_start), ("encode_end", r.encode_end),
-                ("ep_transfer_end", r.ep_transfer_end),
-                ("prefill_start", r.prefill_start), ("prefill_end", r.prefill_end),
-                ("first_token", r.first_token_time),
-                ("pd_transfer_end", r.pd_transfer_end),
-                ("completion", r.completion_time),
-            ):
+    def _columns(self):
+        """Columns ``(order, values, ranks, codes, rids, labels, times)``: row
+        ``i`` is ``(rids[ranks[i]], labels[codes[i]], t)``, with ``t`` the
+        ``i``-th object in the lists of ``times`` and ``values[i]`` its float.
+        ``order`` sorts by time, id, then label text (``token:10`` first)."""
+        records = sorted(self.requests.values(), key=lambda r: r.rid)
+        label_codes = {label.removesuffix("_time"): code
+                       for code, label in enumerate(("arrival", *_STAMPS))}
+        stamp_times, stamp_ranks, stamp_codes = [], [], []
+        times = [stamp_times]
+        for rank, r in enumerate(records):
+            if r.rejected is None:
+                stamps = enumerate((r.arrival, *(getattr(r, name) for name in _STAMPS)))
+                times.append(r.token_times)
+            else:
+                code = label_codes.setdefault(f"rejected:{r.rejected}", len(label_codes))
+                stamps = ((0, r.arrival), (code, r.arrival))
+                times.append(())
+            for code, value in stamps:
                 if value is not None:
-                    rows.append((value, rid, label))
-            for i in range(len(token_labels), len(r.token_times)):
-                token_labels.append(f"token:{i}")
-            rows.extend(zip(r.token_times, itertools.repeat(rid), token_labels))
-        rows.sort()
-        return rows
+                    stamp_times.append(value)
+                    stamp_codes.append(code)
+            stamp_ranks += [rank] * (len(stamp_times) - len(stamp_ranks))
+        # Token rows follow the stamp rows: no two rows share a sort key.
+        counts = np.array([len(tokens) for tokens in times[1:]], dtype=np.int32)
+        starts = np.cumsum(counts, dtype=np.int32) - counts - len(label_codes)
+        codes = np.concatenate((np.array(stamp_codes, dtype=np.int32), np.arange(
+            counts.sum(), dtype=np.int32) - np.repeat(starts, counts)))
+        ranks = np.concatenate((np.array(stamp_ranks, dtype=np.int32),
+                                np.repeat(np.arange(len(counts), dtype=np.int32), counts)))
+        labels = [*label_codes, *(f"token:{i}" for i in range(counts.max(initial=0)))]
+        text_rank = np.argsort(np.argsort(labels)).astype(np.int32)
+        values = np.fromiter(itertools.chain.from_iterable(times), np.float64, len(codes))
+        order = np.lexsort((text_rank[codes], ranks, values))
+        return order, values, ranks, codes, [r.rid for r in records], labels, times
 
     def events(self) -> Iterator[tuple[int, str, float]]:
         """Flat (request id, event, time) stream sorted by time then id."""
-        return ((rid, event, t) for t, rid, event in self._event_rows())
+        order, _, ranks, codes, rids, labels, times = self._columns()
+        times = list(itertools.chain.from_iterable(times))
+        for i in order.tolist():
+            yield rids[ranks[i]], labels[codes[i]], times[i]
 
     def write_events(self, path) -> None:
         """One JSON object per row, ``{"rid": …, "event": …, "time": …}``,
         in the bytes ``json.dumps`` gives each row's dict.
 
-        Every event label is plain ASCII that needs no escaping, and a time
-        is written as ``json.dumps`` writes a number. A time is formatted
-        once per run of rows that hold the same float object (one decode
-        step's tokens share one); equal values are not enough, as 0.0 and
-        -0.0 are equal but written apart. Lines go out in fixed-size chunks.
+        A chunk's lines are rows of one null-padded byte matrix, pieced from
+        tables of id heads, labels and time texts. If every time is a finite
+        float, a text is formatted per run of equal bits (0.0 and -0.0 are
+        written apart); else per row, as ``json.dumps`` writes the object.
         """
-        rows = self._event_rows()
-        last = text = None
-        with open(path, "w", encoding="utf-8") as handle:
-            for start in range(0, len(rows), _CHUNK_ROWS):
-                lines = []
-                for t, rid, event in rows[start:start + _CHUNK_ROWS]:
-                    if t is not last:
-                        last, text = t, _json_number(t)
-                    lines.append(f'{{"rid": {rid}, "event": "{event}", "time": {text}}}\n')
-                handle.write("".join(lines))
+        order, values, ranks, codes, rids, labels, times = self._columns()
+        exact = np.isfinite(values).all() and all(issubclass(kind, float) for kind in set(
+            map(type, itertools.chain.from_iterable(times))))
+        times = None if exact else list(itertools.chain.from_iterable(times))
+        heads = _byte_table(np.array([f'{{"rid": {rid}, "event": "' for rid in rids], "S"))
+        tails = _byte_table(np.array([f'{label}", "time": ' for label in labels], "S"))
+        with open(path, "wb") as handle:
+            for start in range(0, len(order), _CHUNK_ROWS):
+                rows = order[start:start + _CHUNK_ROWS]
+                bits = values[rows].view(np.int64)
+                new = np.concatenate(([True], (bits[1:] != bits[:-1]) | (not exact)))
+                # At most 24 characters a float repr, filled without a list of them:
+                # a list per chunk fragments the heap (+8 MB peak RSS, decode-switch).
+                texts = (np.fromiter(map(float.__repr__, values[rows[new]].tolist()), "S24",
+                                     np.count_nonzero(new)) if exact
+                         else np.array([_json_number(times[i]) for i in rows.tolist()], "S"))
+                stamps = _byte_table(texts)[np.cumsum(new) - 1]
+                ends = np.broadcast_to(_LINE_END, (len(rows), 2))
+                lines = np.concatenate((heads[ranks[rows]], tails[codes[rows]], stamps, ends),
+                                       axis=1).ravel()
+                handle.write(lines[lines != 0])
 
     def summary_rows(self) -> list[dict]:
         rows = []

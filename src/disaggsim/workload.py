@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,8 +37,8 @@ class Request:
     slo: Slo
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be >= 0")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(f"arrival_time must be finite and >= 0, not {self.arrival_time}")
         if self.output_tokens < 1:
             raise ValueError("output_tokens must be >= 1")
         if self.prompt_tokens < 0:
@@ -182,6 +183,10 @@ def load_trace(path, default_slo: Optional[Slo] = None,
                     output_tokens=int(row["output_tokens"]),
                     slo=slo,
                 ))
+                if (rate_lambda is None and len(requests) > 1
+                        and requests[-1].arrival_time < requests[-2].arrival_time):
+                    raise ValueError(f"arrival {requests[-1].arrival_time} precedes the "
+                                     f"previous row's {requests[-2].arrival_time}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line_no) from exc
     if rate_lambda is not None and requests:

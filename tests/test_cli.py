@@ -189,6 +189,24 @@ class TestSimulate:
                    "--workload", str(bad), "--slo", "5.0,0.1")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "0.25"])
+    def test_bad_arrival_is_parse_error_naming_the_line(self, tmp_path, config_file,
+                                                        capsys, arrival):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,arrival,prompt_tokens,num_images,width,height,output_tokens\n"
+                       "0,0.5,22,0,0,0,4\n"
+                       f"1,{arrival},22,0,0,0,4\n"
+                       "2,2.0,22,0,0,0,4\n")
+        code = run(tmp_path, "simulate", "--config", str(config_file),
+                   "--workload", str(bad), "--slo", "5.0,0.1")
+        assert code == EXIT_PARSE
+        assert "line 3" in capsys.readouterr().err
+        # Regenerated arrivals replace an out-of-order one, not a non-finite one.
+        code = run(tmp_path, "simulate", "--config", str(config_file),
+                   "--workload", str(bad), "--slo", "5.0,0.1",
+                   "--workload-rate", "4.0", "--seed", "3")
+        assert code == (EXIT_OK if arrival == "0.25" else EXIT_PARSE)
+
     def test_unknown_preset_is_parse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run(tmp_path, "simulate", "--preset", "no-such-preset")

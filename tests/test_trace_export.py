@@ -1,21 +1,29 @@
-"""``SimTrace.write_events`` against the ``json.dumps`` writer it replaced.
+"""``SimTrace.write_events`` and ``SimTrace.events`` against the row-by-row
+``json.dumps`` writer they replaced.
 
-The writer formats each row by hand and each run of rows sharing a time
-once. Its bytes must equal those of one ``json.dumps`` per row dict, in the
-same order, on every preset system and on hand-built traces with the ties
-and number forms that a shortcut would get wrong.
+The writer sorts the rows as columns with one ``numpy.lexsort`` on (time,
+request id rank, label text rank), formats each run of equal times in a
+chunk of ``_CHUNK_ROWS`` rows once, and pieces every line together from byte
+tables. Its bytes must equal those of one ``json.dumps`` per row dict, in the
+same order, on every preset system and on hand-built traces with the ties,
+number forms, ids and chunk edges that a shortcut would get wrong. One test
+bounds the writer's traced memory per exported row.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
+from disaggsim import trace as trace_module
 from disaggsim.cli import _preset_workload
 from disaggsim.engine import run_simulation
-from disaggsim.presets import get_preset, preset_names
+from disaggsim.presets import get_preset, preset_names, switch_preset
 from disaggsim.trace import RequestRecord, SimTrace
+from disaggsim.workload import generate_shifted
 
 
 def reference_rows(trace: SimTrace) -> list[tuple[int, str, float]]:
@@ -108,3 +116,72 @@ def test_signed_zero_and_number_forms_are_kept(tmp_path):
         record(3, -0.0, rejected="context"),
     )
     assert_same_export(trace, tmp_path)
+
+
+def test_int_times_beside_equal_floats(tmp_path):
+    """An int time is written as an int, even where a float of equal value
+    shares its run; the two still tie in the sort."""
+    trace = hand_built(
+        served(0, 1, [1.0, 2, 2.0]),
+        served(1, 1.0, [1, 2.0, 3]),
+        record(2, 1, rejected="kv_capacity"),
+    )
+    assert_same_export(trace, tmp_path)
+
+
+def test_ids_out_of_order_sparse_and_beyond_int64(tmp_path):
+    trace = hand_built(
+        served(2**64 + 5, 0.5, [1.0, 2.0]),
+        served(17, 0.5, [1.0, 2.0]),
+        record(2**63, 0.5, rejected="context"),
+        served(3, 0.25, [2.0, 2.5]),
+        served(-4, 0.5, [1.0]),
+    )
+    assert_same_export(trace, tmp_path)
+
+
+def test_empty_trace(tmp_path):
+    assert_same_export(hand_built(), tmp_path)
+    assert (tmp_path / "events.jsonl").read_bytes() == b""
+
+
+def test_every_request_rejected(tmp_path):
+    trace = hand_built(*(record(rid, rid / 4, rejected=("empty", "context")[rid % 2])
+                         for rid in range(5)))
+    assert_same_export(trace, tmp_path)
+
+
+def test_time_group_straddles_chunk_boundary(tmp_path):
+    """31 rows share one time across the end of the first chunk; their ids
+    and labels keep their order on both sides of it."""
+    shared, chunk = 7.0, trace_module._CHUNK_ROWS
+    trace = hand_built(
+        served(0, 0.0, [1.0 + i * 1e-6 for i in range(chunk - 33)] + [shared]),
+        *(served(rid, 0.5, [shared]) for rid in range(1, 8)),
+        served(8, 0.0, [shared - 1.0, shared, shared + 1.0]),
+    )
+    assert_same_export(trace, tmp_path)
+    lines = (tmp_path / "events.jsonl").read_bytes().splitlines()
+    group = [i for i, line in enumerate(lines) if line.endswith(b'"time": 7.0}')]
+    assert group == list(range(group[0], group[0] + 31))
+    assert group[0] < chunk <= group[-1]
+
+
+def test_export_memory_per_row_is_bounded(tmp_path):
+    """The traced peak of one export stays under 48 bytes per row on a
+    switch-shifted trace of 500 requests: the columns, not a tuple per row.
+    A list of (time, id, label) tuples alone takes about 80."""
+    preset = switch_preset()
+    spec = dataclasses.replace(preset.workload, num_requests=500)
+    trace = run_simulation(preset.systems["epd"],
+                           generate_shifted(spec, (50, 50), (450, 500)), seed=preset.seed)
+    path = tmp_path / "events.jsonl"
+    tracemalloc.start()
+    try:
+        trace.write_events(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = path.read_bytes().count(b"\n")
+    assert rows > 200_000
+    assert peak / rows < 48, f"{peak / rows:.1f} bytes per exported row"

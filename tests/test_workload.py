@@ -140,6 +140,32 @@ class TestTraceIO:
             load_trace(path)
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("arrival", ["nan", "inf", "0.25"])
+    def test_bad_arrival_names_its_line(self, tmp_path, arrival):
+        """A non-finite arrival, or one before the previous row's, is a parse
+        error on its own line while arrivals are honoured."""
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,arrival,prompt_tokens,num_images,width,height,output_tokens\n"
+            "0,0.5,22,0,0,0,3\n"
+            f"1,{arrival},22,0,0,0,3\n"
+            "2,2.0,22,0,0,0,3\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_trace(path, default_slo=Slo(5.0, 0.1))
+        assert excinfo.value.line == 3
+
+    def test_unsorted_rows_allowed_when_arrivals_regenerated(self, tmp_path):
+        path = tmp_path / "unsorted.csv"
+        path.write_text(
+            "id,arrival,prompt_tokens,num_images,width,height,output_tokens\n"
+            "0,0.5,22,0,0,0,3\n"
+            "1,0.25,22,0,0,0,3\n"
+            "2,0.25,22,0,0,0,3\n")
+        with pytest.raises(ParseError):
+            load_trace(path, default_slo=Slo(5.0, 0.1))
+        regenerated = load_trace(path, default_slo=Slo(5.0, 0.1), rate_lambda=2.0, seed=1)
+        assert [r.id for r in regenerated] == [0, 1, 2]
+
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("id,arrival\n0,0.5\n")
@@ -165,6 +191,12 @@ class TestValidation:
     def test_request_rejects_negative_arrival(self):
         with pytest.raises(ValueError):
             Request(id=0, arrival_time=-1.0, prompt_tokens=1, images=(),
+                    output_tokens=1, slo=Slo(1.0, 1.0))
+
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_request_rejects_non_finite_arrival(self, arrival):
+        with pytest.raises(ValueError, match="arrival_time must be finite"):
+            Request(id=0, arrival_time=arrival, prompt_tokens=1, images=(),
                     output_tokens=1, slo=Slo(1.0, 1.0))
 
     def test_spec_requires_resolution_for_images(self):
