@@ -8,25 +8,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import run_simulation
-from .metrics import goodput, request_metrics
+# request_metrics is not called here: it stays bound because perfbench's
+# layers.patched replaces it by name in every scoring module.
+from .metrics import request_metrics, score  # noqa: F401
 from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
 from .models import StageRole
 from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
                       build_system, builtin_model, get_preset,
-                      offline_batches, slo_for, offline_requests)
+                      offline_batches, slo_for)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
-from .workload import WorkloadSpec, generate_poisson, generate_shifted
-
-
-def _mean_ttft(trace: SimTrace, slo) -> float:
-    metrics = request_metrics(trace, slo)
-    return sum(m.ttft for m in metrics) / len(metrics)
-
-
-def _mean_tpot(trace: SimTrace, slo) -> float:
-    metrics = request_metrics(trace, slo)
-    return sum(m.tpot for m in metrics) / len(metrics)
+from .workload import WorkloadSpec, generate_poisson
 
 
 def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
@@ -48,8 +40,8 @@ def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
         workload = generate_poisson(spec)
         with_irp = build_system(model, cost, "1E2P1D", tp={StageRole.ENCODE: 5})
         without_irp = disable_irp(with_irp)
-        ttft_on = _mean_ttft(run_simulation(with_irp, workload, seed=seed), slo)
-        ttft_off = _mean_ttft(run_simulation(without_irp, workload, seed=seed), slo)
+        ttft_on = score(run_simulation(with_irp, workload, seed=seed), slo).mean_ttft
+        ttft_off = score(run_simulation(without_irp, workload, seed=seed), slo).mean_ttft
         rows.append({
             "images_per_request": images,
             "mean_ttft_with_irp": ttft_on,
@@ -100,10 +92,9 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
 
 
 def _final_role_counts(trace: SimTrace) -> dict[str, int]:
-    horizon = trace.meta.get("horizon", float("inf"))
     counts: dict[str, int] = {}
     for record in trace.instances.values():
-        role = record.role_at(horizon)
+        role = record.role_at(float("inf"))
         counts[role.value] = counts.get(role.value, 0) + 1
     return counts
 
@@ -111,9 +102,7 @@ def _final_role_counts(trace: SimTrace) -> dict[str, int]:
 def switch_ablation(seed: int = 20260808) -> dict:
     """Shifted workload with the switching controller on vs off."""
     preset = get_preset("switch-shifted")
-    spec = replace(preset.workload, seed=seed)
-    early, late = preset.shifted_split
-    workload = generate_shifted(spec, early, late)
+    workload = preset.generate(replace(preset.workload, seed=seed))
 
     enabled: SystemConfig = preset.systems["epd"]
     disabled = replace(enabled, role_switch=None)
@@ -122,11 +111,12 @@ def switch_ablation(seed: int = 20260808) -> dict:
     trace_off = run_simulation(disabled, workload, seed=seed)
 
     def summarize(trace: SimTrace) -> dict:
+        scores = score(trace, preset.slo)
         return {
             "makespan": trace.horizon,
-            "mean_ttft": _mean_ttft(trace, preset.slo),
-            "mean_tpot": _mean_tpot(trace, preset.slo),
-            "completed": trace.completed_count,
+            "mean_ttft": scores.mean_ttft,
+            "mean_tpot": scores.mean_tpot,
+            "completed": scores.completed,
             "switches": len(trace.switches),
             "final_roles": _final_role_counts(trace),
         }
@@ -142,12 +132,11 @@ def switch_ablation(seed: int = 20260808) -> dict:
 def offline_throughput(seed: int = 20260808) -> list[dict]:
     """Requests-per-second for each offline system plus shape/batch sweeps."""
     preset = get_preset("offline-throughput")
-    workload = offline_requests(preset)
+    workload = preset.generate(replace(preset.workload, seed=seed))
     rows = []
 
     def throughput(config: SystemConfig) -> float:
-        trace = run_simulation(config, workload, seed=seed)
-        return trace.completed_count / trace.horizon
+        return score(run_simulation(config, workload, seed=seed), preset.slo).throughput
 
     for label, config in preset.systems.items():
         rows.append({"system": label, "sweep": "preset", "value": "-",

@@ -26,11 +26,10 @@ from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
 from .optimizer import (Metric, Objective, Strategy, load_space, restricted_space, solve,
                         write_search_log)
 from .presets import (EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
-                      ExperimentPreset, get_preset, preset_names)
+                      get_preset, preset_names)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, SystemConfig, disable_irp,
                         from_dict, load_system_config, save_system_config, to_dict)
-from .workload import (ParseError, Slo, WorkloadSpec, generate_poisson,
-                       generate_shifted, load_trace, save_trace)
+from .workload import ParseError, Slo, WorkloadSpec, generate_poisson, load_trace, save_trace
 
 OUT_DIR_ENV = "DISAGGSIM_OUT_DIR"
 
@@ -108,14 +107,6 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _preset_workload(preset: ExperimentPreset, seed: Optional[int]):
-    spec = preset.workload if seed is None else replace(preset.workload, seed=seed)
-    if preset.shifted_split is not None:
-        early, late = preset.shifted_split
-        return generate_shifted(spec, early, late)
-    return generate_poisson(spec)
-
-
 def _apply_flags(config, args):
     if getattr(args, "irp", None) == "off":
         config = disable_irp(config)
@@ -135,12 +126,12 @@ def cmd_simulate(args) -> int:
     runs: list[tuple[str, object, list]] = []
     if args.preset:
         preset = get_preset(args.preset)
-        workload = _preset_workload(preset, args.seed)
+        seed = args.seed if args.seed is not None else preset.seed
+        workload = preset.generate(replace(preset.workload, seed=seed))
         labels = [args.system] if args.system else sorted(preset.systems)
         for label in labels:
             config = _named(preset.systems, label, f"system of preset {args.preset!r}")
             runs.append((label, _apply_flags(config, args), workload))
-        seed = args.seed if args.seed is not None else preset.seed
         inputs = {"preset": args.preset, "seed": seed, "num_requests": len(workload)}
         files = {}
     else:
@@ -185,7 +176,8 @@ def cmd_sweep(args) -> int:
     goodputs = {}
     for label in sorted(preset.systems):
         config = _apply_flags(preset.systems[label], args)
-        result = metrics_mod.sweep(config, preset.workload, preset.slo, rate_grid, seed=seed)
+        result = metrics_mod.sweep(config, preset.workload, preset.slo, rate_grid, seed=seed,
+                                   generate=preset.generate)
         path = out / f"sweep-{preset.name}-{label}.csv"
         metrics_mod.write_sweep_csv(path, label, preset.model.name,
                                     preset.images_per_request,
@@ -370,7 +362,10 @@ def _slo(text: str) -> Slo:
 
 
 def _rate_grid(text: str) -> list[float]:
-    return [_POSITIVE(part) for part in text.split(",") if part.strip()]
+    rates = [_POSITIVE(part) for part in text.split(",") if part.strip()]
+    if not rates or any(b <= a for a, b in zip(rates, rates[1:])):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a strictly increasing list")
+    return rates
 
 
 def build_parser() -> argparse.ArgumentParser:

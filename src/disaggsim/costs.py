@@ -7,6 +7,7 @@ produces can be recomputed by hand in a test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,8 +51,9 @@ class CostParams:
             "pp_fill_penalty", "switch_latency_e", "switch_latency_pd",
             "encode_heaviness", "transfer_setup",
         ):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative")
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and non-negative, not {value}")
         if not 0 < self.tp_efficiency <= 1:
             raise ValueError("tp_efficiency must be in (0, 1]")
 

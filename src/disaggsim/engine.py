@@ -91,7 +91,6 @@ _WORKER_DONE = "worker_done"
 _BATCH_END = "batch_end"
 _STEP_END = "step_end"
 _TRANSFER_END = "transfer_end"
-_SWITCH_MIGRATED = "switch_migrated"
 _SWITCH_ONLOAD = "switch_onload"
 _MONITOR = "monitor"
 _ARRIVAL = "arrival"
@@ -102,10 +101,9 @@ _PRIO = {
     _BATCH_END: 1,
     _STEP_END: 2,
     _TRANSFER_END: 3,
-    _SWITCH_MIGRATED: 4,
-    _SWITCH_ONLOAD: 5,
-    _MONITOR: 6,
-    _ARRIVAL: 7,
+    _SWITCH_ONLOAD: 4,
+    _MONITOR: 5,
+    _ARRIVAL: 6,
 }
 
 
@@ -317,7 +315,6 @@ class _Sim:
         self.recheck_waits = False
 
         self.switch_rec: Optional[SwitchEventRecord] = None
-        self.switch_target: Optional[StageRole] = None
         self.last_switch = float("-inf")
         self.switches: list[SwitchEventRecord] = []
 
@@ -365,7 +362,6 @@ class _Sim:
             _BATCH_END: self._on_batch_end,
             _STEP_END: self._on_step_end,
             _TRANSFER_END: self._on_transfer_end,
-            _SWITCH_MIGRATED: self._on_switch_migrated,
             _SWITCH_ONLOAD: self._on_switch_onload,
             _MONITOR: self._on_monitor,
         }
@@ -396,7 +392,6 @@ class _Sim:
             "seed": self.seed,
             "shape": format_shape(self.system.instances),
             "gpus": self.system.gpu_count,
-            "horizon": self.last_pop,
         }
         return SimTrace(requests=self.records, instances=instances,
                         switches=self.switches, meta=meta)
@@ -593,13 +588,9 @@ class _Sim:
             r.rec.pd_transfer_end = t
             self._admit_decode(self.insts[r.d_iid], rid, t)
 
-    def _on_switch_migrated(self, t: float, iid: int) -> None:
-        self.switch_rec.migration_done = t
-        self._push(t + _ONLOAD_DELAY, _SWITCH_ONLOAD, (iid,))
-
     def _on_switch_onload(self, t: float, iid: int) -> None:
         inst = self.insts[iid]
-        inst.role = self.switch_target
+        inst.role = self.switch_rec.target
         if self.system.role_max_batch:
             inst.max_batch = self.system.role_max_batch.get(inst.role, inst.max_batch)
         inst.rebuild_caches(self.system)
@@ -611,7 +602,6 @@ class _Sim:
         self.switch_rec.onload_done = t
         self.switches.append(self.switch_rec)
         self.switch_rec = None
-        self.switch_target = None
 
     def _on_monitor(self, t: float) -> None:
         if self.outstanding <= 0:
@@ -642,7 +632,6 @@ class _Sim:
         rec = SwitchEventRecord(time=t, instance_id=inst.iid,
                                 source=decision.source, target=decision.target)
         self.switch_rec = rec
-        self.switch_target = decision.target
         self.last_switch = t
         inst.state = "offloading"
         self._rebuild_pools()
@@ -670,10 +659,12 @@ class _Sim:
         if (inst.mm is not None and inst.mm.allocated) or \
            (inst.kv is not None and inst.kv.allocated):
             return
-        self.switch_rec.offload_done = t
+        # Migration takes a fixed time from here, so its end is known now.
+        rec = self.switch_rec
+        rec.offload_done = t
         inst.state = "migrating"
-        delay = migration_latency(self.cost, self.switch_rec.source, self.switch_target)
-        self._push(t + delay, _SWITCH_MIGRATED, (inst.iid,))
+        rec.migration_done = t + migration_latency(self.cost, rec.source, rec.target)
+        self._push(rec.migration_done + _ONLOAD_DELAY, _SWITCH_ONLOAD, (inst.iid,))
 
     # --- transfers ----------------------------------------------------------------
 

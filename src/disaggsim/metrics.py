@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .engine import run_simulation
 from .simconfig import SystemConfig
 from .trace import RequestRecord, SimTrace
-from .workload import Slo, WorkloadSpec, generate_poisson
+from .workload import Request, Slo, WorkloadSpec, generate_poisson
 
 
 class IncompleteRequest(ValueError):
@@ -29,6 +29,21 @@ class RequestMetrics:
 
 
 @dataclass(frozen=True)
+class Score:
+    """A trace's scores. The means and the p99 are over completed requests
+    (``inf`` when none completed); attainment is over every request (0 for
+    an empty trace); throughput is completed requests per second of the
+    trace's horizon (0 for a zero horizon)."""
+
+    attainment: float
+    mean_ttft: float
+    p99_ttft: float
+    mean_tpot: float
+    completed: int
+    throughput: float
+
+
+@dataclass(frozen=True)
 class SweepPoint:
     rate: float
     attainment: float
@@ -40,11 +55,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     points: tuple[SweepPoint, ...]
-
-    def __post_init__(self) -> None:
-        rates = [p.rate for p in self.points]
-        if any(b <= a for a, b in zip(rates, rates[1:])):
-            raise ValueError("sweep rates must be strictly increasing")
 
 
 def _completed(trace: SimTrace, rid: int) -> RequestRecord:
@@ -86,48 +96,56 @@ def _request_slo(trace: SimTrace, rid: int) -> Slo:
     return Slo(*slo)
 
 
-def slo_attainment(trace: SimTrace, slo: Optional[Slo] = None) -> float:
-    """Fraction of requests meeting both TTFT and TPOT limits.
-
-    Rejected requests count against attainment; they certainly missed.
-    """
-    total = len(trace.requests)
-    if total == 0:
-        raise EmptySet("no requests in trace")
-    met = sum(1 for m in request_metrics(trace, slo) if m.met_slo)
-    return met / total
-
-
 def _percentile(values: Sequence[float], q: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[idx]
+    ordered = sorted(values)  # not empty
+    return ordered[min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))]
+
+
+def score(trace: SimTrace, slo: Optional[Slo] = None) -> Score:
+    """Every score of ``trace``, each request judged against ``slo`` (or,
+    when None, its own attached limits). Rejected requests count against
+    attainment; they certainly missed."""
+    metrics = request_metrics(trace, slo)
+    ttfts = [m.ttft for m in metrics]
+    tpots = [m.tpot for m in metrics]
+    horizon = trace.horizon
+    return Score(
+        attainment=(sum(1 for m in metrics if m.met_slo) / len(trace.requests)
+                    if trace.requests else 0.0),
+        mean_ttft=sum(ttfts) / len(ttfts) if ttfts else float("inf"),
+        p99_ttft=_percentile(ttfts, 0.99) if ttfts else float("inf"),
+        mean_tpot=sum(tpots) / len(tpots) if tpots else float("inf"),
+        completed=len(metrics),
+        throughput=len(metrics) / horizon if horizon > 0 else 0.0,
+    )
+
+
+def slo_attainment(trace: SimTrace, slo: Optional[Slo] = None) -> float:
+    """Fraction of requests meeting both TTFT and TPOT limits."""
+    if not trace.requests:
+        raise EmptySet("no requests in trace")
+    return score(trace, slo).attainment
 
 
 def sweep(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
-          rate_grid: Sequence[float], seed: Optional[int] = None) -> SweepResult:
-    """Simulate the workload at every rate in the grid (full sweep, no search)."""
+          rate_grid: Sequence[float], seed: Optional[int] = None,
+          generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> SweepResult:
+    """Simulate the workload at every rate in the grid (full sweep, no search).
+
+    ``generate`` makes each rate's requests from the spec (default
+    :func:`generate_poisson`). The grid must rise strictly.
+    """
     if not rate_grid:
         raise ValueError("rate grid must be non-empty")
+    if any(b <= a for a, b in zip(rate_grid, rate_grid[1:])):
+        raise ValueError("sweep rates must be strictly increasing")
     seed = workload_spec.seed if seed is None else seed
     points = []
     for rate in rate_grid:
         spec = replace(workload_spec, rate_lambda=rate, seed=seed, slo=slo)
-        trace = run_simulation(config, generate_poisson(spec), seed=seed)
-        metrics = request_metrics(trace, slo)
-        ttfts = [m.ttft for m in metrics]
-        tpots = [m.tpot for m in metrics]
-        attainment = (sum(1 for m in metrics if m.met_slo) / len(trace.requests)
-                      if trace.requests else 0.0)
-        points.append(SweepPoint(
-            rate=rate,
-            attainment=attainment,
-            mean_ttft=sum(ttfts) / len(ttfts) if ttfts else float("inf"),
-            p99_ttft=_percentile(ttfts, 0.99) if ttfts else float("inf"),
-            mean_tpot=sum(tpots) / len(tpots) if tpots else float("inf"),
-        ))
+        # generate_poisson is looked up per call, so a replacement of it is used
+        s = score(run_simulation(config, (generate or generate_poisson)(spec), seed=seed), slo)
+        points.append(SweepPoint(rate, s.attainment, s.mean_ttft, s.p99_ttft, s.mean_tpot))
     return SweepResult(points=tuple(points))
 
 
@@ -148,10 +166,7 @@ def goodput(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
             rate_grid: Sequence[float], threshold: float = 0.9,
             seed: Optional[int] = None) -> float:
     """Highest grid rate sustaining the attainment threshold (0 if none)."""
-    rates = list(rate_grid)
-    if rates != sorted(rates) or len(set(rates)) != len(rates):
-        raise ValueError("rate grid must be strictly ascending")
-    result = sweep(config, workload_spec, slo, rates, seed=seed)
+    result = sweep(config, workload_spec, slo, rate_grid, seed=seed)
     return goodput_from_sweep(result.points, threshold)
 
 

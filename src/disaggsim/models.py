@@ -8,6 +8,7 @@ and the simulator build on.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -94,9 +95,13 @@ class HardwareSpec:
     num_gpus: int
 
     def __post_init__(self) -> None:
-        for name in ("gpu_memory", "intra_node_bandwidth", "inter_node_bandwidth", "num_gpus"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("gpu_memory", "num_gpus"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, not {getattr(self, name)}")
+        # An infinite bandwidth is allowed: its transfers take no time.
+        for name in ("intra_node_bandwidth", "inter_node_bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         if self.inter_node_bandwidth > self.intra_node_bandwidth:
             raise ValueError("inter-node bandwidth cannot exceed intra-node bandwidth")
 

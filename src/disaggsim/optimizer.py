@@ -20,7 +20,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .metrics import goodput, request_metrics
+# request_metrics is not called here: it stays bound because perfbench's
+# layers.patched replaces it by name in every scoring module.
+from .metrics import goodput, request_metrics, score  # noqa: F401
 from .engine import run_simulation
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
                         SystemConfig, expand_shape, from_dict, to_dict)
@@ -185,8 +187,6 @@ def load_space(path) -> ConfigSpace:
 class Objective:
     metric: Metric = Metric.GOODPUT
     beta: float = 0.075
-    cost_per_gpu: float = 1.0
-    slo_threshold: float = 0.9
 
     def __post_init__(self) -> None:
         if self.beta < 0:
@@ -209,25 +209,23 @@ class EvalResult:
 def evaluate(config: SystemConfig, workload_spec: WorkloadSpec, objective: Objective,
              seed: int, rate_grid: Optional[Sequence[float]] = None) -> EvalResult:
     """Score one configuration: metric value minus the weighted GPU cost."""
-    cost_value = cost(config.instances, objective.cost_per_gpu)
+    cost_value = cost(config.instances)
     try:
         config.validate()
         if objective.metric is Metric.GOODPUT:
             if not rate_grid:
                 raise ValueError("goodput objective needs a rate grid")
-            f_value = goodput(config, workload_spec, workload_spec.slo, rate_grid,
-                              threshold=objective.slo_threshold, seed=seed)
+            f_value = goodput(config, workload_spec, workload_spec.slo, rate_grid, seed=seed)
         else:
             spec = replace(workload_spec, seed=seed)
             trace = run_simulation(config, generate_poisson(spec), seed=seed)
+            scores = score(trace, workload_spec.slo)
             if objective.metric is Metric.NEG_MEAN_TTFT:
-                metrics = request_metrics(trace, workload_spec.slo)
-                if not metrics:
+                if not scores.completed:
                     raise ConfigInfeasible("no request completed")
-                f_value = -sum(m.ttft for m in metrics) / len(metrics)
+                f_value = -scores.mean_ttft
             else:  # THROUGHPUT
-                horizon = trace.horizon
-                f_value = trace.completed_count / horizon if horizon > 0 else 0.0
+                f_value = scores.throughput
     except ConfigInfeasible:
         return EvalResult(score=NEG_INF, f_value=NEG_INF, cost_value=cost_value,
                           feasible=False)

@@ -8,13 +8,14 @@ not measurements of any real accelerator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .controller import ControllerParams
 from .costs import CostParams
 from .models import HardwareSpec, ModelSpec, StageRole, builtin_model
 from .simconfig import SchedulePolicy, SystemConfig, expand_shape
-from .workload import Request, Slo, WorkloadSpec
+from .workload import Request, Slo, WorkloadSpec, generate_poisson, generate_shifted
 
 MINICPM = "minicpm-v-2.6"
 INTERNVL8 = "internvl2-8b"
@@ -89,7 +90,9 @@ class ExperimentPreset:
     seed: int
     images_per_request: int
     notes: str = ""
-    shifted_split: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
+    # The requests of a workload spec; every command that simulates the
+    # preset's workload (simulate, sweep, the ablations) calls this.
+    generate: Callable[[WorkloadSpec], list[Request]] = generate_poisson
 
 
 def build_system(model: ModelSpec, cost: CostParams, shape: str, *,
@@ -198,7 +201,7 @@ def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentP
         workload=workload, systems={"epd": system}, rate_grid=(3.0,), slo=slo,
         seed=seed, images_per_request=1,
         notes="10 short-output then 90 long-output requests at a fixed rate",
-        shifted_split=((10, 50), (90, 500)))
+        generate=partial(generate_shifted, early=(10, 50), late=(90, 500)))
 
 
 def optimizer_preset(seed: int = 20260808) -> ExperimentPreset:
@@ -217,13 +220,23 @@ def optimizer_preset(seed: int = 20260808) -> ExperimentPreset:
         notes="restricted search space; all eight GPUs used by every candidate")
 
 
-def offline_preset(seed: int = 20260808, num_requests: int = 200) -> ExperimentPreset:
+def offline_requests(spec: WorkloadSpec) -> list[Request]:
+    """``spec``'s requests, all arriving at time zero, ids ascending."""
+    images = tuple(spec.resolution for _ in range(spec.images_per_request))
+    return [
+        Request(id=i, arrival_time=0.0, prompt_tokens=spec.prompt_tokens,
+                images=images, output_tokens=spec.output_tokens, slo=spec.slo)
+        for i in range(spec.num_requests)
+    ]
+
+
+def offline_preset(seed: int = 20260808) -> ExperimentPreset:
     """Batch-submitted workload for end-to-end throughput comparisons."""
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]
     slo = Slo(60.0, 1.0)  # throughput runs are not SLO-gated
     workload = WorkloadSpec(
-        rate_lambda=1.0, num_requests=num_requests, prompt_tokens=7,
+        rate_lambda=1.0, num_requests=200, prompt_tokens=7,
         images_per_request=1, resolution=RES_LOW, output_tokens=10,
         seed=seed, slo=slo)
     systems = {
@@ -235,18 +248,8 @@ def offline_preset(seed: int = 20260808, num_requests: int = 200) -> ExperimentP
         name="offline-throughput", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
         workload=workload, systems=systems, rate_grid=(1.0,), slo=slo, seed=seed,
         images_per_request=1,
-        notes="all requests submitted at time zero; report requests per second")
-
-
-def offline_requests(preset: ExperimentPreset) -> list[Request]:
-    """All arrivals at time zero, ids ascending."""
-    spec = preset.workload
-    images = tuple(spec.resolution for _ in range(spec.images_per_request))
-    return [
-        Request(id=i, arrival_time=0.0, prompt_tokens=spec.prompt_tokens,
-                images=images, output_tokens=spec.output_tokens, slo=spec.slo)
-        for i in range(spec.num_requests)
-    ]
+        notes="all requests submitted at time zero; report requests per second",
+        generate=offline_requests)
 
 
 def _named_presets() -> dict[str, Callable[[], ExperimentPreset]]:

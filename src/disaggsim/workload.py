@@ -43,8 +43,8 @@ class Request:
             raise ValueError("output_tokens must be >= 1")
         if self.prompt_tokens < 0:
             raise ValueError("prompt_tokens must be >= 0")
-        if self.slo.ttft <= 0 or self.slo.tpot <= 0:
-            raise ValueError("slo limits must be positive")
+        if not (self.slo.ttft > 0 and self.slo.tpot > 0):  # inf: no limit; NaN fails
+            raise ValueError(f"slo limits must be positive, not {self.slo}")
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,13 @@ def config_file(tmp_path) -> Path:
     ("--config", {**SHAPE_CONFIG, "kv_fraction": "0.3"}, "kv_fraction"),
     ("--config", {**SHAPE_CONFIG, "tp": {"E": 0}}, "tp"),
     ("--config", {**SHAPE_CONFIG, "hardware": {**HARDWARE, "gpu_memory": -1}}, "gpu_memory"),
+    ("--config", {**SHAPE_CONFIG, "cost": {"decode_base": float("nan")}}, "decode_base"),
+    ("--config", {**SHAPE_CONFIG, "cost": {"decode_base": float("inf")}}, "decode_base"),
     ("--config", {**SHAPE_CONFIG, "shape": "1X2P"}, "shape"),
     ("--switch-params", {"monitor_interval": -1}, "monitor_interval"),
     ("--space", {"gpu_budget": "8"}, "gpu_budget"),
-], ids=["kv_fraction", "tp", "gpu_memory", "shape", "monitor_interval", "gpu_budget"])
+], ids=["kv_fraction", "tp", "gpu_memory", "decode_base-nan", "decode_base-inf", "shape",
+        "monitor_interval", "gpu_budget"])
 def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option, data, field):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -102,6 +105,9 @@ SWEEP = ("sweep", "--preset", "ttft-minicpm-2img")
     (("optimize",), "--trials", "0"),
     (("optimize",), "--beta", "-1"),
     (("optimize",), "--rate-grid", "0.5,-1"),
+    (("optimize",), "--rate-grid", "1,1"),
+    (SWEEP, "--rate-grid", "0.5,0.25"),
+    (SWEEP, "--rate-grid", ","),
     (WORKLOAD, "--num-requests", "-5"),
     (WORKLOAD, "--rate", "-1"),
     (WORKLOAD, "--rate", "inf"),
@@ -206,6 +212,19 @@ class TestSimulate:
                    "--workload", str(bad), "--slo", "5.0,0.1",
                    "--workload-rate", "4.0", "--seed", "3")
         assert code == (EXIT_OK if arrival == "0.25" else EXIT_PARSE)
+
+    @pytest.mark.parametrize("limits", ["nan,0.1", "5.0,nan"])
+    def test_nan_slo_limit_is_parse_error_naming_the_line(self, tmp_path, config_file,
+                                                          capsys, limits):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,arrival,prompt_tokens,num_images,width,height,output_tokens,"
+                       "ttft_limit,tpot_limit\n"
+                       "0,0.5,22,0,0,0,4,5.0,0.1\n"
+                       f"1,1.0,22,0,0,0,4,{limits}\n")
+        code = run(tmp_path, "simulate", "--config", str(config_file),
+                   "--workload", str(bad), "--slo", "5.0,0.1")
+        assert code == EXIT_PARSE
+        assert "line 3" in capsys.readouterr().err
 
     def test_unknown_preset_is_parse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -38,7 +38,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from disaggsim.cli import _preset_workload
 from disaggsim.controller import ControllerParams
 from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
 from disaggsim.engine import (_ARRIVAL, _STEP_END, _TRANSFER_END, _VECTOR_STEPS, _WORKER_DONE,
@@ -324,7 +323,7 @@ def tiny(config: SystemConfig, **changes) -> SystemConfig:
     tiny(BASE, role_switch=EAGER),
 ], ids=["preset", "tiny-caches", "no-admission-control", "eager-switch"])
 def test_switch_shifted_matches_full_scan(config):
-    workload = _preset_workload(PRESET, None)
+    workload = PRESET.generate(PRESET.workload)
     reference = assert_equivalent(config, workload)
     assert reference.outstanding == 0
     assert reference.switches, "the controller never switched"
@@ -351,7 +350,7 @@ def test_long_outputs_on_wide_and_deep_decode_matches_per_step():
     *others, first, second = BASE.instances
     config = replace(BASE, instances=(*others, replace(first, tp=2), replace(second, pp=2)),
                      hardware=replace(BASE.hardware, num_gpus=10))
-    workload = _preset_workload(PRESET, None)
+    workload = PRESET.generate(PRESET.workload)
     assert_equivalent(config, workload)
     sim = SegmentSim(config, workload, 7)
     sim.run()
@@ -361,7 +360,7 @@ def test_long_outputs_on_wide_and_deep_decode_matches_per_step():
 
 
 def test_single_output_token_matches_full_scan():
-    workload = [replace(r, output_tokens=1) for r in _preset_workload(PRESET, None)]
+    workload = [replace(r, output_tokens=1) for r in PRESET.generate(PRESET.workload)]
     assert_equivalent(tiny(BASE), workload)
 
 
@@ -370,7 +369,7 @@ def test_admission_at_exact_cache_sizes(mm_cache_tokens):
     """A request needing exactly a whole cache is admitted; one token more is not."""
     config = replace(BASE, mm_cache_tokens=mm_cache_tokens, kv_fraction=0.003, role_switch=None)
     decode_tokens = _Sim(config, [], 0).insts[-1].kv.total_blocks * config.block_size
-    first = _preset_workload(PRESET, None)[0]  # one 4K image: 640 MM tokens
+    first = PRESET.generate(PRESET.workload)[0]  # one 4K image: 640 MM tokens
     total = first.prompt_tokens + 640
     workload = [replace(first, id=0, output_tokens=decode_tokens - total),
                 replace(first, id=1, output_tokens=decode_tokens - total + 1)]

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disaggsim import metrics as metrics_module
 from disaggsim.engine import run_simulation
-from disaggsim.metrics import (EmptySet, IncompleteRequest, SweepPoint, SweepResult,
+from disaggsim.metrics import (EmptySet, IncompleteRequest, Score, SweepPoint,
                                goodput, goodput_from_sweep, request_metrics,
-                               slo_attainment, sweep, tpot, ttft)
+                               score, slo_attainment, sweep, tpot, ttft)
 from disaggsim.models import StageRole
 from disaggsim.simconfig import InstanceConfig, SystemConfig
 from disaggsim.trace import RequestRecord, SimTrace
@@ -86,6 +87,33 @@ class TestAttainment:
         assert slo_attainment(trace_of(ok, rej), Slo(1.0, 1.0)) == pytest.approx(0.5)
 
 
+class TestScore:
+    def test_every_figure(self):
+        # TTFTs 0.5, 1.5 and 2.5, TPOTs 0.125, horizon 3, one rejection
+        records = [record(rid=0, first=0.5, completion=1.0),
+                   record(rid=1, first=1.5, completion=2.0),
+                   record(rid=2, first=2.5, completion=3.0),
+                   RequestRecord(rid=3, arrival=0.0, prompt_tokens=1, mm_tokens=0,
+                                 total_tokens=1, output_tokens=2, rejected="context")]
+        assert score(trace_of(*records), Slo(2.0, 0.2)) == Score(
+            attainment=0.5, mean_ttft=1.5, p99_ttft=2.5, mean_tpot=0.125,
+            completed=3, throughput=1.0)
+
+    def test_means_add_in_id_order(self):
+        # float addition is not associative: the sum runs in request id order
+        records = [record(rid=i, first=f, completion=f + 1.0)
+                   for i, f in enumerate([1.0, 1.0, 1e16])]
+        assert (1.0 + 1.0) + 1e16 != (1e16 + 1.0) + 1.0
+        assert score(trace_of(*reversed(records)), Slo(1.0, 1.0)).mean_ttft == (2.0 + 1e16) / 3
+
+    def test_nothing_completed(self):
+        rejected = RequestRecord(rid=0, arrival=0.0, prompt_tokens=1, mm_tokens=0,
+                                 total_tokens=1, output_tokens=2, rejected="context")
+        inf = float("inf")
+        assert score(trace_of(rejected), Slo(1.0, 1.0)) == Score(0.0, inf, inf, inf, 0, 0.0)
+        assert score(trace_of(), Slo(1.0, 1.0)) == Score(0.0, inf, inf, inf, 0, 0.0)
+
+
 class TestGoodput:
     def test_profile_matches_brute_force(self):
         points = [SweepPoint(0.5, 1.0, 0, 0, 0), SweepPoint(1.0, 0.95, 0, 0, 0),
@@ -152,6 +180,11 @@ class TestSweepEndToEnd:
         assert metrics[0].ttft == pytest.approx(
             trace.requests[0].first_token_time - trace.requests[0].arrival)
 
-    def test_sweep_result_rejects_unsorted_rates(self):
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [1.0, 1.0], []])
+    def test_sweep_rejects_a_bad_grid_before_simulating(self, grid, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before checking the grid")
+        monkeypatch.setattr(metrics_module, "run_simulation", never)
+        spec = WorkloadSpec(rate_lambda=1.0, num_requests=3)
         with pytest.raises(ValueError):
-            SweepResult(points=(SweepPoint(1.0, 1, 0, 0, 0), SweepPoint(0.5, 1, 0, 0, 0)))
+            sweep(None, spec, Slo(10.0, 1.0), grid)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
+from disaggsim import cli, metrics as metrics_module
 from disaggsim.metrics import request_metrics
 from disaggsim.engine import run_simulation
-from disaggsim.presets import (SLO_TABLE, get_preset, offline_requests,
-                               preset_names, slo_for)
+from disaggsim.presets import SLO_TABLE, get_preset, preset_names, slo_for
 from disaggsim.workload import Slo, generate_poisson
 
 
@@ -46,25 +48,48 @@ def test_preset_systems_use_single_request_batches_for_latency_runs():
         assert all(inst.max_batch == 1 for inst in config.instances)
 
 
-def test_shifted_preset_carries_split():
-    preset = get_preset("switch-shifted")
-    assert preset.shifted_split == ((10, 50), (90, 500))
-    assert preset.workload.rate_lambda == 3.0
-    assert preset.workload.images_per_request == 1
+def recording(monkeypatch, module) -> list[list]:
+    """Record the requests of every ``run_simulation`` call made through ``module``."""
+    calls = []
+
+    def run(config, requests, seed=0):
+        calls.append(list(requests))
+        return run_simulation(config, requests, seed=seed)
+    monkeypatch.setattr(module, "run_simulation", run)
+    return calls
 
 
-def test_offline_requests_all_arrive_at_zero():
-    preset = get_preset("offline-throughput")
-    requests = offline_requests(preset)
-    assert len(requests) == preset.workload.num_requests
-    assert all(r.arrival_time == 0.0 for r in requests)
+@pytest.mark.parametrize("name", preset_names())
+def test_simulate_runs_the_presets_own_requests(name, monkeypatch, tmp_path):
+    preset = get_preset(name)
+    calls = recording(monkeypatch, cli)
+    args = ["--out-dir", str(tmp_path), "simulate", "--preset", name, "--seed", "5"]
+    if preset.systems:
+        args += ["--system", sorted(preset.systems)[0]]
+    assert cli.main(args) == cli.EXIT_OK
+    expected = preset.generate(dataclasses.replace(preset.workload, seed=5))
+    assert calls == ([expected] if preset.systems else [])
+
+
+def test_sweep_of_switch_shifted_simulates_the_shift(monkeypatch, tmp_path):
+    calls = recording(monkeypatch, metrics_module)
+    assert cli.main(["--out-dir", str(tmp_path), "sweep", "--preset", "switch-shifted"]) == 0
+    assert [[r.output_tokens for r in requests] for requests in calls] == [[50] * 10 + [500] * 90]
+
+
+def test_simulate_of_offline_throughput_submits_everything_at_zero(monkeypatch, tmp_path):
+    calls = recording(monkeypatch, cli)
+    assert cli.main(["--out-dir", str(tmp_path), "simulate",
+                     "--preset", "offline-throughput"]) == 0
+    assert len(calls) == 2
+    assert all(len(requests) == 200 for requests in calls)
+    assert {r.arrival_time for requests in calls for r in requests} == {0.0}
 
 
 def test_six_and_eight_image_presets_complete():
     # the heavier image-count presets stay feasible end to end
     for name in ("slo-minicpm-8img", "slo-internvl26-6img"):
         preset = get_preset(name)
-        import dataclasses
         spec = dataclasses.replace(preset.workload, num_requests=10,
                                    rate_lambda=preset.rate_grid[0])
         trace = run_simulation(preset.systems["epd"], generate_poisson(spec),

@@ -136,9 +136,8 @@ def test_validate_requires_every_shard_to_end_and_arrive_last_with_its_request()
 
 def test_conservation_under_role_switching():
     from disaggsim.presets import get_preset
-    from disaggsim.workload import generate_shifted
     preset = get_preset("switch-shifted")
-    workload = generate_shifted(preset.workload, *preset.shifted_split)
+    workload = preset.generate(preset.workload)
     trace = run_simulation(preset.systems["epd"], workload, seed=3)
     trace.validate()
     assert trace.completed_count == len(workload)
@@ -197,9 +196,8 @@ def test_event_times_never_regress():
     # the engine asserts heap monotonicity internally; a long mixed run with
     # switching enabled exercises it end to end
     from disaggsim.presets import get_preset
-    from disaggsim.workload import generate_shifted
     preset = get_preset("switch-shifted")
-    workload = generate_shifted(preset.workload, *preset.shifted_split)
+    workload = preset.generate(preset.workload)
     trace = run_simulation(preset.systems["epd"], workload, seed=9)
     events = list(trace.events())
     assert events == sorted(events, key=lambda row: (row[2], row[0], row[1]))

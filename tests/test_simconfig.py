@@ -189,3 +189,33 @@ class TestReading:
         config = system_from_dict({"model": MODEL.name, "hardware": HARDWARE,
                                    "instances": [{"role": "M"}], "kv_fraction": 1}, CATALOG)
         assert config.kv_fraction == 1
+
+
+COST_FIELDS = [name for name in CostParams.__dataclass_fields__]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", COST_FIELDS)
+    def test_cost_coefficient_is_named(self, key, value):
+        data = through_json({"model": MODEL.name, "hardware": HARDWARE,
+                             "instances": [{"role": "M"}], "cost": {key: value}})
+        with pytest.raises(ValueError, match=key):
+            system_from_dict(data, CATALOG)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gpu_memory", float("nan")), ("gpu_memory", float("inf")),
+        ("intra_node_bandwidth", float("nan")), ("inter_node_bandwidth", float("nan")),
+    ])
+    def test_hardware_value_is_named(self, key, value):
+        data = through_json({"model": MODEL.name, "hardware": {**HARDWARE, key: value},
+                             "instances": [{"role": "M"}]})
+        with pytest.raises(ValueError, match=key):
+            system_from_dict(data, CATALOG)
+
+    def test_infinite_bandwidth_means_instant_transfers(self):
+        hardware = {**HARDWARE, "intra_node_bandwidth": float("inf"),
+                    "inter_node_bandwidth": float("inf")}
+        config = system_from_dict(through_json({"model": MODEL.name, "hardware": hardware,
+                                                "instances": [{"role": "M"}]}), CATALOG)
+        assert config.hardware.inter_node_bandwidth == float("inf")

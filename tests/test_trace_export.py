@@ -19,7 +19,6 @@ import tracemalloc
 import pytest
 
 from disaggsim import trace as trace_module
-from disaggsim.cli import _preset_workload
 from disaggsim.engine import run_simulation
 from disaggsim.presets import get_preset, preset_names, switch_preset
 from disaggsim.trace import RequestRecord, SimTrace
@@ -83,7 +82,7 @@ def hand_built(*records: RequestRecord) -> SimTrace:
 @pytest.mark.parametrize("preset", preset_names())
 def test_every_preset_system_exports_reference_bytes(preset, tmp_path):
     spec = get_preset(preset)
-    workload = _preset_workload(spec, None)
+    workload = spec.generate(spec.workload)
     for config in spec.systems.values():
         assert_same_export(run_simulation(config, workload, seed=spec.seed), tmp_path)
 

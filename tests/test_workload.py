@@ -154,6 +154,18 @@ class TestTraceIO:
             load_trace(path, default_slo=Slo(5.0, 0.1))
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("limits", ["nan,0.1", "5.0,nan"])
+    def test_nan_slo_limit_names_its_line(self, tmp_path, limits):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "id,arrival,prompt_tokens,num_images,width,height,output_tokens,"
+            "ttft_limit,tpot_limit\n"
+            "0,0.5,22,0,0,0,3,5.0,0.1\n"
+            f"1,1.0,22,0,0,0,3,{limits}\n")
+        with pytest.raises(ParseError, match="slo limits must be positive") as excinfo:
+            load_trace(path)
+        assert excinfo.value.line == 3
+
     def test_unsorted_rows_allowed_when_arrivals_regenerated(self, tmp_path):
         path = tmp_path / "unsorted.csv"
         path.write_text(
@@ -198,6 +210,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="arrival_time must be finite"):
             Request(id=0, arrival_time=arrival, prompt_tokens=1, images=(),
                     output_tokens=1, slo=Slo(1.0, 1.0))
+
+    @pytest.mark.parametrize("slo", [Slo(float("nan"), 1.0), Slo(1.0, float("nan")),
+                                     Slo(0.0, 1.0), Slo(1.0, -1.0)])
+    def test_request_rejects_nan_or_non_positive_slo_limit(self, slo):
+        with pytest.raises(ValueError, match="slo limits must be positive"):
+            Request(id=0, arrival_time=0.0, prompt_tokens=1, images=(),
+                    output_tokens=1, slo=slo)
+
+    def test_request_takes_an_infinite_slo_limit_as_none(self):
+        request = Request(id=0, arrival_time=0.0, prompt_tokens=1, images=(),
+                          output_tokens=1, slo=Slo(float("inf"), float("inf")))
+        assert request.slo == Slo(float("inf"), float("inf"))
 
     def test_spec_requires_resolution_for_images(self):
         with pytest.raises(ValueError):
