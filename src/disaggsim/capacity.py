@@ -26,16 +26,12 @@ class DeploymentShape:
 
     role: StageRole
     kv_fraction: float = 0.8
-    mm_cache_tokens: int = 0  # 0 means bounded only by free memory
     act_bytes_per_token: float = 0.0
     enc_act_bytes_per_token: float = 0.0
-    gpus: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.kv_fraction <= 1:
             raise ValueError("kv_fraction must be within [0, 1]")
-        if self.gpus < 1:
-            raise ValueError("gpus must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -54,21 +50,20 @@ class CapacityReport:
 
 @dataclass(frozen=True)
 class _Budget:
-    free: float
     kv_reserve: float
     pool: float
 
 
 def _budget(model: ModelSpec, hw: HardwareSpec, shape: DeploymentShape,
             kv_fraction: Optional[float] = None) -> Optional[_Budget]:
-    free = hw.gpu_memory * shape.gpus - weights_bytes(model, shape.role)
+    free = hw.gpu_memory - weights_bytes(model, shape.role)
     if free < 0:
         return None
     # Dedicated encode workers reserve nothing for KV cache.
     fraction = 0.0 if shape.role is StageRole.ENCODE else (
         shape.kv_fraction if kv_fraction is None else kv_fraction)
     kv_reserve = fraction * free
-    return _Budget(free=free, kv_reserve=kv_reserve, pool=free - kv_reserve)
+    return _Budget(kv_reserve=kv_reserve, pool=free - kv_reserve)
 
 
 def _per_request_demand(model: ModelSpec, shape: DeploymentShape, mm_tokens: int,
@@ -89,8 +84,6 @@ def _feasible(model: ModelSpec, shape: DeploymentShape, budget: _Budget,
     total_tokens = mm_tokens + prompt_tokens
     if shape.role is not StageRole.ENCODE and total_tokens > model.max_context_tokens:
         return False, LimitingFactor.CONTEXT_LENGTH
-    if shape.mm_cache_tokens and batch * mm_tokens > shape.mm_cache_tokens:
-        return False, LimitingFactor.MEMORY
     pool_demand, kv_demand = _per_request_demand(model, shape, mm_tokens, total_tokens)
     if batch * pool_demand > budget.pool or batch * kv_demand > budget.kv_reserve:
         return False, LimitingFactor.MEMORY

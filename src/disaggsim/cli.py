@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
     runs: list[tuple[str, object, list]] = []
     if args.preset:
         preset = get_preset(args.preset)
-        seed = args.seed if args.seed is not None else preset.seed
+        seed = args.seed if args.seed is not None else preset.workload.seed
         workload = preset.generate(replace(preset.workload, seed=seed))
         labels = [args.system] if args.system else sorted(preset.systems)
         for label in labels:
@@ -169,20 +169,23 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     preset = get_preset(args.preset)
+    if not preset.rate_grid:
+        raise InputError(f"preset {preset.name!r} is not rate-swept: "
+                         "its requests do not depend on the arrival rate")
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else preset.seed
+    seed = args.seed if args.seed is not None else preset.workload.seed
     rate_grid = args.rate_grid or list(preset.rate_grid)
     threshold = args.threshold
     goodputs = {}
     for label in sorted(preset.systems):
         config = _apply_flags(preset.systems[label], args)
-        result = metrics_mod.sweep(config, preset.workload, preset.slo, rate_grid, seed=seed,
+        points = metrics_mod.sweep(config, preset.workload, preset.slo, rate_grid, seed=seed,
                                    generate=preset.generate)
         path = out / f"sweep-{preset.name}-{label}.csv"
         metrics_mod.write_sweep_csv(path, label, preset.model.name,
-                                    preset.images_per_request,
-                                    preset.hardware.num_gpus, result)
-        goodputs[label] = metrics_mod.goodput_from_sweep(result.points, threshold)
+                                    preset.workload.images_per_request,
+                                    preset.hardware.num_gpus, points)
+        goodputs[label] = metrics_mod.goodput_from_sweep(points, threshold)
         print(f"{label}: goodput={goodputs[label]} r/s "
               f"(threshold {threshold:.0%}, grid {rate_grid})")
     _write_meta(out / f"sweep-{preset.name}-meta.json", "sweep", {
@@ -296,6 +299,9 @@ def cmd_optimize(args) -> int:
              else restricted_space(preset.hardware.num_gpus))
     objective = Objective(metric=Metric(args.objective), beta=args.beta)
     rate_grid = args.rate_grid or list(preset.rate_grid)
+    if objective.metric is Metric.GOODPUT and not rate_grid:
+        raise InputError(f"preset {preset.name!r} has no rate grid for the goodput "
+                         "objective; give --rate-grid")
     base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
                         cost=preset.cost)
     result = solve(space, preset.workload, objective, base,

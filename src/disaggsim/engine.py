@@ -779,7 +779,7 @@ class _Sim:
                 shard_counts = [(k, p) for k, p in enumerate(irp_shard(r.patches, width)) if p > 0]
             r.shards = shard_counts
             r.rec.encode_start = t
-            r.rec.shards = [ShardRecord(worker=k, patches=p, start=t) for k, p in shard_counts]
+            r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in shard_counts]
             for shard_idx, (k, p) in enumerate(shard_counts):
                 worker_load[k] += p
                 worker_items[k].append((rid, shard_idx))

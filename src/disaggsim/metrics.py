@@ -52,11 +52,6 @@ class SweepPoint:
     mean_tpot: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    points: tuple[SweepPoint, ...]
-
-
 def _completed(trace: SimTrace, rid: int) -> RequestRecord:
     rec = trace.requests[rid]
     if not rec.completed:
@@ -129,7 +124,8 @@ def slo_attainment(trace: SimTrace, slo: Optional[Slo] = None) -> float:
 
 def sweep(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
           rate_grid: Sequence[float], seed: Optional[int] = None,
-          generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> SweepResult:
+          generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None
+          ) -> tuple[SweepPoint, ...]:
     """Simulate the workload at every rate in the grid (full sweep, no search).
 
     ``generate`` makes each rate's requests from the spec (default
@@ -146,7 +142,7 @@ def sweep(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
         # generate_poisson is looked up per call, so a replacement of it is used
         s = score(run_simulation(config, (generate or generate_poisson)(spec), seed=seed), slo)
         points.append(SweepPoint(rate, s.attainment, s.mean_ttft, s.p99_ttft, s.mean_tpot))
-    return SweepResult(points=tuple(points))
+    return tuple(points)
 
 
 def goodput_from_sweep(points: Sequence[SweepPoint], threshold: float = 0.9) -> float:
@@ -166,17 +162,17 @@ def goodput(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
             rate_grid: Sequence[float], threshold: float = 0.9,
             seed: Optional[int] = None) -> float:
     """Highest grid rate sustaining the attainment threshold (0 if none)."""
-    result = sweep(config, workload_spec, slo, rate_grid, seed=seed)
-    return goodput_from_sweep(result.points, threshold)
+    return goodput_from_sweep(sweep(config, workload_spec, slo, rate_grid, seed=seed),
+                              threshold)
 
 
 def write_sweep_csv(path, system: str, model: str, images_per_request: int,
-                    num_gpus: int, result: SweepResult) -> None:
+                    num_gpus: int, points: Sequence[SweepPoint]) -> None:
     """Emit rows shaped (system, model, images/request, per-GPU rate, attainment)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["system", "model", "images_per_request", "rate_per_gpu",
                          "attainment", "mean_ttft", "p99_ttft", "mean_tpot"])
-        for p in result.points:
+        for p in points:
             writer.writerow([system, model, images_per_request, p.rate / num_gpus,
                              p.attainment, p.mean_ttft, p.p99_ttft, p.mean_tpot])

@@ -106,19 +106,14 @@ class HardwareSpec:
             raise ValueError("inter-node bandwidth cannot exceed intra-node bandwidth")
 
 
-def weights_bytes(model: ModelSpec, role: StageRole, overhead: float = 0.0) -> float:
-    """Bytes of model weights a worker with the given role must hold.
-
-    ``overhead`` is an optional fixed workspace term (activation buffers and
-    framework allocations) added on top of the raw parameter bytes; it
-    defaults to zero.
-    """
+def weights_bytes(model: ModelSpec, role: StageRole) -> int:
+    """Bytes of model weights a worker with the given role must hold."""
     params = 0
     if role.serves_encode:
         params += model.encoder_params
     if role is not StageRole.ENCODE:
         params += model.llm_params
-    return params * model.bytes_per_param + overhead
+    return params * model.bytes_per_param
 
 
 def kv_bytes_per_token(model: ModelSpec) -> int:
@@ -166,10 +161,6 @@ _INT_FIELDS = (
 )
 
 
-def _format_patch_table(table: Mapping[Resolution, int]) -> str:
-    return ", ".join(f"{w}x{h}:{n}" for (w, h), n in sorted(table.items()))
-
-
 def _parse_patch_table(text: str) -> dict[Resolution, int]:
     table: dict[Resolution, int] = {}
     for entry in text.split(","):
@@ -197,17 +188,6 @@ def load_catalog(source) -> dict[str, ModelSpec]:
         kwargs["patch_table"] = _parse_patch_table(raw.get("patch_table", ""))
         catalog[section] = ModelSpec(name=section, **kwargs)
     return catalog
-
-
-def save_catalog(path, models: Mapping[str, ModelSpec]) -> None:
-    parser = configparser.ConfigParser()
-    for name, model in models.items():
-        parser[name] = {
-            **{key: str(getattr(model, key)) for key in _INT_FIELDS},
-            "patch_table": _format_patch_table(model.patch_table),
-        }
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)
 
 
 def builtin_catalog() -> dict[str, ModelSpec]:

@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
@@ -129,6 +129,16 @@ class ConfigSpace:
     prefill_batches: Sequence[int] = (1, 2)
     decode_batches: Sequence[int] = (8, 32, 128)
     policies: Sequence[SchedulePolicy] = (SchedulePolicy.FCFS,)
+
+    def __post_init__(self) -> None:
+        if self.gpu_budget < 1:
+            raise ValueError(f"gpu_budget must be >= 1, not {self.gpu_budget}")
+        for axis in fields(self)[2:]:  # the axes, after gpu_budget and budget_mode
+            values = getattr(self, axis.name)
+            if not values:
+                raise ValueError(f"{axis.name} must not be empty")
+            if axis.name.endswith(("_gpus", "_batches")) and min(values) < 1:
+                raise ValueError(f"{axis.name} must be >= 1, not {min(values)}")
 
     @property
     def axes(self) -> tuple[Sequence, ...]:

@@ -85,10 +85,8 @@ class ExperimentPreset:
     cost: CostParams
     workload: WorkloadSpec
     systems: dict[str, SystemConfig]
-    rate_grid: tuple[float, ...]
+    rate_grid: tuple[float, ...]  # empty when the requests ignore the arrival rate
     slo: Slo
-    seed: int
-    images_per_request: int
     notes: str = ""
     # The requests of a workload spec; every command that simulates the
     # preset's workload (simulate, sweep, the ablations) calls this.
@@ -137,8 +135,7 @@ def _slo_attainment_preset(model_name: str, images: int, seed: int = 20260808) -
     return ExperimentPreset(
         name=f"slo-{alias}-{images}img",
         model=model, hardware=EIGHT_GPU_NODE, cost=cost, workload=workload,
-        systems=systems, rate_grid=_FIG5_GRIDS[model_name], slo=slo, seed=seed,
-        images_per_request=images,
+        systems=systems, rate_grid=_FIG5_GRIDS[model_name], slo=slo,
         notes="online SLO-attainment sweep; synthetic stage calibration")
 
 
@@ -166,8 +163,7 @@ def ttft_distribution_preset(model_name: str, images: int,
     return ExperimentPreset(
         name=f"ttft-{alias}-{images}img",
         model=model, hardware=EIGHT_GPU_NODE, cost=cost, workload=workload,
-        systems=systems, rate_grid=(rate,), slo=slo, seed=seed,
-        images_per_request=images,
+        systems=systems, rate_grid=(rate,), slo=slo,
         notes="TTFT distribution at a fixed arrival rate")
 
 
@@ -199,7 +195,6 @@ def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentP
     return ExperimentPreset(
         name="switch-shifted", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
         workload=workload, systems={"epd": system}, rate_grid=(3.0,), slo=slo,
-        seed=seed, images_per_request=1,
         notes="10 short-output then 90 long-output requests at a fixed rate",
         generate=partial(generate_shifted, early=(10, 50), late=(90, 500)))
 
@@ -216,7 +211,7 @@ def optimizer_preset(seed: int = 20260808) -> ExperimentPreset:
     return ExperimentPreset(
         name="optimizer-restricted", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
         workload=workload, systems={}, rate_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6),
-        slo=slo, seed=seed, images_per_request=6,
+        slo=slo,
         notes="restricted search space; all eight GPUs used by every candidate")
 
 
@@ -246,8 +241,7 @@ def offline_preset(seed: int = 20260808) -> ExperimentPreset:
     }
     return ExperimentPreset(
         name="offline-throughput", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
-        workload=workload, systems=systems, rate_grid=(1.0,), slo=slo, seed=seed,
-        images_per_request=1,
+        workload=workload, systems=systems, rate_grid=(), slo=slo,
         notes="all requests submitted at time zero; report requests per second",
         generate=offline_requests)
 

@@ -87,6 +87,17 @@ class SystemConfig:
     admission_control: bool = True
     role_max_batch: Optional[dict[StageRole, int]] = None
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.kv_fraction <= 1:
+            raise ValueError(f"kv_fraction must be within [0, 1], not {self.kv_fraction}")
+        if self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, not {self.block_size}")
+        if self.mm_cache_tokens < 0:
+            raise ValueError(f"mm_cache_tokens must be >= 0, not {self.mm_cache_tokens}")
+        for role, cap in (self.role_max_batch or {}).items():
+            if cap < 1:
+                raise ValueError(f"role_max_batch[{role.value}] must be >= 1, not {cap}")
+
     @property
     def gpu_count(self) -> int:
         return sum(i.gpus for i in self.instances)
@@ -110,8 +121,6 @@ class SystemConfig:
             policies = {i.policy for i in self.instances if stage_check(i.role)}
             if len(policies) > 1:
                 raise ConfigInfeasible("instances within one stage must share a policy")
-        if not 0 <= self.kv_fraction <= 1:
-            raise ConfigInfeasible("kv_fraction must be within [0, 1]")
         if self.role_switch is not None and not roles <= _ROLE_FAMILIES[0]:
             raise ConfigInfeasible("role switching requires dedicated E/P/D instances")
 

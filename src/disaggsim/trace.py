@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
-import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,18 +30,10 @@ def _byte_table(texts: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _json_number(value) -> str:
-    """``value`` as ``json.dumps`` writes it: a finite float by ``float.__repr__``."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
-
-
 @dataclass
 class ShardRecord:
     worker: int
     patches: int
-    start: Optional[float] = None
     end: Optional[float] = None
     transfer_end: Optional[float] = None
 
@@ -157,8 +147,7 @@ class SimTrace:
             if shard.end is None or shard.transfer_end is None:
                 raise TraceInvariantError(
                     f"request {r.rid}: shard on worker {shard.worker} never ended or arrived")
-            ordered("shard start", r.encode_start, shard.start)
-            ordered("shard run", shard.start, shard.end)
+            ordered("shard run", r.encode_start, shard.end)
             ordered("shard transfer", shard.end, shard.transfer_end)
             ordered("shard/ep-end", shard.transfer_end, r.ep_transfer_end)
         # A request's shards share one FIFO channel: its transfer ends with the last.
@@ -187,10 +176,9 @@ class SimTrace:
     # --- export -------------------------------------------------------------
 
     def _columns(self):
-        """Columns ``(order, values, ranks, codes, rids, labels, times)``: row
-        ``i`` is ``(rids[ranks[i]], labels[codes[i]], t)``, with ``t`` the
-        ``i``-th object in the lists of ``times`` and ``values[i]`` its float.
-        ``order`` sorts by time, id, then label text (``token:10`` first)."""
+        """Columns ``(order, values, ranks, codes, rids, labels)``: row ``i``
+        is ``(rids[ranks[i]], labels[codes[i]], values[i])``. ``order`` sorts
+        by time, id, then label text (``token:10`` first)."""
         records = sorted(self.requests.values(), key=lambda r: r.rid)
         label_codes = {label.removesuffix("_time"): code
                        for code, label in enumerate(("arrival", *_STAMPS))}
@@ -220,40 +208,32 @@ class SimTrace:
         text_rank = np.argsort(np.argsort(labels)).astype(np.int32)
         values = np.fromiter(itertools.chain.from_iterable(times), np.float64, len(codes))
         order = np.lexsort((text_rank[codes], ranks, values))
-        return order, values, ranks, codes, [r.rid for r in records], labels, times
-
-    def events(self) -> Iterator[tuple[int, str, float]]:
-        """Flat (request id, event, time) stream sorted by time then id."""
-        order, _, ranks, codes, rids, labels, times = self._columns()
-        times = list(itertools.chain.from_iterable(times))
-        for i in order.tolist():
-            yield rids[ranks[i]], labels[codes[i]], times[i]
+        return order, values, ranks, codes, [r.rid for r in records], labels
 
     def write_events(self, path) -> None:
         """One JSON object per row, ``{"rid": …, "event": …, "time": …}``,
-        in the bytes ``json.dumps`` gives each row's dict.
+        in the bytes ``json.dumps`` gives each row's dict with its time as a
+        float (an int time is written as its float). A non-finite time raises
+        ``ValueError``, before the file is opened: JSON has no number for it.
 
         A chunk's lines are rows of one null-padded byte matrix, pieced from
-        tables of id heads, labels and time texts. If every time is a finite
-        float, a text is formatted per run of equal bits (0.0 and -0.0 are
-        written apart); else per row, as ``json.dumps`` writes the object.
+        tables of id heads, labels and time texts. A text is formatted once
+        per run of equal bits, so 0.0 and -0.0 are written apart.
         """
-        order, values, ranks, codes, rids, labels, times = self._columns()
-        exact = np.isfinite(values).all() and all(issubclass(kind, float) for kind in set(
-            map(type, itertools.chain.from_iterable(times))))
-        times = None if exact else list(itertools.chain.from_iterable(times))
+        order, values, ranks, codes, rids, labels = self._columns()
+        if not np.isfinite(values).all():
+            raise ValueError("an event time is not finite")
         heads = _byte_table(np.array([f'{{"rid": {rid}, "event": "' for rid in rids], "S"))
         tails = _byte_table(np.array([f'{label}", "time": ' for label in labels], "S"))
         with open(path, "wb") as handle:
             for start in range(0, len(order), _CHUNK_ROWS):
                 rows = order[start:start + _CHUNK_ROWS]
                 bits = values[rows].view(np.int64)
-                new = np.concatenate(([True], (bits[1:] != bits[:-1]) | (not exact)))
+                new = np.concatenate(([True], bits[1:] != bits[:-1]))
                 # At most 24 characters a float repr, filled without a list of them:
                 # a list per chunk fragments the heap (+8 MB peak RSS, decode-switch).
-                texts = (np.fromiter(map(float.__repr__, values[rows[new]].tolist()), "S24",
-                                     np.count_nonzero(new)) if exact
-                         else np.array([_json_number(times[i]) for i in rows.tolist()], "S"))
+                texts = np.fromiter(map(float.__repr__, values[rows[new]].tolist()), "S24",
+                                    np.count_nonzero(new))
                 stamps = _byte_table(texts)[np.cumsum(new) - 1]
                 ends = np.broadcast_to(_LINE_END, (len(rows), 2))
                 lines = np.concatenate((heads[ranks[rows]], tails[codes[rows]], stamps, ends),

@@ -37,9 +37,8 @@ def test_acceptance_1_disaggregation_dominance():
     preset = get_preset("encode-heavy")
     points = {}
     for label, config in sorted(preset.systems.items()):
-        result = sweep(config, preset.workload, preset.slo, preset.rate_grid,
-                       seed=preset.seed)
-        points[label] = result.points
+        points[label] = sweep(config, preset.workload, preset.slo, preset.rate_grid,
+                              seed=preset.workload.seed)
 
     dominated_rates = [
         i for i in range(len(preset.rate_grid))
@@ -187,12 +186,12 @@ def test_acceptance_6_metric_oracles():
     report(6, "metric correctness oracles")
 
 
-def test_acceptance_7_property_suites():
+def test_acceptance_7_property_suites(tmp_path):
     started = time.monotonic()
-    props.test_determinism_over_random_configs()
+    props.test_determinism_over_random_configs(tmp_path)
     props.test_causality_and_conservation_on_large_random_workload()
     props.test_irp_dominance_random_widths()
-    props.test_event_times_never_regress()
+    props.test_event_times_never_regress(tmp_path)
 
     # cost formula on randomized instance lists vs direct summation
     rng = np.random.default_rng(0)

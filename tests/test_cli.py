@@ -47,8 +47,15 @@ def config_file(tmp_path) -> Path:
     ("--config", {**SHAPE_CONFIG, "shape": "1X2P"}, "shape"),
     ("--switch-params", {"monitor_interval": -1}, "monitor_interval"),
     ("--space", {"gpu_budget": "8"}, "gpu_budget"),
+    ("--config", {**SHAPE_CONFIG, "role_max_batch": {"D": 0}}, "role_max_batch"),
+    ("--config", {**SHAPE_CONFIG, "block_size": 0}, "block_size"),
+    ("--config", {**SHAPE_CONFIG, "mm_cache_tokens": -16}, "mm_cache_tokens"),
+    ("--config", {**SHAPE_CONFIG, "kv_fraction": 1.5}, "kv_fraction"),
+    ("--space", {"gpu_budget": 8, "encode_batches": [0]}, "encode_batches"),
+    ("--space", {"gpu_budget": 8, "decode_gpus": []}, "decode_gpus"),
 ], ids=["kv_fraction", "tp", "gpu_memory", "decode_base-nan", "decode_base-inf", "shape",
-        "monitor_interval", "gpu_budget"])
+        "monitor_interval", "gpu_budget", "role_max_batch-0", "block_size-0",
+        "mm_cache_tokens-negative", "kv_fraction-1.5", "encode_batches-0", "decode_gpus-empty"])
 def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option, data, field):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -340,6 +347,15 @@ class TestSweep:
                                           "rate_per_gpu", "attainment"]
         assert rows[1].startswith("epd,minicpm-v-2.6,2,")
 
+    @pytest.mark.parametrize("command", ["sweep", "goodput"])
+    @pytest.mark.parametrize("grid", [(), ("--rate-grid", "0.5,1,2")], ids=["preset", "flag"])
+    def test_preset_without_rate_grid_is_parse_error(self, tmp_path, capsys, command, grid):
+        """offline-throughput's requests all arrive at 0 whatever the rate, so
+        every grid point would simulate the same trace."""
+        assert run(tmp_path, command, "--preset", "offline-throughput", *grid) == EXIT_PARSE
+        assert "offline-throughput" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir()), "a rejected sweep wrote output"
+
 
 class TestCapacity:
     def test_capacity_table(self, tmp_path):
@@ -382,6 +398,12 @@ class TestWorkloadCommand:
 
 
 class TestOptimize:
+    def test_goodput_objective_without_rate_grid_is_parse_error(self, tmp_path, capsys):
+        assert run(tmp_path, "optimize", "--preset", "offline-throughput",
+                   "--trials", "1") == EXIT_PARSE
+        assert "--rate-grid" in capsys.readouterr().err
+        assert not (tmp_path / "optimize-best.json").exists()
+
     def test_optimize_writes_config_and_log(self, tmp_path):
         code = run(tmp_path, "optimize", "--trials", "4", "--seed", "1",
                    "--strategy", "random", "--rate-grid", "0.4,0.8")

@@ -119,7 +119,7 @@ class TestValidation:
 def switched_trace():
     preset = get_preset("switch-shifted")
     workload = preset.generate(preset.workload)
-    return run_simulation(preset.systems["epd"], workload, seed=preset.seed)
+    return run_simulation(preset.systems["epd"], workload, seed=preset.workload.seed)
 
 
 class TestEngineIntegration:
@@ -164,6 +164,6 @@ class TestEngineIntegration:
         preset = get_preset("switch-shifted")
         config = dataclasses.replace(preset.systems["epd"], role_switch=None)
         workload = preset.generate(preset.workload)
-        trace = run_simulation(config, workload, seed=preset.seed)
+        trace = run_simulation(config, workload, seed=preset.workload.seed)
         assert trace.switches == []
         assert trace.completed_count == len(workload)

@@ -259,7 +259,7 @@ class PerEventSim(BoundedSim):
             r.shards = [(k, p) for k, p in enumerate(irp_shard(r.patches, inst.tp)) if p > 0]
             r.shards = r.shards or [(0, 0)]  # text-only still pays the batch base cost
             r.rec.encode_start = t
-            r.rec.shards = [ShardRecord(worker=k, patches=p, start=t) for k, p in r.shards]
+            r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in r.shards]
             for shard_idx, (k, p) in enumerate(r.shards):
                 worker_load[k] += p
                 worker_items.setdefault(k, []).append((rid, shard_idx))

@@ -161,8 +161,8 @@ class TestSweepEndToEnd:
                             images_per_request=1, resolution=(100, 100),
                             output_tokens=4, seed=3)
         result = sweep(config, spec, Slo(10.0, 1.0), [0.5, 1.0], seed=3)
-        assert len(result.points) == 2
-        assert all(0.0 <= p.attainment <= 1.0 for p in result.points)
+        assert len(result) == 2
+        assert all(0.0 <= p.attainment <= 1.0 for p in result)
         again = sweep(config, spec, Slo(10.0, 1.0), [0.5, 1.0], seed=3)
         assert result == again
 

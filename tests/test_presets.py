@@ -93,7 +93,7 @@ def test_six_and_eight_image_presets_complete():
         spec = dataclasses.replace(preset.workload, num_requests=10,
                                    rate_lambda=preset.rate_grid[0])
         trace = run_simulation(preset.systems["epd"], generate_poisson(spec),
-                               seed=preset.seed)
+                               seed=preset.workload.seed)
         assert trace.completed_count == 10
         metrics = request_metrics(trace, preset.slo)
         assert all(m.ttft < preset.slo.ttft for m in metrics), name

@@ -71,22 +71,22 @@ def random_workload(rng: np.random.Generator, n: int) -> list[Request]:
     return requests
 
 
-def serialized(trace) -> str:
-    return json.dumps({
-        "events": list(trace.events()),
-        "switch_times": [(s.time, s.offload_done, s.migration_done, s.onload_done)
-                         for s in trace.switches],
-    })
+def serialized(trace, path) -> bytes:
+    """The trace's events.jsonl bytes, then its switch times as JSON."""
+    trace.write_events(path)
+    return path.read_bytes() + json.dumps(
+        [(s.time, s.offload_done, s.migration_done, s.onload_done)
+         for s in trace.switches]).encode()
 
 
-def test_determinism_over_random_configs():
+def test_determinism_over_random_configs(tmp_path):
     rng = np.random.default_rng(42)
     for _ in range(20):
         config = random_config(rng)
         workload = random_workload(rng, 15)
         first = run_simulation(config, workload, seed=7)
         second = run_simulation(config, workload, seed=7)
-        assert serialized(first) == serialized(second)
+        assert serialized(first, tmp_path / "a") == serialized(second, tmp_path / "b")
 
 
 def test_causality_and_conservation_on_large_random_workload():
@@ -134,7 +134,7 @@ def test_validate_requires_every_shard_to_end_and_arrive_last_with_its_request()
         trace.validate()
 
 
-def test_conservation_under_role_switching():
+def test_conservation_under_role_switching(tmp_path):
     from disaggsim.presets import get_preset
     preset = get_preset("switch-shifted")
     workload = preset.generate(preset.workload)
@@ -142,7 +142,7 @@ def test_conservation_under_role_switching():
     trace.validate()
     assert trace.completed_count == len(workload)
     repeat = run_simulation(preset.systems["epd"], workload, seed=3)
-    assert serialized(trace) == serialized(repeat)
+    assert serialized(trace, tmp_path / "a") == serialized(repeat, tmp_path / "b")
 
 
 def test_interference_ordering_random_arrivals():
@@ -192,12 +192,14 @@ def test_irp_dominance_random_widths():
         assert sharded < unsharded
 
 
-def test_event_times_never_regress():
+def test_event_times_never_regress(tmp_path):
     # the engine asserts heap monotonicity internally; a long mixed run with
     # switching enabled exercises it end to end
     from disaggsim.presets import get_preset
     preset = get_preset("switch-shifted")
     workload = preset.generate(preset.workload)
     trace = run_simulation(preset.systems["epd"], workload, seed=9)
-    events = list(trace.events())
-    assert events == sorted(events, key=lambda row: (row[2], row[0], row[1]))
+    trace.write_events(tmp_path / "events.jsonl")
+    events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    assert len(events) > 1000
+    assert events == sorted(events, key=lambda row: (row["time"], row["rid"], row["event"]))

@@ -1,6 +1,7 @@
 """The config codec: lossless JSON round trips and strict reading."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,9 +106,9 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(st.builds(
         ConfigSpace, gpu_budget=st.integers(1, 64), budget_mode=st.sampled_from(BudgetMode),
-        encode_gpus=st.lists(st.integers(1, 8)).map(tuple),
-        irp_choices=st.lists(st.booleans()).map(tuple),
-        decode_batches=st.lists(st.integers(1, 256)).map(tuple),
+        encode_gpus=st.lists(st.integers(1, 8), min_size=1).map(tuple),
+        irp_choices=st.lists(st.booleans(), min_size=1).map(tuple),
+        decode_batches=st.lists(st.integers(1, 256), min_size=1).map(tuple),
         policies=st.lists(st.sampled_from(SchedulePolicy), min_size=1,
                           unique=True).map(tuple)))
     def test_config_space(self, space):
@@ -219,3 +220,39 @@ class TestNonFiniteValues:
         config = system_from_dict(through_json({"model": MODEL.name, "hardware": hardware,
                                                 "instances": [{"role": "M"}]}), CATALOG)
         assert config.hardware.inter_node_bandwidth == float("inf")
+
+
+class TestOwnValueChecks:
+    """A system or search space with a value no run can use is refused when
+    it is built, naming the field."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("kv_fraction", 1.5), ("kv_fraction", -0.1), ("kv_fraction", float("nan")),
+        ("block_size", 0), ("mm_cache_tokens", -16),
+        ("role_max_batch", {StageRole.ENCODE: 1, StageRole.DECODE: 0}),
+        ("role_max_batch", {StageRole.DECODE: -3}),
+    ])
+    def test_system_value_is_named(self, key, value):
+        system = get_preset("switch-shifted").systems["epd"]
+        with pytest.raises(ValueError, match=key):
+            replace(system, **{key: value})
+
+    @pytest.mark.parametrize("changes", [
+        {"kv_fraction": 0.0, "mm_cache_tokens": 0, "block_size": 1},
+        {"kv_fraction": 1.0, "role_max_batch": {StageRole.DECODE: 1}},
+    ])
+    def test_system_edge_values_are_kept(self, changes):
+        system = replace(get_preset("switch-shifted").systems["epd"], **changes)
+        assert round_trip(system) == system
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"gpu_budget": 0}, "gpu_budget"),
+        ({"encode_batches": (0,)}, "encode_batches"),
+        ({"prefill_gpus": (1, -2)}, "prefill_gpus"),
+        ({"decode_gpus": ()}, "decode_gpus"),
+        ({"irp_choices": ()}, "irp_choices"),
+        ({"policies": ()}, "policies"),
+    ])
+    def test_config_space_axis_is_named(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            ConfigSpace(**{"gpu_budget": 8, **changes})

@@ -1,13 +1,14 @@
-"""``SimTrace.write_events`` and ``SimTrace.events`` against the row-by-row
-``json.dumps`` writer they replaced.
+"""``SimTrace.write_events`` against the row-by-row ``json.dumps`` writer it
+replaced.
 
 The writer sorts the rows as columns with one ``numpy.lexsort`` on (time,
 request id rank, label text rank), formats each run of equal times in a
 chunk of ``_CHUNK_ROWS`` rows once, and pieces every line together from byte
 tables. Its bytes must equal those of one ``json.dumps`` per row dict, in the
 same order, on every preset system and on hand-built traces with the ties,
-number forms, ids and chunk edges that a shortcut would get wrong. One test
-bounds the writer's traced memory per exported row.
+number forms, ids and chunk edges that a shortcut would get wrong. Every time
+is written as a float; a non-finite one is refused. One test bounds the
+writer's traced memory per exported row.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def reference_rows(trace: SimTrace) -> list[tuple[int, str, float]]:
 
 
 def reference_bytes(trace: SimTrace) -> bytes:
-    return "".join(json.dumps({"rid": rid, "event": event, "time": t}) + "\n"
+    return "".join(json.dumps({"rid": rid, "event": event, "time": float(t)}) + "\n"
                    for rid, event, t in reference_rows(trace)).encode()
 
 
@@ -58,7 +59,6 @@ def assert_same_export(trace: SimTrace, tmp_path) -> None:
     path = tmp_path / "events.jsonl"
     trace.write_events(path)
     assert path.read_bytes() == reference_bytes(trace)
-    assert list(trace.events()) == reference_rows(trace)
 
 
 def record(rid: int, arrival: float, **fields) -> RequestRecord:
@@ -84,7 +84,7 @@ def test_every_preset_system_exports_reference_bytes(preset, tmp_path):
     spec = get_preset(preset)
     workload = spec.generate(spec.workload)
     for config in spec.systems.values():
-        assert_same_export(run_simulation(config, workload, seed=spec.seed), tmp_path)
+        assert_same_export(run_simulation(config, workload, seed=spec.workload.seed), tmp_path)
 
 
 def test_rejected_request_and_shared_times(tmp_path):
@@ -107,25 +107,37 @@ def test_token_indexes_past_nine_sort_as_text(tmp_path):
 
 def test_signed_zero_and_number_forms_are_kept(tmp_path):
     """0.0 and -0.0 compare equal but are written differently; so are the
-    exponent forms and the non-finite values of ``json.dumps``."""
+    exponent forms."""
     trace = hand_built(
         served(0, 0.0, [-0.0, 0.0, 1e-7]),
-        served(1, -0.0, [0.0, 1e16, float("inf")]),
+        served(1, -0.0, [0.0, 1e16]),
         record(2, 0.0, rejected="empty"),
         record(3, -0.0, rejected="context"),
     )
     assert_same_export(trace, tmp_path)
 
 
-def test_int_times_beside_equal_floats(tmp_path):
-    """An int time is written as an int, even where a float of equal value
-    shares its run; the two still tie in the sort."""
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_time_raises(bad, tmp_path):
+    """JSON has no number for a non-finite time: the export refuses it and
+    writes no file."""
+    path = tmp_path / "events.jsonl"
+    with pytest.raises(ValueError, match="not finite"):
+        hand_built(served(0, 0.0, [1.0, bad])).write_events(path)
+    assert not path.exists()
+
+
+def test_int_time_is_written_as_its_float(tmp_path):
+    """An int time is written as its float, like a float of equal value in
+    its run; the two still tie in the sort."""
     trace = hand_built(
         served(0, 1, [1.0, 2, 2.0]),
         served(1, 1.0, [1, 2.0, 3]),
         record(2, 1, rejected="kv_capacity"),
     )
     assert_same_export(trace, tmp_path)
+    text = (tmp_path / "events.jsonl").read_text()
+    assert '"time": 3.0}' in text and '"time": 1}' not in text
 
 
 def test_ids_out_of_order_sparse_and_beyond_int64(tmp_path):
@@ -173,7 +185,8 @@ def test_export_memory_per_row_is_bounded(tmp_path):
     preset = switch_preset()
     spec = dataclasses.replace(preset.workload, num_requests=500)
     trace = run_simulation(preset.systems["epd"],
-                           generate_shifted(spec, (50, 50), (450, 500)), seed=preset.seed)
+                           generate_shifted(spec, (50, 50), (450, 500)),
+                           seed=preset.workload.seed)
     path = tmp_path / "events.jsonl"
     tracemalloc.start()
     try:
