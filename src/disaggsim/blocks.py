@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 
@@ -13,7 +12,7 @@ class CacheKind(Enum):
 
 def blocks_for(tokens: int, block_size: int) -> int:
     """Whole blocks of ``block_size`` tokens that hold ``tokens``."""
-    return math.ceil(tokens / block_size) if tokens > 0 else 0
+    return -(-tokens // block_size) if tokens > 0 else 0
 
 
 class BlockManager:
@@ -34,21 +33,19 @@ class BlockManager:
         self.free_blocks = total_blocks
         self.allocated: dict[int, int] = {}
 
-    def blocks_needed(self, tokens: int) -> int:
-        return blocks_for(tokens, self.block_size)
-
     @property
     def used_blocks(self) -> int:
         return self.total_blocks - self.free_blocks
 
+    # can_allocate and allocate round up inline: they run on every reservation.
     def can_allocate(self, tokens: int) -> bool:
-        return self.blocks_needed(tokens) <= self.free_blocks
+        return -(-tokens // self.block_size) <= self.free_blocks
 
     def allocate(self, request_id: int, tokens: int) -> int:
         """Reserve blocks for ``tokens``; return how many were taken."""
         if request_id in self.allocated:
             raise RuntimeError(f"request {request_id} already holds {self.kind.value} blocks")
-        need = self.blocks_needed(tokens)
+        need = -(-tokens // self.block_size) if tokens > 0 else 0
         if need > self.free_blocks:
             raise RuntimeError(f"{self.kind.value} cache overcommitted ({need} > {self.free_blocks})")
         self.free_blocks -= need

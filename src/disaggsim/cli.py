@@ -306,7 +306,7 @@ def cmd_optimize(args) -> int:
                         cost=preset.cost)
     result = solve(space, preset.workload, objective, base,
                    strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,
-                   rate_grid=rate_grid)
+                   rate_grid=rate_grid, generate=preset.generate)
     best_path = out / "optimize-best.json"
     save_system_config(best_path, result.best_config)
     write_search_log(out / "optimize-log.csv", result.log)

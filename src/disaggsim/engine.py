@@ -19,15 +19,22 @@ At batch start an instance reserves MM if its role serves encode and KV if it
 serves prefill; a prefill instance reserves MM before the encoded data is
 sent to it, and a decode instance KV before the prefilled cache is.
 
-Per-event work does not grow with queue length or cache size. Caches count
-blocks instead of naming them (:class:`BlockManager`), each instance keeps
-running patch and token sums of its queue and its running batch for the load
-reads and of its decode batch's KV tokens for the step time, each request's
-block needs are computed once, and dispatch after an event visits only the
-instances that event touched, retrying the wait queues only after a cache
-free or a pool change, whose stage pools are rebuilt only when a switch
-begins or ends. A request's engine state is kept only while it is open;
-its trace record is written as the run goes, and no decision reads it.
+Per-event work does not grow with queue length or cache size, and what a
+request needs is worked out once per *shape*. Requests of one (images,
+prompt, output) shape share a :class:`_Shape`: patches and tokens, MM
+blocks, KV blocks and tokens with and without the output, and the shard
+split for each encode width; a :class:`_Req` holds only where its request is
+and how far it has got. The admission verdict is kept per shape until the
+stage pools change, and they are rebuilt only when a switch begins or ends.
+Caches count blocks instead of naming them (:class:`BlockManager`). A route
+filters its stage's pool in one pass over the cache-fit rule and free blocks,
+then takes the least-loaded or the next round-robin instance of those. Each
+instance keeps running patch and token sums of its queue and its running
+batch for the load reads and of its decode batch's KV tokens for the step
+time. Dispatch after an event visits only the instances that event touched,
+retrying the wait queues only after a cache free or a pool change. A
+request's engine state is kept only while it is open; its trace record is
+written as the run goes, and no decision reads it.
 
 Events whose outcome is fixed when they are pushed are folded, leaving 7
 per request on encode-heavy ``epd`` where there were 13. Only the next
@@ -137,22 +144,6 @@ def irp_shard(patches: int, width: int) -> list[int]:
     return [base + 1] * rem + [base] * (width - rem)
 
 
-def assign_instance(policy: SchedulePolicy, candidates: Sequence[tuple[int, float]],
-                    rr_counter: int = 0) -> tuple[int, int]:
-    """Pick an instance id from ordered (id, load) candidates.
-
-    Round-robin (the FCFS default) cycles deterministically via the returned
-    counter; least-loaded picks the minimum load with ties to the lowest id.
-    """
-    if not candidates:
-        raise ValueError("no candidate instances")
-    if policy is SchedulePolicy.LEAST_LOADED:
-        iid, _ = min(candidates, key=lambda pair: (pair[1], pair[0]))
-        return iid, rr_counter
-    iid, _ = candidates[rr_counter % len(candidates)]
-    return iid, rr_counter + 1
-
-
 def form_batch(queue: Sequence[int], max_batch: int, fits: Callable[[int], bool]) -> list[int]:
     """Longest FCFS prefix (up to ``max_batch``) whose members fit.
 
@@ -196,26 +187,42 @@ def plan_steps_numpy(cost: CostParams, batch: int, kv: int, factor: float, start
     return np.add.accumulate(durations).tolist()
 
 
+class _Shape:
+    """What every request of one (images, prompt, output) shape needs: its
+    patches and tokens, its MM blocks, its KV blocks and tokens indexed by
+    ``serves_decode``, and its shard split for each encode width."""
+    __slots__ = ("patches", "mm_tokens", "total_tokens", "mm_blocks", "kv_blocks",
+                 "kv_tokens", "shards")
+
+    def __init__(self, model, req: Request, block_size: int):
+        self.patches = sum(patches_for_image(model, res) for res in req.images)
+        self.mm_tokens, self.total_tokens = tokens_for_request(model, req)
+        self.mm_blocks = blocks_for(self.mm_tokens, block_size)
+        self.kv_tokens = (self.total_tokens, self.total_tokens + req.output_tokens)
+        self.kv_blocks = tuple(blocks_for(tokens, block_size) for tokens in self.kv_tokens)
+        self.shards: dict[int, tuple[tuple[int, int], ...]] = {}  # (worker, patches) by width
+
+    def split(self, width: int) -> tuple[tuple[int, int], ...]:
+        """The non-empty shards over ``width`` workers; text-only requests
+        still put one empty shard on worker 0, which pays the batch base cost."""
+        if width not in self.shards:
+            split = tuple((k, p) for k, p in enumerate(irp_shard(self.patches, width)) if p > 0)
+            self.shards[width] = split or ((0, 0),)
+        return self.shards[width]
+
+
 class _Req:
-    __slots__ = ("req", "patches", "mm_tokens", "total_tokens", "mm_blocks", "kv_blocks",
-                 "rec", "e_iid", "p_iid", "d_iid", "shards", "shards_run_done",
+    __slots__ = ("req", "shape", "rec", "e_iid", "p_iid", "d_iid", "shards", "shards_run_done",
                  "ready_unsent", "emitted")
 
-    def __init__(self, req: Request, patches: int, mm_tokens: int, total_tokens: int,
-                 block_size: int, rec: RequestRecord):
+    def __init__(self, req: Request, shape: _Shape, rec: RequestRecord):
         self.req = req
-        self.patches = patches
-        self.mm_tokens = mm_tokens
-        self.total_tokens = total_tokens
-        self.mm_blocks = blocks_for(mm_tokens, block_size)
-        # KV blocks without and with the output tokens, indexed by serves_decode.
-        self.kv_blocks = (blocks_for(total_tokens, block_size),
-                          blocks_for(total_tokens + req.output_tokens, block_size))
+        self.shape = shape
         self.rec = rec
         self.e_iid: Optional[int] = None
         self.p_iid: Optional[int] = None
         self.d_iid: Optional[int] = None
-        self.shards: list[tuple[int, int]] = []  # (worker, patches) per shard
+        self.shards: tuple[tuple[int, int], ...] = ()  # the shape's split, once encoding
         self.shards_run_done = 0
         self.ready_unsent: list[int] = []
         self.emitted = 0
@@ -276,14 +283,11 @@ class _Instance:
             self.kv = BlockManager(CacheKind.KV, system.block_size,
                                    int(system.kv_fraction * free // per_block))
 
-    def holds(self, r: _Req) -> bool:
-        """The cache-fit rule: whether this instance's whole caches fit ``r``."""
-        return ((self.mm is None or r.mm_blocks <= self.mm.total_blocks)
-                and (self.kv is None or r.kv_blocks[self.serves_decode] <= self.kv.total_blocks))
-
-    def kv_tokens(self, r: _Req) -> int:
-        """KV tokens ``r`` reserves here: its prompt, and its output if this serves decode."""
-        return r.total_tokens + r.req.output_tokens if self.serves_decode else r.total_tokens
+    def holds(self, shape: _Shape) -> bool:
+        """The cache-fit rule: whether this instance's whole caches fit ``shape``."""
+        return ((self.mm is None or shape.mm_blocks <= self.mm.total_blocks)
+                and (self.kv is None
+                     or shape.kv_blocks[self.serves_decode] <= self.kv.total_blocks))
 
 
 class _Sim:
@@ -323,6 +327,7 @@ class _Sim:
         self.rs: dict[int, _Req] = {}
         self.records: dict[int, RequestRecord] = {}
         arrivals = []
+        shapes: dict[tuple, _Shape] = {}
         last_arrival = float("-inf")
         for req in workload:
             if req.id in self.records:
@@ -330,14 +335,16 @@ class _Sim:
             if req.arrival_time < last_arrival:
                 raise ValueError("workload must be sorted by arrival time")
             last_arrival = req.arrival_time
-            mm_tokens, total_tokens = tokens_for_request(self.model, req)
-            patches = sum(patches_for_image(self.model, res) for res in req.images)
+            key = (req.images, req.prompt_tokens, req.output_tokens)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _Shape(self.model, req, config.block_size)
             rec = RequestRecord(rid=req.id, arrival=req.arrival_time,
-                                prompt_tokens=req.prompt_tokens, mm_tokens=mm_tokens,
-                                total_tokens=total_tokens, output_tokens=req.output_tokens,
+                                prompt_tokens=req.prompt_tokens, mm_tokens=shape.mm_tokens,
+                                total_tokens=shape.total_tokens, output_tokens=req.output_tokens,
                                 slo=req.slo)
             self.records[req.id] = rec
-            arrivals.append(_Req(req, patches, mm_tokens, total_tokens, config.block_size, rec))
+            arrivals.append(_Req(req, shape, rec))
         self.arrivals = iter(arrivals)  # those not yet pushed
         self.outstanding = len(self.records)
 
@@ -399,9 +406,11 @@ class _Sim:
     # --- pools and loads ------------------------------------------------------
 
     def _rebuild_pools(self) -> None:
-        """The active instances that serve each stage, in iid order."""
+        """The active instances that serve each stage, in iid order; the
+        admission verdicts, judged by them, are dropped."""
         self.pools = {stage: [i for i in self.insts if i.state == "active" and i.role in roles]
                       for stage, roles in _SERVES.items()}
+        self.verdicts: dict[_Shape, Optional[str]] = {}
 
     def _arrival_load(self, inst: _Instance) -> float:
         # outstanding work, in-flight batch included, so idle instances win
@@ -427,7 +436,7 @@ class _Sim:
             entries = tuple((i.iid, per_inst(i)) for i in pool)
             total = sum(load for _, load in entries)
             if stage == "prefill":
-                total += sum(self.rs[rid].total_tokens for rid in self.ep_wait)
+                total += sum(self.rs[rid].shape.total_tokens for rid in self.ep_wait)
             elif stage == "decode":
                 total += len(self.pd_wait)
             loads[role] = StageLoad(total=total, instances=entries)
@@ -436,8 +445,8 @@ class _Sim:
     def _enqueue(self, inst: _Instance, r: _Req, t: float) -> None:
         self._cut(inst, t)  # queued work is tried between decode steps
         inst.queue.append(r.req.id)
-        inst.queued_patches += r.patches
-        inst.queued_tokens += r.total_tokens
+        inst.queued_patches += r.shape.patches
+        inst.queued_tokens += r.shape.total_tokens
         self.touched.add(inst.iid)
 
     def _free(self, inst: _Instance, manager: BlockManager, rid: int) -> None:
@@ -450,26 +459,35 @@ class _Sim:
     def _admission_reason(self, r: _Req) -> Optional[str]:
         """Why ``r`` can never be served, or None when every stage has an
         active instance that holds it. A switching instance counts for no
-        stage: it is leaving its old role and has no caches for the new one."""
-        if r.total_tokens == 0:
+        stage: it is leaving its old role and has no caches for the new one.
+        Only the pools change the verdict, so it is judged once per shape
+        between two pool changes."""
+        shape = r.shape
+        if shape not in self.verdicts:
+            self.verdicts[shape] = self._judge(shape)
+        return self.verdicts[shape]
+
+    def _judge(self, shape: _Shape) -> Optional[str]:
+        if shape.total_tokens == 0:
             return "empty"
-        if r.total_tokens > self.model.max_context_tokens:
+        if shape.total_tokens > self.model.max_context_tokens:
             return "context"
-        if all(any(i.holds(r) for i in pool) for pool in self.pools.values()):
+        if all(any(i.holds(shape) for i in pool) for pool in self.pools.values()):
             return None
-        if any(i.serves_encode and r.mm_blocks <= i.mm.total_blocks for i in self.insts):
+        if any(i.serves_encode and shape.mm_blocks <= i.mm.total_blocks for i in self.insts):
             return "kv_capacity"
         return "mm_capacity"
 
-    def _room(self, inst: _Instance, r: _Req, mm: bool, kv: bool) -> bool:
-        """Whether ``inst`` has free blocks now for ``r``'s MM tokens (if ``mm``)
-        and its KV tokens (if ``kv``)."""
-        return ((not mm or inst.mm.can_allocate(r.mm_tokens))
-                and (not kv or inst.kv.can_allocate(inst.kv_tokens(r))))
+    @staticmethod
+    def _room(inst: _Instance, shape: _Shape, mm: bool, kv: bool) -> bool:
+        """Whether ``inst`` has free blocks now for ``shape``'s MM tokens (if
+        ``mm``) and the KV tokens it reserves there (if ``kv``)."""
+        return ((not mm or inst.mm.can_allocate(shape.mm_tokens))
+                and (not kv or inst.kv.can_allocate(shape.kv_tokens[inst.serves_decode])))
 
     def _reserve(self, inst: _Instance, r: _Req, mm: bool, kv: bool) -> bool:
         """Reserve what :meth:`_room` checks, all or nothing."""
-        if not self._room(inst, r, mm, kv):
+        if not self._room(inst, r.shape, mm, kv):
             return False
         self._allocate(inst, r, mm, kv)
         return True
@@ -478,25 +496,30 @@ class _Sim:
     def _allocate(inst: _Instance, r: _Req, mm: bool, kv: bool) -> None:
         """Take the blocks :meth:`_room` has found free."""
         if mm:
-            inst.mm.allocate(r.req.id, r.mm_tokens)
+            inst.mm.allocate(r.req.id, r.shape.mm_tokens)
         if kv:
-            inst.kv.allocate(r.req.id, inst.kv_tokens(r))
+            inst.kv.allocate(r.req.id, r.shape.kv_tokens[inst.serves_decode])
 
     def _route(self, stage: str, r: _Req, load: Callable[[_Instance], float],
                mm: bool = False, kv: bool = False) -> Optional[_Instance]:
         """Assign ``r`` to an active ``stage`` instance that holds it and has
         room for the caches flagged, reserve them there, and record the
-        choice; None when no instance qualifies."""
-        pool = self.pools[stage]
-        candidates = [(i.iid, load(i)) for i in pool if i.holds(r) and self._room(i, r, mm, kv)]
-        if not candidates:
+        choice; None when no instance qualifies. Least-loaded takes the
+        first of the lowest load, so ties go to the lowest iid; round-robin
+        (FCFS) cycles over the qualifying instances by the stage's counter."""
+        shape, room = r.shape, self._room
+        fits = [i for i in self.pools[stage] if i.holds(shape) and room(i, shape, mm, kv)]
+        if not fits:
             return None
-        iid, self.rr[stage] = assign_instance(pool[0].policy, candidates, self.rr[stage])
-        inst = self.insts[iid]
+        if fits[0].policy is SchedulePolicy.LEAST_LOADED:
+            inst = min(fits, key=load)
+        else:
+            inst = fits[self.rr[stage] % len(fits)]
+            self.rr[stage] += 1
         self._allocate(inst, r, mm, kv)
         slot, column = _PLACED[stage]
-        setattr(r, slot, iid)
-        setattr(r.rec, column, iid)
+        setattr(r, slot, inst.iid)
+        setattr(r.rec, column, inst.iid)
         return inst
 
     # --- event handlers ---------------------------------------------------------
@@ -570,7 +593,7 @@ class _Sim:
             if r.emitted == r.req.output_tokens - 1:
                 self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
-                inst.resident_kv -= r.total_tokens + r.emitted
+                inst.resident_kv -= r.shape.total_tokens + r.emitted
                 self._complete(r, t)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
             self._reside(inst, inst.admit_wait.popleft())
@@ -625,7 +648,7 @@ class _Sim:
         rest = [i for i in self.insts
                 if i.role is decision.source and i.iid != decision.instance_id]
         needs = _STILL_NEEDS[decision.source]
-        return any(needs(r) and not any(i.holds(r) for i in rest) for r in self.rs.values())
+        return any(needs(r) and not any(i.holds(r.shape) for i in rest) for r in self.rs.values())
 
     def _begin_switch(self, decision: SwitchDecision, t: float) -> None:
         inst = self.insts[decision.instance_id]
@@ -699,7 +722,7 @@ class _Sim:
     def _try_reserve_decode(self, r: _Req, t: float) -> bool:
         if self._route("decode", r, self._decode_load, kv=True) is None:
             return False
-        end = self._schedule_transfer(r.p_iid, r.d_iid, r.total_tokens * self.kv_bpt, t)
+        end = self._schedule_transfer(r.p_iid, r.d_iid, r.shape.total_tokens * self.kv_bpt, t)
         self._push(end, _TRANSFER_END, ("pd", r.req.id))
         return True
 
@@ -714,7 +737,7 @@ class _Sim:
     def _reside(self, inst: _Instance, rid: int) -> None:
         r = self.rs[rid]
         inst.resident.append(rid)
-        inst.resident_kv += r.total_tokens + r.emitted
+        inst.resident_kv += r.shape.total_tokens + r.emitted
 
     def _complete(self, r: _Req, t: float) -> None:
         r.rec.completion_time = t
@@ -729,8 +752,8 @@ class _Sim:
         for rid in batch:
             inst.queue.popleft()
             r = self.rs[rid]
-            patches += r.patches
-            tokens += r.total_tokens
+            patches += r.shape.patches
+            tokens += r.shape.total_tokens
         inst.queued_patches -= patches
         inst.queued_tokens -= tokens
         inst.running = tuple(batch)
@@ -753,9 +776,9 @@ class _Sim:
         reqs = [self.rs[rid] for rid in batch]
         enc_dur = 0.0
         if encodes:
-            enc_dur = encode_latency(self.cost, sum(r.patches for r in reqs),
+            enc_dur = encode_latency(self.cost, sum(r.shape.patches for r in reqs),
                                      tp_width=inst.tp, batch_size=len(batch))
-        pre_dur = prefill_latency(self.cost, max(1, sum(r.total_tokens for r in reqs)),
+        pre_dur = prefill_latency(self.cost, max(1, sum(r.shape.total_tokens for r in reqs)),
                                   inst.tp, inst.pp)
         for r in reqs:
             if encodes:
@@ -773,14 +796,10 @@ class _Sim:
         worker_items: list[list[tuple[int, int]]] = [[] for _ in range(width)]
         for rid in batch:
             r = self.rs[rid]
-            if r.patches == 0:
-                shard_counts = [(0, 0)]  # text-only still pays the batch base cost
-            else:
-                shard_counts = [(k, p) for k, p in enumerate(irp_shard(r.patches, width)) if p > 0]
-            r.shards = shard_counts
+            r.shards = r.shape.split(width)
             r.rec.encode_start = t
-            r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in shard_counts]
-            for shard_idx, (k, p) in enumerate(shard_counts):
+            r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in r.shards]
+            for shard_idx, (k, p) in enumerate(r.shards):
                 worker_load[k] += p
                 worker_items[k].append((rid, shard_idx))
         done: dict[float, list[tuple[int, int]]] = {}

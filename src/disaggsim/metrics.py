@@ -160,10 +160,11 @@ def goodput_from_sweep(points: Sequence[SweepPoint], threshold: float = 0.9) -> 
 
 def goodput(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
             rate_grid: Sequence[float], threshold: float = 0.9,
-            seed: Optional[int] = None) -> float:
+            seed: Optional[int] = None,
+            generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> float:
     """Highest grid rate sustaining the attainment threshold (0 if none)."""
-    return goodput_from_sweep(sweep(config, workload_spec, slo, rate_grid, seed=seed),
-                              threshold)
+    return goodput_from_sweep(
+        sweep(config, workload_spec, slo, rate_grid, seed=seed, generate=generate), threshold)
 
 
 def write_sweep_csv(path, system: str, model: str, images_per_request: int,

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .engine import run_simulation
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
                         SystemConfig, expand_shape, from_dict, to_dict)
 from .models import StageRole
-from .workload import WorkloadSpec, generate_poisson
+from .workload import Request, WorkloadSpec, generate_poisson
 
 NEG_INF = float("-inf")
 
@@ -172,6 +172,8 @@ class ConfigSpace:
 def restricted_space(gpu_budget: int = 8) -> ConfigSpace:
     """The reduced space: shared per-stage batch settings, TP and PP fixed to 1
     (IRP width excepted), full GPU budget enforced by rejection."""
+    if gpu_budget < 3:
+        raise ValueError(f"gpu_budget must be >= 3, one GPU per stage, not {gpu_budget}")
     return ConfigSpace(
         gpu_budget=gpu_budget,
         budget_mode=BudgetMode.EXACTLY,
@@ -217,18 +219,22 @@ class EvalResult:
 
 
 def evaluate(config: SystemConfig, workload_spec: WorkloadSpec, objective: Objective,
-             seed: int, rate_grid: Optional[Sequence[float]] = None) -> EvalResult:
-    """Score one configuration: metric value minus the weighted GPU cost."""
+             seed: int, rate_grid: Optional[Sequence[float]] = None,
+             generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> EvalResult:
+    """Score one configuration: metric value minus the weighted GPU cost.
+    ``generate`` makes the requests from the spec (default
+    :func:`generate_poisson`, looked up per call)."""
     cost_value = cost(config.instances)
     try:
         config.validate()
         if objective.metric is Metric.GOODPUT:
             if not rate_grid:
                 raise ValueError("goodput objective needs a rate grid")
-            f_value = goodput(config, workload_spec, workload_spec.slo, rate_grid, seed=seed)
+            f_value = goodput(config, workload_spec, workload_spec.slo, rate_grid, seed=seed,
+                              generate=generate)
         else:
             spec = replace(workload_spec, seed=seed)
-            trace = run_simulation(config, generate_poisson(spec), seed=seed)
+            trace = run_simulation(config, (generate or generate_poisson)(spec), seed=seed)
             scores = score(trace, workload_spec.slo)
             if objective.metric is Metric.NEG_MEAN_TTFT:
                 if not scores.completed:
@@ -290,7 +296,8 @@ def _surrogate_propose(space: ConfigSpace, rng: np.random.Generator,
 def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
           base: SystemConfig, strategy: Strategy = Strategy.SURROGATE,
           trials: int = 20, seed: int = 0,
-          rate_grid: Optional[Sequence[float]] = None) -> SolveResult:
+          rate_grid: Optional[Sequence[float]] = None,
+          generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> SolveResult:
     """Maximize the objective over the space, each candidate deployed onto
     ``base``; every candidate is logged. Exhaustive search evaluates each
     deployed system once: IRP on and off with one encode GPU deploy the
@@ -326,7 +333,8 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
         key = json.dumps(to_dict(config), sort_keys=True) if exhaustive else None
         result = results.get(key)
         if result is None:
-            result = evaluate(config, workload_spec, objective, seed=seed, rate_grid=rate_grid)
+            result = evaluate(config, workload_spec, objective, seed=seed, rate_grid=rate_grid,
+                              generate=generate)
             if exhaustive:
                 results[key] = result
         log.append(TrialRecord(index=index, candidate=candidate.describe(),

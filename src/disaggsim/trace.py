@@ -30,7 +30,7 @@ def _byte_table(texts: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-@dataclass
+@dataclass(slots=True)
 class ShardRecord:
     worker: int
     patches: int
@@ -38,7 +38,7 @@ class ShardRecord:
     transfer_end: Optional[float] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     rid: int
     arrival: float

@@ -1,18 +1,21 @@
 import pytest
 
-from disaggsim.blocks import BlockManager, CacheKind
+from disaggsim.blocks import BlockManager, CacheKind, blocks_for
 
 
 def manager(total=10, block_size=16) -> BlockManager:
     return BlockManager(CacheKind.KV, block_size, total)
 
 
-def test_blocks_needed_rounds_up():
-    m = manager()
-    assert m.blocks_needed(0) == 0
-    assert m.blocks_needed(1) == 1
-    assert m.blocks_needed(16) == 1
-    assert m.blocks_needed(17) == 2
+# The last needs 10**18 + 1 blocks; float division would round it to 10**18.
+@pytest.mark.parametrize("tokens, blocks", [(0, 0), (1, 1), (16, 1), (17, 2),
+                                            (16 * 10**18 + 1, 10**18 + 1)])
+def test_blocks_round_up(tokens, blocks):
+    assert blocks_for(tokens, 16) == blocks
+    assert manager(total=blocks).can_allocate(tokens)
+    assert manager(total=blocks).allocate(0, tokens) == blocks
+    if blocks:
+        assert not manager(total=blocks - 1).can_allocate(tokens)
 
 
 def test_allocate_free_conservation():

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from disaggsim import cli
+from disaggsim import cli, optimizer
+from disaggsim.engine import run_simulation
 from disaggsim.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main)
 from disaggsim.models import builtin_catalog
 from disaggsim.simconfig import save_system_config, system_from_dict
@@ -415,6 +416,18 @@ class TestOptimize:
         catalog = builtin_catalog()
         config = system_from_dict(best, catalog)
         config.validate()
+
+    def test_optimize_scores_the_presets_requests(self, tmp_path, monkeypatch):
+        outputs = []
+
+        def recording(config, requests, seed=0):
+            outputs.append(sorted({r.output_tokens for r in requests}))
+            return run_simulation(config, requests, seed=seed)
+        monkeypatch.setattr(optimizer, "run_simulation", recording)
+        code = run(tmp_path, "optimize", "--preset", "switch-shifted", "--objective",
+                   "neg_mean_ttft", "--strategy", "random", "--trials", "2", "--seed", "0")
+        assert code == EXIT_OK
+        assert outputs and all(tokens == [50, 500] for tokens in outputs), outputs
 
     def test_optimize_with_space_file(self, tmp_path):
         space_file = tmp_path / "space.json"

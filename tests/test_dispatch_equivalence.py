@@ -39,6 +39,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from disaggsim.controller import ControllerParams
+from disaggsim import engine
+from disaggsim.blocks import blocks_for
 from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
 from disaggsim.engine import (_ARRIVAL, _STEP_END, _TRANSFER_END, _VECTOR_STEPS, _WORKER_DONE,
                               _Sim, irp_shard, run_simulation)
@@ -74,11 +76,11 @@ def rescan_errors(sim: _Sim) -> list[str]:
                                   ("queued_tokens", inst.queue, "total_tokens"),
                                   ("running_patches", running, "patches"),
                                   ("running_tokens", running, "total_tokens")):
-            expected = sum(getattr(sim.rs[rid], attr) for rid in rids)
+            expected = sum(getattr(sim.rs[rid].shape, attr) for rid in rids)
             if getattr(inst, field) != expected:
                 errors.append(f"instance {inst.iid} {field}={getattr(inst, field)} "
                               f"!= rescan {expected}")
-        resident_kv = sum(sim.rs[rid].total_tokens + sim.rs[rid].emitted
+        resident_kv = sum(sim.rs[rid].shape.total_tokens + sim.rs[rid].emitted
                           for rid in inst.resident)
         if inst.resident_kv != resident_kv:
             errors.append(f"instance {inst.iid} resident_kv={inst.resident_kv} "
@@ -164,9 +166,10 @@ class FullScanSim(CheckedSim):
         self.max_waits = [0, 0]
 
     def _admission_reason(self, r) -> str | None:
-        if r.total_tokens == 0:
+        tokens = r.rec.total_tokens
+        if tokens == 0:
             return "empty"
-        if r.total_tokens > self.model.max_context_tokens:
+        if tokens > self.model.max_context_tokens:
             return "context"
         mm_ok = kv_p_ok = kv_d_ok = False
         for inst in self.insts:
@@ -174,15 +177,14 @@ class FullScanSim(CheckedSim):
                 continue
             role, mm, kv = inst.role, inst.mm, inst.kv
             if role.serves_encode and mm is not None:
-                mm_ok |= mm.blocks_needed(r.mm_tokens) <= mm.total_blocks
+                mm_ok |= blocks_for(r.rec.mm_tokens, mm.block_size) <= mm.total_blocks
             if role.serves_prefill and mm is not None and kv is not None:
-                kv_need = r.total_tokens + (r.req.output_tokens
-                                            if role is StageRole.MONOLITHIC else 0)
-                kv_p_ok |= (mm.blocks_needed(r.mm_tokens) <= mm.total_blocks
-                            and kv.blocks_needed(kv_need) <= kv.total_blocks)
+                kv_need = tokens + (r.req.output_tokens if role is StageRole.MONOLITHIC else 0)
+                kv_p_ok |= (blocks_for(r.rec.mm_tokens, mm.block_size) <= mm.total_blocks
+                            and blocks_for(kv_need, kv.block_size) <= kv.total_blocks)
             if role.serves_decode and kv is not None:
-                need = r.total_tokens + r.req.output_tokens
-                kv_d_ok |= kv.blocks_needed(need) <= kv.total_blocks
+                need = tokens + r.req.output_tokens
+                kv_d_ok |= blocks_for(need, kv.block_size) <= kv.total_blocks
         if not mm_ok:
             return "mm_capacity"
         if not (kv_p_ok and kv_d_ok):
@@ -197,7 +199,7 @@ class FullScanSim(CheckedSim):
                  StageRole.PREFILL: lambda r: r.p_iid is None,
                  StageRole.DECODE: lambda r: r.d_iid is None}[decision.source]
         return any(r.e_iid is not None and r.rec.completion_time is None and needs(r)
-                   and not any(i.holds(r) for i in rest) for r in self.arrived)
+                   and not any(i.holds(r.shape) for i in rest) for r in self.arrived)
 
     def _dispatch(self, t: float) -> None:
         self.max_waits = [max(self.max_waits[0], len(self.ep_wait)),
@@ -231,7 +233,7 @@ class PerStepSim(BoundedSim):
             if r.emitted == r.req.output_tokens - 1:
                 self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
-                inst.resident_kv -= r.total_tokens + r.emitted
+                inst.resident_kv -= r.shape.total_tokens + r.emitted
                 self._complete(r, t)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
             self._reside(inst, inst.admit_wait.popleft())
@@ -256,7 +258,7 @@ class PerEventSim(BoundedSim):
         worker_items = {}
         for rid in batch:
             r = self.rs[rid]
-            r.shards = [(k, p) for k, p in enumerate(irp_shard(r.patches, inst.tp)) if p > 0]
+            r.shards = [(k, p) for k, p in enumerate(irp_shard(r.shape.patches, inst.tp)) if p > 0]
             r.shards = r.shards or [(0, 0)]  # text-only still pays the batch base cost
             r.rec.encode_start = t
             r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in r.shards]
@@ -375,6 +377,40 @@ def test_admission_at_exact_cache_sizes(mm_cache_tokens):
                 replace(first, id=1, output_tokens=decode_tokens - total + 1)]
     reasons = [rec.rejected for rec in assert_equivalent(config, workload).records.values()]
     assert reasons == (["mm_capacity"] * 2 if mm_cache_tokens < 640 else [None, "kv_capacity"])
+
+
+class StaleVerdictSim(BoundedSim):
+    """The engine, keeping its admission verdicts across pool changes."""
+
+    def _rebuild_pools(self) -> None:
+        verdicts = getattr(self, "verdicts", {})
+        super()._rebuild_pools()
+        self.verdicts = verdicts
+
+
+def test_admission_verdicts_follow_role_switches():
+    """Four request shapes (text-only, one and two images, 30 and 1500
+    output tokens) with admission control on. Only a decode instance two GPUs
+    wide holds the 1500-token shape, and there is one only after the
+    controller switches the wide prefill instance to decode, so that shape is
+    rejected before the switch and served after it. A verdict kept across
+    the switch would change the trace."""
+    wide = (((787, 444),), 1500)
+    shapes = [((), 30), wide, (((787, 444),) * 2, 30), (((787, 444),), 30)]
+    roles = ((StageRole.ENCODE, 2), (StageRole.PREFILL, 2), (StageRole.PREFILL, 1),
+             (StageRole.DECODE, 1))
+    config = replace(BASE, instances=tuple(InstanceConfig(role=role, tp=tp, max_batch=2)
+                                           for role, tp in roles),
+                     role_switch=EAGER, mm_cache_tokens=700, kv_fraction=0.001)
+    workload = [Request(id=i, arrival_time=0.1 * i, prompt_tokens=20, images=images,
+                        output_tokens=output, slo=Slo(5.0, 0.1))
+                for i, (images, output) in enumerate(shapes * 6)]
+    reference = assert_equivalent(config, workload)
+    assert reference.switches
+    verdicts = {rec.rejected for rec in reference.records.values()
+                if rec.output_tokens == wide[1]}
+    assert verdicts == {None, "kv_capacity"}
+    assert outcome(StaleVerdictSim(config, workload, 7)) != outcome(FullScanSim(config, workload, 7))
 
 
 def random_case(seed: int) -> tuple[SystemConfig, list[Request]]:
@@ -610,6 +646,28 @@ def test_encode_heavy_epd_event_budget():
     sim.run()
     assert sum(sim.pushed.values()) <= 7 * spec.num_requests, sim.pushed
     assert sim.most_arrivals == 1
+
+
+def test_encode_heavy_epd_work_per_shape(monkeypatch):
+    """Token counts and the shard split are worked out once per request
+    shape, not once per request: 4,000 requests of one shape on encode-heavy
+    ``epd`` call each once."""
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    for name in ("tokens_for_request", "irp_shard"):
+        monkeypatch.setattr(engine, name, counting(name))
+    preset = get_preset("encode-heavy")
+    spec = replace(preset.workload, num_requests=4000, rate_lambda=2.0, seed=3)
+    trace = run_simulation(preset.systems["epd"], generate_poisson(spec), seed=7)
+    assert trace.completed_count == spec.num_requests
+    assert calls == {"tokens_for_request": 1, "irp_shard": 1}
 
 
 def exact_case(seed: int) -> tuple[SystemConfig, list[Request]]:

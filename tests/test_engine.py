@@ -8,8 +8,8 @@ from disaggsim import engine
 from disaggsim.blocks import BlockManager, CacheKind
 from disaggsim.costs import (CostParams, decode_step_latency, encode_latency, parallel_factor,
                              prefill_latency)
-from disaggsim.engine import (_VECTOR_STEPS, assign_instance, form_batch, irp_shard,
-                              plan_steps, plan_steps_numpy, run_simulation)
+from disaggsim.engine import (_VECTOR_STEPS, form_batch, irp_shard, plan_steps,
+                              plan_steps_numpy, run_simulation)
 from disaggsim.models import HardwareSpec, ModelSpec, StageRole
 from disaggsim.simconfig import (CapacityExceeded, ConfigInfeasible, InstanceConfig,
                                  SchedulePolicy, SystemConfig)
@@ -56,32 +56,44 @@ class TestIrpShard:
         assert max(shards) - min(shards) <= 1
 
 
-class TestAssignInstance:
-    def test_round_robin_cycles_evenly(self):
-        counter = 0
-        counts = {0: 0, 1: 0, 2: 0}
-        for _ in range(6):
-            iid, counter = assign_instance(SchedulePolicy.FCFS,
-                                           [(0, 0.0), (1, 0.0), (2, 0.0)], counter)
-            counts[iid] += 1
-        assert counts == {0: 2, 1: 2, 2: 2}
+class TestRoute:
+    @staticmethod
+    def _sim(toy_model, cost, policy, encoders=3, prefills=1):
+        roles = ([StageRole.ENCODE] * encoders + [StageRole.PREFILL] * prefills
+                 + [StageRole.DECODE])
+        config = system([inst(role, policy=policy) for role in roles], toy_model, fast_hw(),
+                        cost)
+        sim = engine._Sim(config, [req(0)], 0)
+        return sim, next(sim.arrivals)
+
+    def test_round_robin_cycles_evenly(self, toy_model, simple_cost):
+        sim, r = self._sim(toy_model, simple_cost, SchedulePolicy.FCFS)
+        picks = [sim._route("encode", r, sim._arrival_load).iid for _ in range(6)]
+        assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_name_reads_as_fcfs(self):
         assert SchedulePolicy("round_robin") is SchedulePolicy.FCFS
         assert [p.value for p in SchedulePolicy] == ["fcfs", "least_loaded"]
 
-    def test_least_loaded_breaks_ties_by_lowest_id(self):
-        iid, _ = assign_instance(SchedulePolicy.LEAST_LOADED,
-                                 [(0, 5.0), (1, 2.0), (2, 2.0)])
-        assert iid == 1
+    def test_least_loaded_breaks_ties_by_lowest_id(self, toy_model, simple_cost):
+        sim, r = self._sim(toy_model, simple_cost, SchedulePolicy.LEAST_LOADED)
+        for i, patches in zip(sim.insts, (5, 2, 2)):
+            i.queued_patches = patches
+        assert sim._route("encode", r, sim._arrival_load).iid == 1
 
-    def test_single_instance_identity(self):
-        iid, _ = assign_instance(SchedulePolicy.LEAST_LOADED, [(7, 99.0)])
-        assert iid == 7
+    def test_only_instances_with_room_qualify(self, toy_model, simple_cost):
+        sim, r = self._sim(toy_model, simple_cost, SchedulePolicy.LEAST_LOADED,
+                           encoders=1, prefills=2)
+        sim.insts[1].queued_tokens = 99
+        sim.insts[2].mm.free_blocks = 0
+        assert sim._route("prefill", r, sim._prefill_load, mm=True).iid == 1
+        assert (r.p_iid, r.rec.p_instance, sim.insts[1].mm.allocated) == (1, 1, {0: 2})
 
-    def test_no_candidates_raises(self):
-        with pytest.raises(ValueError):
-            assign_instance(SchedulePolicy.FCFS, [])
+    def test_no_candidates_returns_none(self, toy_model, simple_cost):
+        sim, r = self._sim(toy_model, simple_cost, SchedulePolicy.FCFS)
+        sim.insts[3].mm.free_blocks = 0
+        assert sim._route("prefill", r, sim._prefill_load, mm=True) is None
+        assert r.p_iid is None and sim.rr["prefill"] == 0
 
 
 class TestFormBatch:

@@ -89,6 +89,15 @@ class TestSpace:
         candidate = space.sample(rng)
         assert candidate.gpus == 8
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_restricted_space_needs_a_gpu_per_stage(self, budget):
+        with pytest.raises(ValueError, match=r"gpu_budget must be >= 3"):
+            restricted_space(budget)
+
+    def test_smallest_restricted_space_puts_one_gpu_on_each_stage(self):
+        candidate = restricted_space(3).sample(np.random.default_rng(0))
+        assert (candidate.encode_gpus, candidate.prefill_gpus, candidate.decode_gpus) == (1, 1, 1)
+
     def test_at_most_budget(self):
         space = small_space()
         for candidate in space.enumerate():

@@ -14,7 +14,11 @@ once more with ``--trace 1`` at seed 3 for the per-layer counts.
 Per workload and end-to-end metric the output holds each side's median and
 quartiles (``numpy.percentile``, linear), the pairs the change won, the
 median's relative change and whether it is within the metric's bound in
-``BENCHMARK.json``; every run's row is kept too. The file is rewritten
+``BENCHMARK.json``; every run's row is kept too. Per workload the traced
+section also holds ``counts_equal``, whether every ``count``-unit metric of
+``BENCHMARK.json`` is the same on both sides, and ``counts_differ``, the
+names of those that are not: a change that claims the same work shows it
+there, and so does a counter whose meaning changed. The file is rewritten
 after every run, so an interrupted run keeps what it measured.
 """
 
@@ -125,6 +129,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    counts = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     parent_sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                                 check=True, capture_output=True, text=True).stdout.strip()
     report: dict = {
@@ -167,13 +172,18 @@ def main(argv=None) -> int:
                     report["runs"].append(row)
                     print(json.dumps(row), file=sys.stderr, flush=True)
                     write()
+            traced = report["traced"].setdefault(workload, {})
             for side in ("parent", "change"):
                 result = perfbench(sides[side], workload, TRACE_SEED, seconds, 1)
-                report["traced"].setdefault(workload, {})[side] = {
+                traced[side] = {
                     "correct": result["correct"], "attempted": result["attempted"],
                     "failed": result["failed"],
                     **{k: round(v["value"], 6) for k, v in result["metrics"].items()}}
                 write()
+            differ = [name for name in counts
+                      if traced["parent"].get(name) != traced["change"].get(name)]
+            traced.update(counts_equal=not differ, counts_differ=differ)
+            write()
     return 0
 
 
