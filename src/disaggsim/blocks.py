@@ -37,15 +37,14 @@ class BlockManager:
     def used_blocks(self) -> int:
         return self.total_blocks - self.free_blocks
 
-    # can_allocate and allocate round up inline: they run on every reservation.
     def can_allocate(self, tokens: int) -> bool:
-        return -(-tokens // self.block_size) <= self.free_blocks
+        return blocks_for(tokens, self.block_size) <= self.free_blocks
 
     def allocate(self, request_id: int, tokens: int) -> int:
         """Reserve blocks for ``tokens``; return how many were taken."""
         if request_id in self.allocated:
             raise RuntimeError(f"request {request_id} already holds {self.kind.value} blocks")
-        need = -(-tokens // self.block_size) if tokens > 0 else 0
+        need = blocks_for(tokens, self.block_size)
         if need > self.free_blocks:
             raise RuntimeError(f"{self.kind.value} cache overcommitted ({need} > {self.free_blocks})")
         self.free_blocks -= need

@@ -22,18 +22,20 @@ sent to it, and a decode instance KV before the prefilled cache is.
 Per-event work does not grow with queue length or cache size, and what a
 request needs is worked out once per *shape*. Requests of one (images,
 prompt, output) shape share a :class:`_Shape`: patches and tokens, MM
-blocks, KV blocks and tokens with and without the output, and the shard
-split for each encode width; a :class:`_Req` holds only where its request is
-and how far it has got. The admission verdict is kept per shape until the
-stage pools change, and they are rebuilt only when a switch begins or ends.
-Caches count blocks instead of naming them (:class:`BlockManager`). A route
-filters its stage's pool in one pass over the cache-fit rule and free blocks,
-then takes the least-loaded or the next round-robin instance of those. Each
-instance keeps running patch and token sums of its queue and its running
-batch for the load reads and of its decode batch's KV tokens for the step
-time. Dispatch after an event visits only the instances that event touched,
-retrying the wait queues only after a cache free or a pool change. A
-request's engine state is kept only while it is open; its trace record is
+blocks, KV blocks with and without the output, and the shard split for the
+last encode width; a :class:`_Req` holds only where its request is and how
+far it has got. The admission verdict is kept on the shape with the version
+of the stage pools it was judged under, so no table of verdicts keeps a
+finished shape alive; the pools are rebuilt, under a new version, only when
+a switch begins or ends. Caches count blocks instead of naming them
+(:class:`BlockManager`). A route filters its stage's pool in one pass over
+the cache-fit rule and free blocks, then takes the least-loaded or the next
+round-robin instance of those, by the policy of the pool's first instance.
+Each instance keeps running patch and token sums of its queue and its
+running batch for the load reads and of its decode batch's KV tokens for the
+step time. Dispatch after an event visits only the instances that event
+touched, retrying the wait queues only after a cache free or a pool change.
+A request's engine state is kept only while it is open; its trace record is
 written as the run goes, and no decision reads it.
 
 Events whose outcome is fixed when they are pushed are folded, leaving 7
@@ -189,26 +191,32 @@ def plan_steps_numpy(cost: CostParams, batch: int, kv: int, factor: float, start
 
 class _Shape:
     """What every request of one (images, prompt, output) shape needs: its
-    patches and tokens, its MM blocks, its KV blocks and tokens indexed by
-    ``serves_decode``, and its shard split for each encode width."""
-    __slots__ = ("patches", "mm_tokens", "total_tokens", "mm_blocks", "kv_blocks",
-                 "kv_tokens", "shards")
+    patches and tokens, its MM blocks, its KV blocks without and with the
+    output tokens (indexed by ``serves_decode``), the shard split for the
+    last encode width it met, and its admission verdict under the stage
+    pools of version ``judged``."""
+    __slots__ = ("patches", "mm_tokens", "total_tokens", "output_tokens", "mm_blocks",
+                 "kv_blocks", "width", "shards", "verdict", "judged")
 
     def __init__(self, model, req: Request, block_size: int):
         self.patches = sum(patches_for_image(model, res) for res in req.images)
         self.mm_tokens, self.total_tokens = tokens_for_request(model, req)
+        self.output_tokens = req.output_tokens
         self.mm_blocks = blocks_for(self.mm_tokens, block_size)
-        self.kv_tokens = (self.total_tokens, self.total_tokens + req.output_tokens)
-        self.kv_blocks = tuple(blocks_for(tokens, block_size) for tokens in self.kv_tokens)
-        self.shards: dict[int, tuple[tuple[int, int], ...]] = {}  # (worker, patches) by width
+        self.kv_blocks = (blocks_for(self.total_tokens, block_size),
+                          blocks_for(self.total_tokens + req.output_tokens, block_size))
+        self.width = 0
+        self.shards: tuple[tuple[int, int], ...] = ()  # (worker, patches) over ``width``
+        self.verdict: Optional[str] = None
+        self.judged = 0  # pool versions count from 1
 
     def split(self, width: int) -> tuple[tuple[int, int], ...]:
         """The non-empty shards over ``width`` workers; text-only requests
         still put one empty shard on worker 0, which pays the batch base cost."""
-        if width not in self.shards:
+        if width != self.width:
             split = tuple((k, p) for k, p in enumerate(irp_shard(self.patches, width)) if p > 0)
-            self.shards[width] = split or ((0, 0),)
-        return self.shards[width]
+            self.width, self.shards = width, split or ((0, 0),)
+        return self.shards
 
 
 class _Req:
@@ -289,6 +297,12 @@ class _Instance:
                 and (self.kv is None
                      or shape.kv_blocks[self.serves_decode] <= self.kv.total_blocks))
 
+    def kv_tokens(self, shape: _Shape) -> int:
+        """KV tokens ``shape`` reserves here: its prompt, and its output if this serves decode."""
+        if self.serves_decode:
+            return shape.total_tokens + shape.output_tokens
+        return shape.total_tokens
+
 
 class _Sim:
     def __init__(self, config: SystemConfig, workload: Sequence[Request], seed: int):
@@ -299,6 +313,7 @@ class _Sim:
         self.cost = config.cost
         self.seed = seed
         self.insts = [_Instance(i, cfg, config) for i, cfg in enumerate(config.instances)]
+        self.pools_version = 0
         self._rebuild_pools()
 
         self.kv_bpt = kv_bytes_per_token(self.model)
@@ -406,11 +421,11 @@ class _Sim:
     # --- pools and loads ------------------------------------------------------
 
     def _rebuild_pools(self) -> None:
-        """The active instances that serve each stage, in iid order; the
-        admission verdicts, judged by them, are dropped."""
+        """The active instances that serve each stage, in iid order, under a
+        new version number, which voids the shapes' admission verdicts."""
         self.pools = {stage: [i for i in self.insts if i.state == "active" and i.role in roles]
                       for stage, roles in _SERVES.items()}
-        self.verdicts: dict[_Shape, Optional[str]] = {}
+        self.pools_version += 1
 
     def _arrival_load(self, inst: _Instance) -> float:
         # outstanding work, in-flight batch included, so idle instances win
@@ -460,12 +475,12 @@ class _Sim:
         """Why ``r`` can never be served, or None when every stage has an
         active instance that holds it. A switching instance counts for no
         stage: it is leaving its old role and has no caches for the new one.
-        Only the pools change the verdict, so it is judged once per shape
-        between two pool changes."""
+        Only the pools change the verdict, so a shape is judged once per
+        version of them."""
         shape = r.shape
-        if shape not in self.verdicts:
-            self.verdicts[shape] = self._judge(shape)
-        return self.verdicts[shape]
+        if shape.judged != self.pools_version:
+            shape.verdict, shape.judged = self._judge(shape), self.pools_version
+        return shape.verdict
 
     def _judge(self, shape: _Shape) -> Optional[str]:
         if shape.total_tokens == 0:
@@ -483,7 +498,7 @@ class _Sim:
         """Whether ``inst`` has free blocks now for ``shape``'s MM tokens (if
         ``mm``) and the KV tokens it reserves there (if ``kv``)."""
         return ((not mm or inst.mm.can_allocate(shape.mm_tokens))
-                and (not kv or inst.kv.can_allocate(shape.kv_tokens[inst.serves_decode])))
+                and (not kv or inst.kv.can_allocate(inst.kv_tokens(shape))))
 
     def _reserve(self, inst: _Instance, r: _Req, mm: bool, kv: bool) -> bool:
         """Reserve what :meth:`_room` checks, all or nothing."""
@@ -498,20 +513,21 @@ class _Sim:
         if mm:
             inst.mm.allocate(r.req.id, r.shape.mm_tokens)
         if kv:
-            inst.kv.allocate(r.req.id, r.shape.kv_tokens[inst.serves_decode])
+            inst.kv.allocate(r.req.id, inst.kv_tokens(r.shape))
 
     def _route(self, stage: str, r: _Req, load: Callable[[_Instance], float],
                mm: bool = False, kv: bool = False) -> Optional[_Instance]:
         """Assign ``r`` to an active ``stage`` instance that holds it and has
         room for the caches flagged, reserve them there, and record the
-        choice; None when no instance qualifies. Least-loaded takes the
-        first of the lowest load, so ties go to the lowest iid; round-robin
-        (FCFS) cycles over the qualifying instances by the stage's counter."""
-        shape, room = r.shape, self._room
-        fits = [i for i in self.pools[stage] if i.holds(shape) and room(i, shape, mm, kv)]
+        choice; None when no instance qualifies. The policy is the pool's
+        first instance's. Least-loaded takes the first of the lowest load, so
+        ties go to the lowest iid; round-robin (FCFS) cycles over the
+        qualifying instances by the stage's counter."""
+        shape, room, pool = r.shape, self._room, self.pools[stage]
+        fits = [i for i in pool if i.holds(shape) and room(i, shape, mm, kv)]
         if not fits:
             return None
-        if fits[0].policy is SchedulePolicy.LEAST_LOADED:
+        if pool[0].policy is SchedulePolicy.LEAST_LOADED:
             inst = min(fits, key=load)
         else:
             inst = fits[self.rr[stage] % len(fits)]

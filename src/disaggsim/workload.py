@@ -37,6 +37,8 @@ class Request:
     slo: Slo
 
     def __post_init__(self) -> None:
+        # a tuple, so that requests of one shape can share the engine's record of it
+        object.__setattr__(self, "images", tuple(self.images))
         if not 0 <= self.arrival_time < math.inf:
             raise ValueError(f"arrival_time must be finite and >= 0, not {self.arrival_time}")
         if self.output_tokens < 1:

@@ -42,8 +42,8 @@ from disaggsim.controller import ControllerParams
 from disaggsim import engine
 from disaggsim.blocks import blocks_for
 from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
-from disaggsim.engine import (_ARRIVAL, _STEP_END, _TRANSFER_END, _VECTOR_STEPS, _WORKER_DONE,
-                              _Sim, irp_shard, run_simulation)
+from disaggsim.engine import (_ARRIVAL, _PLACED, _STEP_END, _TRANSFER_END, _VECTOR_STEPS,
+                              _WORKER_DONE, _Sim, irp_shard, run_simulation)
 from disaggsim.models import StageRole
 from disaggsim.presets import get_preset, switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
@@ -158,12 +158,45 @@ class CheckedSim(BoundedSim):
 
 class FullScanSim(CheckedSim):
     """Every instance and both wait queues revisited on every event,
-    admission checked against every instance's cache, and a switch's
-    stranding decided over every request that has arrived."""
+    admission checked against every instance's cache, routes chosen from
+    (iid, load) candidates by the policy of the pool's first instance, and a
+    switch's stranding decided over every request that has arrived."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.max_waits = [0, 0]
+        # routes where the first qualifying instance's policy picks another instance
+        self.policy_splits = 0
+
+    @staticmethod
+    def _fits(inst, r, mm: bool, kv: bool) -> bool:
+        kv_need = r.rec.total_tokens + (r.req.output_tokens if inst.serves_decode else 0)
+        mm_need = r.rec.mm_tokens
+        return ((inst.mm is None or blocks_for(mm_need, inst.mm.block_size) <= inst.mm.total_blocks)
+                and (inst.kv is None
+                     or blocks_for(kv_need, inst.kv.block_size) <= inst.kv.total_blocks)
+                and (not mm or inst.mm.can_allocate(mm_need))
+                and (not kv or inst.kv.can_allocate(kv_need)))
+
+    def _route(self, stage: str, r, load, mm: bool = False, kv: bool = False):
+        pool = self.pools[stage]
+        candidates = [(i.iid, load(i)) for i in pool if self._fits(i, r, mm, kv)]
+        if not candidates:
+            return None
+        picks = {policy: (min(candidates, key=lambda c: (c[1], c[0]))
+                          if policy is SchedulePolicy.LEAST_LOADED
+                          else candidates[self.rr[stage] % len(candidates)])[0]
+                 for policy in SchedulePolicy}
+        policy = pool[0].policy
+        self.policy_splits += picks[policy] != picks[self.insts[candidates[0][0]].policy]
+        if policy is not SchedulePolicy.LEAST_LOADED:
+            self.rr[stage] += 1
+        inst = self.insts[picks[policy]]
+        self._allocate(inst, r, mm, kv)
+        slot, column = _PLACED[stage]
+        setattr(r, slot, inst.iid)
+        setattr(r.rec, column, inst.iid)
+        return inst
 
     def _admission_reason(self, r) -> str | None:
         tokens = r.rec.total_tokens
@@ -380,12 +413,11 @@ def test_admission_at_exact_cache_sizes(mm_cache_tokens):
 
 
 class StaleVerdictSim(BoundedSim):
-    """The engine, keeping its admission verdicts across pool changes."""
+    """The engine, keeping its shapes' admission verdicts across pool changes."""
 
     def _rebuild_pools(self) -> None:
-        verdicts = getattr(self, "verdicts", {})
         super()._rebuild_pools()
-        self.verdicts = verdicts
+        self.pools_version = 1
 
 
 def test_admission_verdicts_follow_role_switches():
@@ -411,6 +443,26 @@ def test_admission_verdicts_follow_role_switches():
                 if rec.output_tokens == wide[1]}
     assert verdicts == {None, "kv_capacity"}
     assert outcome(StaleVerdictSim(config, workload, 7)) != outcome(FullScanSim(config, workload, 7))
+
+
+def test_mixed_stage_policies_route_by_the_pools_first_instance():
+    """Round-robin encode and prefill instances, least-loaded decode ones and
+    an eager controller, which moves round-robin instances into the decode
+    pool ahead of the least-loaded ones. A route takes the policy of the
+    pool's first instance even when that one has no room, and twice here the
+    first qualifying instance's policy would pick another instance."""
+    fcfs, least = SchedulePolicy.FCFS, SchedulePolicy.LEAST_LOADED
+    roles = ((StageRole.ENCODE, fcfs), (StageRole.PREFILL, fcfs), (StageRole.PREFILL, fcfs),
+             (StageRole.DECODE, least), (StageRole.DECODE, least))
+    config = replace(BASE, instances=tuple(InstanceConfig(role=role, max_batch=2, policy=policy)
+                                           for role, policy in roles),
+                     hardware=replace(BASE.hardware, num_gpus=len(roles)),
+                     role_switch=EAGER, kv_fraction=0.004)
+    workload = [Request(id=i, arrival_time=0.05 * i, prompt_tokens=20, images=((787, 444),),
+                        output_tokens=(30, 300)[i % 2], slo=Slo(5.0, 0.1)) for i in range(40)]
+    reference = assert_equivalent(config, workload)
+    assert reference.switches
+    assert reference.policy_splits == 2
 
 
 def random_case(seed: int) -> tuple[SystemConfig, list[Request]]:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +415,15 @@ class TestDeterminismAndEdges:
         second.write_events(tmp_path / "second.jsonl")
         assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
         assert json.dumps(first.summary_rows()) == json.dumps(second.summary_rows())
+
+    def test_images_given_as_a_list_simulate_as_a_tuple(self, toy_model, simple_cost):
+        config = system([inst(StageRole.ENCODE, tp=2), inst(StageRole.PREFILL),
+                         inst(StageRole.DECODE, max_batch=4)], toy_model, fast_hw(),
+                        simple_cost)
+        requests = [req(i, 0.1 * i, images=i % 3) for i in range(6)]
+        listed = [replace(r, images=list(r.images)) for r in requests]
+        assert all(type(r.images) is tuple for r in listed)
+        assert run_simulation(config, listed) == run_simulation(config, requests)
 
     def test_text_only_request_flows_through_encode(self, toy_model, simple_cost):
         config = system([inst(StageRole.ENCODE, tp=2), inst(StageRole.PREFILL),
