@@ -22,19 +22,23 @@ sent to it, and a decode instance KV before the prefilled cache is.
 Per-event work does not grow with queue length or cache size, and what a
 request needs is worked out once per *shape*. Requests of one (images,
 prompt, output) shape share a :class:`_Shape`: patches and tokens, MM
-blocks, KV blocks with and without the output, and the shard split for the
-last encode width; a :class:`_Req` holds only where its request is and how
-far it has got. The admission verdict is kept on the shape with the version
-of the stage pools it was judged under, so no table of verdicts keeps a
-finished shape alive; the pools are rebuilt, under a new version, only when
-a switch begins or ends. Caches count blocks instead of naming them
-(:class:`BlockManager`). A route filters its stage's pool in one pass over
-the cache-fit rule and free blocks, then takes the least-loaded or the next
-round-robin instance of those, by the policy of the pool's first instance.
-Each instance keeps running patch and token sums of its queue and its
-running batch for the load reads and of its decode batch's KV tokens for the
-step time. Dispatch after an event visits only the instances that event
-touched, retrying the wait queues only after a cache free or a pool change.
+blocks, and KV blocks with and without the output; a :class:`_Req` holds
+only where its request is and how far it has got. A shape is judged once
+per version of the stage pools, and keeps that version, its admission
+verdict and its *holders*, the members of each pool that hold it (the pools
+themselves when all do), so no table keeps a finished shape alive; the
+pools are rebuilt, under a new version, only when a switch begins or ends.
+Caches count blocks instead of naming them (:class:`BlockManager`). A route
+takes its stage's holders, keeps those with free blocks only when it
+reserves any, then the least-loaded or the next round-robin instance of
+those, by the policy of the pool's first instance. What depends only on a
+size is worked out once per run: a patch count's shard split over an encode
+width and an E→P shard's wire time; an encode batch times each distinct
+(patches, items) load of its workers once. Each instance keeps running
+patch and token sums of its queue and its running batch for the load reads
+and of its decode batch's KV tokens for the step time. Dispatch after an
+event visits only the instances that event touched, retrying the wait
+queues only after a cache free or a pool change, and while one is not empty.
 A request's engine state is kept only while it is open; its trace record is
 written as the run goes, and no decision reads it.
 
@@ -45,15 +49,18 @@ pop in workload order. An encode batch pushes one WORKER_DONE per distinct
 finish time, over its workers in id order: they are pushed back to back,
 so nothing pops between two at one time, and none leaves work to dispatch.
 A request's shards share one FIFO channel, so the last sent arrives last:
-each shard's transfer end is written when it is sent, and only the last
-pushes a TRANSFER_END.
+each shard's transfer end is written when it is sent, a worker event sends
+a request's consecutive shards at once, and only the last pushes a
+TRANSFER_END.
 
 A decode instance does not pop one event per step. It plans a *segment*:
 the run of steps from now through the first in which a member emits its
 last token, each step timed by the batch and KV tokens it will have, under
 one STEP_END at the segment's end, which hands every member all of its
-tokens at once. A segment of ``_VECTOR_STEPS`` steps or more is planned in
-one numpy pass, whose step ends equal the per-step loop's bit for bit.
+tokens at once. A shorter segment is timed inline, by the operations of
+:func:`decode_step_latency`, which is called once a segment for its checks;
+one of ``_VECTOR_STEPS`` steps or more is planned in one numpy pass. Both
+give the step ends of one call a step, bit for bit.
 Only a change to the batch or the queue makes later steps differ: a
 request taking a free batch slot, or queued work on an instance that also
 prefills (which plans one step at a time while its queue is not empty).
@@ -90,10 +97,10 @@ from .workload import Request
 _ONLOAD_DELAY = 1e-6
 
 # Segments of at least this many steps are planned in one numpy pass
-# (plan_steps_numpy), shorter ones step by step (plan_steps). Timed on a
-# 2-core host, Python 3.11, numpy 2.4: the loop costs about 0.25 us a step,
-# the numpy pass about 4 us plus 0.02 us a step, and they cross between 16
-# and 24 steps.
+# (plan_steps_numpy), shorter ones step by step (plan_steps). Set on a 2-core
+# host, Python 3.11, numpy 2.4, when the loop cost 0.25 us a step and the
+# numpy pass 4 us plus 0.02 us a step; the inline loop, at about 0.08 us a
+# step, now crosses the numpy pass near 40 steps.
 _VECTOR_STEPS = 20
 
 _WORKER_DONE = "worker_done"
@@ -165,15 +172,16 @@ def plan_steps(cost: CostParams, batch: int, kv: int, factor: float, start: floa
                steps: int) -> list[float]:
     """End times of ``steps`` decode steps of ``batch`` sequences that hold
     ``kv`` KV tokens and gain one each a step, begun at ``start`` on an
-    instance whose steps take ``factor`` times the one-GPU time."""
-    ends = []
+    instance whose steps take ``factor`` times the one-GPU time: by the
+    operations of :func:`decode_step_latency`, called once for its checks."""
+    decode_step_latency(cost, batch, kv)
+    base, per_kv = cost.decode_base + cost.decode_per_seq * batch, cost.decode_per_kv_token
+    ends = [start] * steps
     t = start
-    for _ in range(steps):
-        duration = decode_step_latency(cost, batch, kv)
-        duration *= factor
-        t = t + duration
+    for step in range(steps):
+        t = t + (base + per_kv * kv) * factor
         kv += batch
-        ends.append(t)
+        ends[step] = t
     return ends
 
 
@@ -192,11 +200,11 @@ def plan_steps_numpy(cost: CostParams, batch: int, kv: int, factor: float, start
 class _Shape:
     """What every request of one (images, prompt, output) shape needs: its
     patches and tokens, its MM blocks, its KV blocks without and with the
-    output tokens (indexed by ``serves_decode``), the shard split for the
-    last encode width it met, and its admission verdict under the stage
-    pools of version ``judged``."""
+    output tokens (indexed by ``serves_decode``), and, under the stage
+    pools of version ``judged``, the members of each pool that hold it and
+    its admission verdict."""
     __slots__ = ("patches", "mm_tokens", "total_tokens", "output_tokens", "mm_blocks",
-                 "kv_blocks", "width", "shards", "verdict", "judged")
+                 "kv_blocks", "holders", "verdict", "judged")
 
     def __init__(self, model, req: Request, block_size: int):
         self.patches = sum(patches_for_image(model, res) for res in req.images)
@@ -205,18 +213,9 @@ class _Shape:
         self.mm_blocks = blocks_for(self.mm_tokens, block_size)
         self.kv_blocks = (blocks_for(self.total_tokens, block_size),
                           blocks_for(self.total_tokens + req.output_tokens, block_size))
-        self.width = 0
-        self.shards: tuple[tuple[int, int], ...] = ()  # (worker, patches) over ``width``
+        self.holders: Optional[dict[str, list[_Instance]]] = None  # by stage, as the pools
         self.verdict: Optional[str] = None
         self.judged = 0  # pool versions count from 1
-
-    def split(self, width: int) -> tuple[tuple[int, int], ...]:
-        """The non-empty shards over ``width`` workers; text-only requests
-        still put one empty shard on worker 0, which pays the batch base cost."""
-        if width != self.width:
-            split = tuple((k, p) for k, p in enumerate(irp_shard(self.patches, width)) if p > 0)
-            self.width, self.shards = width, split or ((0, 0),)
-        return self.shards
 
 
 class _Req:
@@ -230,7 +229,7 @@ class _Req:
         self.e_iid: Optional[int] = None
         self.p_iid: Optional[int] = None
         self.d_iid: Optional[int] = None
-        self.shards: tuple[tuple[int, int], ...] = ()  # the shape's split, once encoding
+        self.shards: tuple[tuple[int, int], ...] = ()  # (worker, patches), once encoding
         self.shards_run_done = 0
         self.ready_unsent: list[int] = []
         self.emitted = 0
@@ -324,6 +323,9 @@ class _Sim:
         self.last_pop = 0.0
 
         self.chan_free: dict[tuple[int, int], float] = {}
+        # Per size: the shards of (patches, encode width), the E→P wire time of patches.
+        self.splits: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self.shard_wire: dict[int, float] = {}
         self.ep_wait: deque[int] = deque()
         self.pd_wait: deque[int] = deque()
         self.rr = {"encode": 0, "prefill": 0, "decode": 0}
@@ -483,11 +485,15 @@ class _Sim:
         return shape.verdict
 
     def _judge(self, shape: _Shape) -> Optional[str]:
+        """The verdict under the current pools. Sets the shape's holders,
+        which are the pools themselves when every active instance holds it."""
         if shape.total_tokens == 0:
             return "empty"
         if shape.total_tokens > self.model.max_context_tokens:
             return "context"
-        if all(any(i.holds(shape) for i in pool) for pool in self.pools.values()):
+        holders = {stage: [i for i in pool if i.holds(shape)] for stage, pool in self.pools.items()}
+        shape.holders = self.pools if holders == self.pools else holders
+        if all(holders.values()):
             return None
         if any(i.serves_encode and shape.mm_blocks <= i.mm.total_blocks for i in self.insts):
             return "kv_capacity"
@@ -523,16 +529,22 @@ class _Sim:
         first instance's. Least-loaded takes the first of the lowest load, so
         ties go to the lowest iid; round-robin (FCFS) cycles over the
         qualifying instances by the stage's counter."""
-        shape, room, pool = r.shape, self._room, self.pools[stage]
-        fits = [i for i in pool if i.holds(shape) and room(i, shape, mm, kv)]
+        shape = r.shape
+        if shape.judged != self.pools_version:
+            self._admission_reason(r)  # judged again, and its holders with it
+        fits, reserves = shape.holders[stage], mm or kv
+        if reserves:
+            room = self._room
+            fits = [i for i in fits if room(i, shape, mm, kv)]
         if not fits:
             return None
-        if pool[0].policy is SchedulePolicy.LEAST_LOADED:
+        if self.pools[stage][0].policy is SchedulePolicy.LEAST_LOADED:
             inst = min(fits, key=load)
         else:
             inst = fits[self.rr[stage] % len(fits)]
             self.rr[stage] += 1
-        self._allocate(inst, r, mm, kv)
+        if reserves:
+            self._allocate(inst, r, mm, kv)
         slot, column = _PLACED[stage]
         setattr(r, slot, inst.iid)
         setattr(r.rec, column, inst.iid)
@@ -556,15 +568,17 @@ class _Sim:
         self._enqueue(inst, r, t)
 
     def _on_worker_done(self, t: float, items: list[tuple[int, int]]) -> None:
-        for rid, shard_idx in items:
+        last = len(items) - 1
+        for n, (rid, shard_idx) in enumerate(items):
             r = self.rs[rid]
             r.rec.shards[shard_idx].end = t
             r.shards_run_done += 1
             if r.shards_run_done == len(r.shards):
                 r.rec.encode_end = t
             r.ready_unsent.append(shard_idx)
-            if r.p_iid is not None:  # prefill MM reserved: send as shards finish
-                self._send_ready_shards(r, t)
+            if r.p_iid is not None:  # prefill MM reserved: send as shards finish,
+                if n == last or items[n + 1][0] != rid:  # a run of them in one send
+                    self._send_ready_shards(r, t)
             elif r.shards_run_done == 1:
                 # First shard done: reserve a prefill slot or wait in line.
                 # A later shard finds the request already in ep_wait.
@@ -717,14 +731,21 @@ class _Sim:
         return start + duration
 
     def _send_ready_shards(self, r: _Req, t: float) -> None:
-        """Send the shards that are encoded and not yet sent. All of a
-        request's shards share one FIFO channel, so the last one sent ends
+        """Send the shards that are encoded and not yet sent, in turn on the
+        request's E→P channel, as :meth:`_schedule_transfer` would. All of a
+        request's shards share that FIFO channel, so the last one sent ends
         last: only it pushes a TRANSFER_END."""
+        key, wire, records = (r.e_iid, r.p_iid), self.shard_wire, r.rec.shards
+        end = self.chan_free.get(key, 0.0)
         for shard_idx in r.ready_unsent:
-            _, patches = r.shards[shard_idx]
-            nbytes = patches * self.model.tokens_per_patch * self.mm_bpt
-            end = self._schedule_transfer(r.e_iid, r.p_iid, nbytes, t)
-            r.rec.shards[shard_idx].transfer_end = end
+            patches = r.shards[shard_idx][1]
+            if patches not in wire:
+                wire[patches] = transfer_latency(
+                    patches * self.model.tokens_per_patch * self.mm_bpt,
+                    self.system.transfer_channel, self.hw, self.cost.transfer_setup)
+            end = (end if end > t else t) + wire[patches]
+            records[shard_idx].transfer_end = end
+        self.chan_free[key] = end
         r.ready_unsent.clear()
         if r.shards_run_done == len(r.shards):
             self._push(end, _TRANSFER_END, ("ep", r.req.id))
@@ -762,8 +783,9 @@ class _Sim:
 
     # --- work starting ----------------------------------------------------------
 
-    def _launch(self, inst: _Instance, batch: list[int], end: float) -> None:
-        """Move ``batch`` from the head of the queue into the running slot."""
+    def _launch(self, inst: _Instance, batch: list[int]) -> tuple[int, int]:
+        """Move ``batch`` from the head of the queue into the running slot;
+        its patches and tokens."""
         patches = tokens = 0
         for rid in batch:
             inst.queue.popleft()
@@ -775,7 +797,7 @@ class _Sim:
         inst.running = tuple(batch)
         inst.running_patches = patches
         inst.running_tokens = tokens
-        self._push(end, _BATCH_END, (inst.iid,))
+        return patches, tokens
 
     def _start_batch(self, inst: _Instance, t: float) -> None:
         """Start the longest queue prefix whose reservations succeed: an
@@ -789,43 +811,50 @@ class _Sim:
         if not prefills:
             self._start_encode(inst, batch, t)
             return
-        reqs = [self.rs[rid] for rid in batch]
+        patches, tokens = self._launch(inst, batch)
         enc_dur = 0.0
         if encodes:
-            enc_dur = encode_latency(self.cost, sum(r.shape.patches for r in reqs),
-                                     tp_width=inst.tp, batch_size=len(batch))
-        pre_dur = prefill_latency(self.cost, max(1, sum(r.shape.total_tokens for r in reqs)),
-                                  inst.tp, inst.pp)
-        for r in reqs:
+            enc_dur = encode_latency(self.cost, patches, tp_width=inst.tp, batch_size=len(batch))
+        pre_dur = prefill_latency(self.cost, max(1, tokens), inst.tp, inst.pp)
+        for rid in batch:
+            rec = self.rs[rid].rec
             if encodes:
-                r.rec.encode_start = t
-                r.rec.encode_end = t + enc_dur
-            r.rec.prefill_start = t + enc_dur
-        self._launch(inst, batch, t + enc_dur + pre_dur)
+                rec.encode_start = t
+                rec.encode_end = t + enc_dur
+            rec.prefill_start = t + enc_dur
+        self._push(t + enc_dur + pre_dur, _BATCH_END, (inst.iid,))
 
     def _start_encode(self, inst: _Instance, batch: list[int], t: float) -> None:
         """Shard each request's patches across the instance's workers, and
         push one WORKER_DONE per distinct finish time, over its workers'
         (request, shard) items in worker id order."""
-        width = inst.tp
+        width, splits = inst.tp, self.splits
         worker_load = [0] * width
         worker_items: list[list[tuple[int, int]]] = [[] for _ in range(width)]
         for rid in batch:
             r = self.rs[rid]
-            r.shards = r.shape.split(width)
+            key = (r.shape.patches, width)
+            if key not in splits:  # text-only: one empty shard, which pays the base cost
+                split = tuple((k, p) for k, p in enumerate(irp_shard(*key)) if p > 0)
+                splits[key] = split or ((0, 0),)
+            r.shards = splits[key]
             r.rec.encode_start = t
             r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in r.shards]
             for shard_idx, (k, p) in enumerate(r.shards):
                 worker_load[k] += p
                 worker_items[k].append((rid, shard_idx))
         done: dict[float, list[tuple[int, int]]] = {}
+        runs: dict[tuple[int, int], float] = {}  # a worker's time, by (load, items)
         for load, items in zip(worker_load, worker_items):
             if items:  # a request puts at most one shard on a worker
-                finish = t + encode_latency(self.cost, load, tp_width=1, batch_size=len(items))
-                done.setdefault(finish, []).extend(items)
+                key = (load, len(items))
+                if key not in runs:
+                    runs[key] = encode_latency(self.cost, load, tp_width=1, batch_size=key[1])
+                done.setdefault(t + runs[key], []).extend(items)
         for finish, items in done.items():
             self._push(finish, _WORKER_DONE, (items,))
-        self._launch(inst, batch, max(done))
+        self._launch(inst, batch)
+        self._push(max(done), _BATCH_END, (inst.iid,))
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         """Open a segment: the run of decode steps from ``t`` through the
@@ -910,7 +939,8 @@ class _Sim:
         """
         if self.recheck_waits:
             self.recheck_waits = False
-            self._retry_waits(t)
+            if self.ep_wait or self.pd_wait:
+                self._retry_waits(t)
         if self.touched:
             for iid in sorted(self.touched):
                 self._start_work(self.insts[iid], t)

@@ -9,8 +9,9 @@ every instance's caches, decides whether a role switch strands a request by
 scanning every request that has arrived (for an encode source too, which
 the engine skips), and after every event checks each running sum (the
 resident KV tokens of a decode batch included), each decode-step factor,
-block count, the set of open requests and the cached stage pools against a
-fresh rescan. Its traces must equal the real engine's, byte for byte, and no
+block count, the set of open requests, the cached stage pools and each
+open request shape's holders (the members of each pool that hold it)
+against a fresh rescan. Its traces must equal the real engine's, byte for byte, and no
 run may stall.
 
 The engine also plans each decode instance's steps in segments under one
@@ -42,8 +43,8 @@ from disaggsim.controller import ControllerParams
 from disaggsim import engine
 from disaggsim.blocks import blocks_for
 from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
-from disaggsim.engine import (_ARRIVAL, _PLACED, _STEP_END, _TRANSFER_END, _VECTOR_STEPS,
-                              _WORKER_DONE, _Sim, irp_shard, run_simulation)
+from disaggsim.engine import (_ARRIVAL, _BATCH_END, _PLACED, _STEP_END, _TRANSFER_END,
+                              _VECTOR_STEPS, _WORKER_DONE, _Sim, irp_shard, run_simulation)
 from disaggsim.models import StageRole
 from disaggsim.presets import get_preset, switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
@@ -106,6 +107,14 @@ def rescan_errors(sim: _Sim) -> list[str]:
                 if inst.state == "active" and getattr(inst.role, f"serves_{stage}")]
         if [inst.iid for inst in sim.pools[stage]] != pool:
             errors.append(f"{stage} pool {[i.iid for i in sim.pools[stage]]} != rescan {pool}")
+    for shape in {id(r.shape): r.shape for r in sim.rs.values()}.values():
+        if shape.judged != sim.pools_version:
+            continue  # judged again before it is next read
+        for stage, pool in sim.pools.items():
+            holders = [i.iid for i in pool if i.holds(shape)]
+            if [i.iid for i in shape.holders[stage]] != holders:
+                errors.append(f"{stage} holders {[i.iid for i in shape.holders[stage]]} "
+                              f"!= rescan {holders}")
     offloading = [inst.iid for inst in sim.insts if inst.state == "offloading"]
     if offloading and (sim.switch_rec is None or offloading != [sim.switch_rec.instance_id]):
         errors.append(f"offloading {offloading} is not the switching instance")
@@ -303,7 +312,8 @@ class PerEventSim(BoundedSim):
             finishes.append(t + encode_latency(self.cost, worker_load[k], tp_width=1,
                                                batch_size=len(items)))
             self._push(finishes[-1], _WORKER_DONE, (items,))
-        self._launch(inst, batch, max(finishes))
+        self._launch(inst, batch)
+        self._push(max(finishes), _BATCH_END, (inst.iid,))
 
     def _send_ready_shards(self, r, t: float) -> None:
         for shard_idx in r.ready_unsent:

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from disaggsim.costs import (CostParams, decode_step_latency, encode_latency, pa
 from disaggsim.engine import (_VECTOR_STEPS, form_batch, irp_shard, plan_steps,
                               plan_steps_numpy, run_simulation)
 from disaggsim.models import HardwareSpec, ModelSpec, StageRole
+from disaggsim.presets import get_preset
 from disaggsim.simconfig import (CapacityExceeded, ConfigInfeasible, InstanceConfig,
                                  SchedulePolicy, SystemConfig)
 from disaggsim.workload import Request, Slo
@@ -113,26 +116,44 @@ ROUNDING_COST = CostParams(decode_base=0.0123456789, decode_per_seq=0.00271828,
 INTEGER_COST = CostParams(decode_base=1, decode_per_seq=2, decode_per_kv_token=3)
 
 
+def per_step_ends(cost, batch, kv, factor, start, steps):
+    """The reference plan: one :func:`decode_step_latency` call a step."""
+    ends, t = [], start
+    for step in range(steps):
+        duration = decode_step_latency(cost, batch, kv + step * batch)
+        duration *= factor
+        t = t + duration
+        ends.append(t)
+    return ends
+
+
 class TestPlanSteps:
-    @pytest.mark.parametrize("steps", [_VECTOR_STEPS - 1, _VECTOR_STEPS, _VECTOR_STEPS + 1, 500])
+    @pytest.mark.parametrize("steps", [1, 2, _VECTOR_STEPS - 1, _VECTOR_STEPS,
+                                       _VECTOR_STEPS + 1, 500])
     @pytest.mark.parametrize("tp, pp", [(1, 1), (2, 1), (1, 2), (3, 2), (8, 4)])
     @pytest.mark.parametrize("batch, kv", [(1, 0), (7, 12_345), (64, 10**6)])
     @pytest.mark.parametrize("cost", [ROUNDING_COST, INTEGER_COST], ids=["rounding", "integer"])
-    def test_numpy_pass_equals_the_loop_bit_for_bit(self, steps, tp, pp, batch, kv, cost):
+    def test_plans_equal_the_per_step_loop_bit_for_bit(self, steps, tp, pp, batch, kv, cost):
         factor = parallel_factor(cost, tp, pp)
         args = (cost, batch, kv, factor, 1234.567891, steps)
-        loop, vector = plan_steps(*args), plan_steps_numpy(*args)
-        assert all(type(end) is float for end in vector)
-        assert [end.hex() for end in vector] == [end.hex() for end in loop]
+        expected = [end.hex() for end in per_step_ends(*args)]
+        for plan in (plan_steps, plan_steps_numpy):
+            ends = plan(*args)
+            assert all(type(end) is float for end in ends)
+            assert [end.hex() for end in ends] == expected, plan.__name__
 
-    def test_numpy_pass_times_its_first_step_by_the_scalar_form(self, monkeypatch):
+    @pytest.mark.parametrize("plan", [plan_steps, plan_steps_numpy])
+    def test_a_plan_calls_the_scalar_form_once(self, plan, monkeypatch):
+        """Once a segment, so that its argument checks still run."""
         calls = []
         def counted(*args):
             calls.append(args)
             return decode_step_latency(*args)
         monkeypatch.setattr(engine, "decode_step_latency", counted)
-        plan_steps_numpy(ROUNDING_COST, 7, 12_345, 1.0, 0.0, 500)
+        plan(ROUNDING_COST, 7, 12_345, 1.0, 0.0, 500)
         assert calls == [(ROUNDING_COST, 7, 12_345)]
+        with pytest.raises(ValueError, match="at least one sequence"):
+            plan(ROUNDING_COST, 0, 12_345, 1.0, 0.0, 5)
 
 
 class TestSinglePipelineClosedForm:
@@ -435,3 +456,31 @@ class TestDeterminismAndEdges:
             simple_cost.enc_base, abs=1e-12)
         assert rec.ep_transfer_end == pytest.approx(rec.encode_end, abs=1e-12)
         trace.validate()
+
+
+@pytest.mark.parametrize("name", ["encode-heavy", "switch-shifted"])
+def test_a_finished_simulation_is_freed_by_reference_counting(name):
+    """No reference cycle runs through a simulation: with the cyclic
+    collector off, nothing of it is left once ``run`` returns. A cycle, such
+    as a closure over the simulation kept on it, would keep every run's
+    engine state alive until the collector next ran. Covered: ``epd`` with
+    its encode instance four GPUs wide (patch sharding), and switch-shifted
+    with the role-switch controller on."""
+    preset = get_preset(name)
+    config = preset.systems["epd"]
+    workload = preset.generate(preset.workload)
+    gc.disable()
+    try:
+        sim = engine._Sim(config, workload, 0)
+        alive = weakref.ref(sim)
+        trace = sim.run()
+        del sim
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert trace.completed_count == len(workload)
+    if name == "encode-heavy":
+        assert config.instances[0].tp == 4
+        assert all(len(rec.shards) == 4 for rec in trace.requests.values())
+    else:
+        assert config.role_switch is not None and trace.switches
