@@ -20,11 +20,11 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, ablations, capacity as capacity_mod, metrics as metrics_mod
-from .controller import ControllerParams, write_switch_log
+from .controller import ControllerParams
 from .engine import run_simulation
 from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
-from .optimizer import (Metric, Objective, Strategy, load_space, restricted_space, solve,
-                        write_search_log)
+from .optimizer import (Metric, Objective, Strategy, TrialRecord, load_space, restricted_space,
+                        solve)
 from .presets import (EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
                       get_preset, preset_names)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, SystemConfig, disable_irp,
@@ -107,6 +107,14 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def _write_log(path: Path, log: list[TrialRecord]) -> None:
+    """A search log: one row per trial, its candidate's axes sorted by name."""
+    fields = ["index", "score", "f_value", "cost_value", "feasible", *sorted(log[0].candidate)]
+    _write_csv(path, fields, [{"index": r.index, "score": r.score, "f_value": r.f_value,
+                               "cost_value": r.cost_value, "feasible": r.feasible,
+                               **r.candidate} for r in log])
+
+
 def _apply_flags(config, args):
     if getattr(args, "irp", None) == "off":
         config = disable_irp(config)
@@ -159,7 +167,8 @@ def cmd_simulate(args) -> int:
         trace.write_summary(out / f"simulate-{label}-summary.csv")
         summary_paths.append(str(out / f"simulate-{label}-summary.csv"))
         if trace.switches:
-            write_switch_log(out / f"simulate-{label}-switches.csv", trace.switches)
+            rows = [to_dict(record) for record in trace.switches]
+            _write_csv(out / f"simulate-{label}-switches.csv", list(rows[0].keys()), rows)
         print(f"{label}: completed={trace.completed_count} rejected={trace.rejected_count} "
               f"horizon={trace.horizon:.3f}s switches={len(trace.switches)}")
     _write_meta(out / "simulate-meta.json", "simulate", inputs,
@@ -181,10 +190,12 @@ def cmd_sweep(args) -> int:
         config = _apply_flags(preset.systems[label], args)
         points = metrics_mod.sweep(config, preset.workload, preset.slo, rate_grid, seed=seed,
                                    generate=preset.generate)
-        path = out / f"sweep-{preset.name}-{label}.csv"
-        metrics_mod.write_sweep_csv(path, label, preset.model.name,
-                                    preset.workload.images_per_request,
-                                    preset.hardware.num_gpus, points)
+        rows = [{"system": label, "model": preset.model.name,
+                 "images_per_request": preset.workload.images_per_request,
+                 "rate_per_gpu": p.rate / preset.hardware.num_gpus,
+                 "attainment": p.attainment, "mean_ttft": p.mean_ttft,
+                 "p99_ttft": p.p99_ttft, "mean_tpot": p.mean_tpot} for p in points]
+        _write_csv(out / f"sweep-{preset.name}-{label}.csv", list(rows[0].keys()), rows)
         goodputs[label] = metrics_mod.goodput_from_sweep(points, threshold)
         print(f"{label}: goodput={goodputs[label]} r/s "
               f"(threshold {threshold:.0%}, grid {rate_grid})")
@@ -216,7 +227,7 @@ def cmd_ablate(args) -> int:
         rows += [{"kind": f"random-{r['index']}", "goodput": r["goodput"],
                   **r["candidate"]} for r in result["random_rows"]]
         _write_csv(path, list(rows[0].keys()), rows)
-        write_search_log(out / "ablate-optimizer-log.csv", result["search_log"])
+        _write_log(out / "ablate-optimizer-log.csv", result["search_log"])
         print(f"solver goodput={result['solver_goodput']} "
               f"random mean={result['random_mean_goodput']}")
         inputs.update(trials=args.trials, beta=args.beta)
@@ -309,7 +320,7 @@ def cmd_optimize(args) -> int:
                    rate_grid=rate_grid, generate=preset.generate)
     best_path = out / "optimize-best.json"
     save_system_config(best_path, result.best_config)
-    write_search_log(out / "optimize-log.csv", result.log)
+    _write_log(out / "optimize-log.csv", result.log)
     print(f"best score={result.best_score} candidate={result.best_candidate.describe()}")
     _write_meta(out / "optimize-meta.json", "optimize", {
         "preset": preset.name, "objective": args.objective, "beta": args.beta,

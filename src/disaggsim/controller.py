@@ -8,7 +8,7 @@ offload / migration / onload phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .costs import CostParams
 from .models import StageRole
@@ -114,15 +114,3 @@ def migration_latency(cost: CostParams, source: StageRole, target: StageRole) ->
         return cost.switch_latency_e
     return cost.switch_latency_pd
 
-
-def write_switch_log(path, switches: Sequence[SwitchEventRecord]) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time", "instance_id", "source", "target", "redistributed",
-                         "offload_done", "migration_done", "onload_done"])
-        for s in switches:
-            writer.writerow([s.time, s.instance_id, s.source.value, s.target.value,
-                             s.redistributed, s.offload_done, s.migration_done,
-                             s.onload_done])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -166,14 +165,3 @@ def goodput(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
     return goodput_from_sweep(
         sweep(config, workload_spec, slo, rate_grid, seed=seed, generate=generate), threshold)
 
-
-def write_sweep_csv(path, system: str, model: str, images_per_request: int,
-                    num_gpus: int, points: Sequence[SweepPoint]) -> None:
-    """Emit rows shaped (system, model, images/request, per-GPU rate, attainment)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["system", "model", "images_per_request", "rate_per_gpu",
-                         "attainment", "mean_ttft", "p99_ttft", "mean_tpot"])
-        for p in points:
-            writer.writerow([system, model, images_per_request, p.rate / num_gpus,
-                             p.attainment, p.mean_ttft, p.p99_ttft, p.mean_tpot])

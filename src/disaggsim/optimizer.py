@@ -10,7 +10,6 @@ spaces; random search and a simple surrogate-guided proposer cover larger ones.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -348,16 +347,3 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
     return SolveResult(best_candidate=best[1], best_config=best[2],
                        best_score=best[0], log=log)
 
-
-def write_search_log(path, log: Sequence[TrialRecord]) -> None:
-    if not log:
-        return
-    fields = ["index", "score", "f_value", "cost_value", "feasible"]
-    fields += sorted(log[0].candidate)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(fields)
-        for rec in log:
-            row = [rec.index, rec.score, rec.f_value, rec.cost_value, rec.feasible]
-            row += [rec.candidate[k] for k in sorted(rec.candidate)]
-            writer.writerow(row)

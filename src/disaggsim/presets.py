@@ -147,23 +147,12 @@ def encode_heavy_preset(seed: int = 20260808) -> ExperimentPreset:
 def ttft_distribution_preset(model_name: str, images: int,
                              seed: int = 20260808) -> ExperimentPreset:
     """Fixed-rate run comparing TTFT distributions of the two splits."""
-    model = builtin_model(model_name)
-    cost = SYNTHETIC_COSTS[model_name]
-    slo = slo_for(model_name, images)
+    base = _slo_attainment_preset(model_name, images, seed)
     rate = 0.25 if model_name == MINICPM else 0.08
-    workload = WorkloadSpec(
-        rate_lambda=rate, num_requests=100, prompt_tokens=22,
-        images_per_request=images, resolution=RES_4K, output_tokens=10,
-        seed=seed, slo=slo)
-    systems = {
-        "epd": build_system(model, cost, "1E2P2D", tp={StageRole.ENCODE: 4}),
-        "distserve": build_system(model, cost, "6EP2D"),
-    }
-    alias = {v: k for k, v in _MODEL_ALIASES.items()}[model_name]
-    return ExperimentPreset(
-        name=f"ttft-{alias}-{images}img",
-        model=model, hardware=EIGHT_GPU_NODE, cost=cost, workload=workload,
-        systems=systems, rate_grid=(rate,), slo=slo,
+    return replace(
+        base, name=f"ttft-{base.name.removeprefix('slo-')}",
+        workload=replace(base.workload, rate_lambda=rate), rate_grid=(rate,),
+        systems={label: base.systems[label] for label in ("epd", "distserve")},
         notes="TTFT distribution at a fixed arrival rate")
 
 

@@ -83,20 +83,25 @@ def _images(spec: WorkloadSpec) -> tuple[Resolution, ...]:
     return tuple(spec.resolution for _ in range(spec.images_per_request))
 
 
-def generate_poisson(spec: WorkloadSpec) -> list[Request]:
-    """Exactly ``num_requests`` requests with seeded exponential gaps."""
+def _requests(spec: WorkloadSpec, outputs: list[int]) -> list[Request]:
+    """``spec``'s Poisson requests, request ``i`` asking for ``outputs[i]`` tokens."""
     images = _images(spec)
     return [
         Request(
             id=i,
-            arrival_time=float(t),
+            arrival_time=t,
             prompt_tokens=spec.prompt_tokens,
             images=images,
-            output_tokens=spec.output_tokens,
+            output_tokens=tokens,
             slo=spec.slo,
         )
-        for i, t in enumerate(_arrivals(spec))
+        for i, (t, tokens) in enumerate(zip(_arrivals(spec).tolist(), outputs))
     ]
+
+
+def generate_poisson(spec: WorkloadSpec) -> list[Request]:
+    """Exactly ``num_requests`` requests with seeded exponential gaps."""
+    return _requests(spec, [spec.output_tokens] * spec.num_requests)
 
 
 def generate_shifted(spec: WorkloadSpec, early: tuple[int, int],
@@ -110,19 +115,7 @@ def generate_shifted(spec: WorkloadSpec, early: tuple[int, int],
     late_n, late_tokens = late
     if early_n + late_n != spec.num_requests:
         raise ValueError("early.count + late.count must equal num_requests")
-    images = _images(spec)
-    requests = []
-    for i, t in enumerate(_arrivals(spec)):
-        tokens = early_tokens if i < early_n else late_tokens
-        requests.append(Request(
-            id=i,
-            arrival_time=float(t),
-            prompt_tokens=spec.prompt_tokens,
-            images=images,
-            output_tokens=tokens,
-            slo=spec.slo,
-        ))
-    return requests
+    return _requests(spec, [early_tokens] * early_n + [late_tokens] * late_n)
 
 
 # ``width``/``height`` hold the first image; ``resolutions`` lists every image

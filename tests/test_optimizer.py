@@ -10,8 +10,7 @@ from disaggsim.engine import run_simulation
 from disaggsim.models import StageRole
 from disaggsim.optimizer import (BudgetMode, Candidate, ConfigSpace, EmptyFeasibleSet,
                                  Metric, Objective, Strategy, TrialRecord, cost,
-                                 evaluate, restricted_space, solve, space_from_dict,
-                                 write_search_log)
+                                 evaluate, restricted_space, solve, space_from_dict)
 from disaggsim.presets import optimizer_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.workload import Slo, WorkloadSpec
@@ -185,7 +184,7 @@ class TestSolve:
         assert result.best_score == pytest.approx(brute[0])
         assert len(result.log) == space.size()
 
-    def test_each_deployed_system_is_simulated_once(self, monkeypatch, tmp_path):
+    def test_each_deployed_system_is_simulated_once(self, monkeypatch):
         # IRP on and off with one encode GPU deploy the same system; exhaustive
         # search simulates it once.
         preset = _tiny_preset()
@@ -207,9 +206,7 @@ class TestSolve:
             r = evaluate(candidate.deploy(base), spec, objective, seed=1)
             each.append(TrialRecord(index, candidate.describe(), r.score, r.f_value,
                                     r.cost_value, r.feasible))
-        write_search_log(tmp_path / "once.csv", result.log)
-        write_search_log(tmp_path / "each.csv", each)
-        assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "each.csv").read_bytes()
+        assert result.log == each
 
     def test_returned_score_dominates_log(self):
         preset = _tiny_preset()
