@@ -8,9 +8,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import run_simulation
-# request_metrics is not called here: it stays bound because perfbench's
-# layers.patched replaces it by name in every scoring module.
-from .metrics import request_metrics, score  # noqa: F401
+# request_metrics and generate_poisson are not called here: they stay bound
+# because perfbench's layers.patched replaces them by name in every scoring
+# module.
+from .metrics import measure, request_metrics, score  # noqa: F401
 from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
 from .models import StageRole
 from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
@@ -18,7 +19,7 @@ from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
                       offline_batches, slo_for)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
-from .workload import WorkloadSpec, generate_poisson
+from .workload import WorkloadSpec, generate_poisson  # noqa: F401
 
 
 def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
@@ -30,18 +31,16 @@ def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
     """
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]
+    with_irp = build_system(model, cost, "1E2P1D", tp={StageRole.ENCODE: 5})
+    without_irp = disable_irp(with_irp)
     rows = []
     for images in images_list:
-        slo = slo_for(MINICPM, images)
         spec = WorkloadSpec(
             rate_lambda=rate, num_requests=num_requests, prompt_tokens=22,
             images_per_request=images, resolution=RES_4K, output_tokens=10,
-            seed=seed, slo=slo)
-        workload = generate_poisson(spec)
-        with_irp = build_system(model, cost, "1E2P1D", tp={StageRole.ENCODE: 5})
-        without_irp = disable_irp(with_irp)
-        ttft_on = score(run_simulation(with_irp, workload, seed=seed), slo).mean_ttft
-        ttft_off = score(run_simulation(without_irp, workload, seed=seed), slo).mean_ttft
+            seed=seed, slo=slo_for(MINICPM, images))
+        ttft_on = measure(with_irp, spec).mean_ttft
+        ttft_off = measure(without_irp, spec).mean_ttft
         rows.append({
             "images_per_request": images,
             "mean_ttft_with_irp": ttft_on,
@@ -61,10 +60,11 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
     """
     preset = preset or get_preset("optimizer-restricted")
     space = restricted_space(preset.hardware.num_gpus)
+    spec = replace(preset.workload, seed=seed)
     objective = Objective(metric=Metric.GOODPUT, beta=beta)
     base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
                         cost=preset.cost)
-    result = solve(space, preset.workload, objective, base,
+    result = solve(space, spec, objective, base,
                    strategy=Strategy.SURROGATE, trials=trials, seed=seed,
                    rate_grid=preset.rate_grid)
     solver_goodput = max(rec.f_value for rec in result.log
@@ -74,8 +74,7 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
     random_rows = []
     for index in range(num_random):
         candidate = space.sample(rng)
-        outcome = evaluate(candidate.deploy(base), preset.workload, objective,
-                           seed=seed, rate_grid=preset.rate_grid)
+        outcome = evaluate(candidate.deploy(base), spec, objective, preset.rate_grid)
         random_rows.append({
             "index": index,
             "candidate": candidate.describe(),
@@ -125,18 +124,17 @@ def switch_ablation(seed: int = 20260808) -> dict:
         "with_switch": summarize(trace_on),
         "without_switch": summarize(trace_off),
         "makespan_ratio": trace_on.horizon / trace_off.horizon,
-        "switch_records": trace_on.switches,
     }
 
 
 def offline_throughput(seed: int = 20260808) -> list[dict]:
     """Requests-per-second for each offline system plus shape/batch sweeps."""
     preset = get_preset("offline-throughput")
-    workload = preset.generate(replace(preset.workload, seed=seed))
+    spec = replace(preset.workload, seed=seed)
     rows = []
 
     def throughput(config: SystemConfig) -> float:
-        return score(run_simulation(config, workload, seed=seed), preset.slo).throughput
+        return measure(config, spec, preset.generate).throughput
 
     for label, config in preset.systems.items():
         rows.append({"system": label, "sweep": "preset", "value": "-",

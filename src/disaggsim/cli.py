@@ -183,23 +183,24 @@ def cmd_sweep(args) -> int:
                          "its requests do not depend on the arrival rate")
     out = _out_dir(args)
     seed = args.seed if args.seed is not None else preset.workload.seed
+    spec = replace(preset.workload, seed=seed)
     rate_grid = args.rate_grid or list(preset.rate_grid)
     threshold = args.threshold
     goodputs = {}
     for label in sorted(preset.systems):
         config = _apply_flags(preset.systems[label], args)
-        points = metrics_mod.sweep(config, preset.workload, preset.slo, rate_grid, seed=seed,
-                                   generate=preset.generate)
+        points = metrics_mod.sweep(config, spec, rate_grid, preset.generate)
         rows = [{"system": label, "model": preset.model.name,
-                 "images_per_request": preset.workload.images_per_request,
+                 "images_per_request": spec.images_per_request,
                  "rate_per_gpu": p.rate / preset.hardware.num_gpus,
-                 "attainment": p.attainment, "mean_ttft": p.mean_ttft,
-                 "p99_ttft": p.p99_ttft, "mean_tpot": p.mean_tpot} for p in points]
-        _write_csv(out / f"sweep-{preset.name}-{label}.csv", list(rows[0].keys()), rows)
+                 "attainment": p.score.attainment, "mean_ttft": p.score.mean_ttft,
+                 "p99_ttft": p.score.p99_ttft, "mean_tpot": p.score.mean_tpot}
+                for p in points]
+        _write_csv(out / f"{args.command}-{preset.name}-{label}.csv", list(rows[0].keys()), rows)
         goodputs[label] = metrics_mod.goodput_from_sweep(points, threshold)
         print(f"{label}: goodput={goodputs[label]} r/s "
               f"(threshold {threshold:.0%}, grid {rate_grid})")
-    _write_meta(out / f"sweep-{preset.name}-meta.json", "sweep", {
+    _write_meta(out / f"{args.command}-{preset.name}-meta.json", args.command, {
         "preset": preset.name, "seed": seed, "rate_grid": rate_grid,
         "attainment_threshold": threshold,
         "systems": {label: to_dict(_apply_flags(preset.systems[label], args))
@@ -315,7 +316,7 @@ def cmd_optimize(args) -> int:
                          "objective; give --rate-grid")
     base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
                         cost=preset.cost)
-    result = solve(space, preset.workload, objective, base,
+    result = solve(space, replace(preset.workload, seed=args.seed), objective, base,
                    strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,
                    rate_grid=rate_grid, generate=preset.generate)
     best_path = out / "optimize-best.json"

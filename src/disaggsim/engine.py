@@ -89,7 +89,7 @@ from .costs import (CostParams, decode_step_latencies, decode_step_latency,
 from .models import (StageRole, kv_bytes_per_token, mm_bytes_per_token,
                      patches_for_image, tokens_for_request, weights_bytes)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, InstanceConfig,
-                        SchedulePolicy, SystemConfig, format_shape)
+                        SchedulePolicy, SystemConfig)
 from .trace import InstanceRecord, RequestRecord, ShardRecord, SimTrace
 from .workload import Request
 
@@ -412,13 +412,8 @@ class _Sim:
                         f"instance {inst.iid} leaked {manager.used_blocks} "
                         f"{manager.kind.value} blocks")
         instances = {inst.iid: inst.record for inst in self.insts}
-        meta = {
-            "seed": self.seed,
-            "shape": format_shape(self.system.instances),
-            "gpus": self.system.gpu_count,
-        }
         return SimTrace(requests=self.records, instances=instances,
-                        switches=self.switches, meta=meta)
+                        switches=self.switches, meta={"seed": self.seed})
 
     # --- pools and loads ------------------------------------------------------
 

@@ -45,10 +45,7 @@ class Score:
 @dataclass(frozen=True)
 class SweepPoint:
     rate: float
-    attainment: float
-    mean_ttft: float
-    p99_ttft: float
-    mean_tpot: float
+    score: Score
 
 
 def _completed(trace: SimTrace, rid: int) -> RequestRecord:
@@ -121,27 +118,27 @@ def slo_attainment(trace: SimTrace, slo: Optional[Slo] = None) -> float:
     return score(trace, slo).attainment
 
 
-def sweep(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
-          rate_grid: Sequence[float], seed: Optional[int] = None,
+def measure(config: SystemConfig, spec: WorkloadSpec,
+            generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> Score:
+    """Simulate ``spec``'s requests on ``config`` with ``spec.seed`` and score
+    the trace against ``spec.slo``. ``generate`` makes the requests (default
+    :func:`generate_poisson`)."""
+    # generate_poisson is looked up per call, so a replacement of it is used
+    requests = (generate or generate_poisson)(spec)
+    return score(run_simulation(config, requests, seed=spec.seed), spec.slo)
+
+
+def sweep(config: SystemConfig, spec: WorkloadSpec, rate_grid: Sequence[float],
           generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None
           ) -> tuple[SweepPoint, ...]:
-    """Simulate the workload at every rate in the grid (full sweep, no search).
-
-    ``generate`` makes each rate's requests from the spec (default
-    :func:`generate_poisson`). The grid must rise strictly.
-    """
+    """:func:`measure` ``spec`` at every rate in the grid (full sweep, no
+    search). The grid must rise strictly."""
     if not rate_grid:
         raise ValueError("rate grid must be non-empty")
     if any(b <= a for a, b in zip(rate_grid, rate_grid[1:])):
         raise ValueError("sweep rates must be strictly increasing")
-    seed = workload_spec.seed if seed is None else seed
-    points = []
-    for rate in rate_grid:
-        spec = replace(workload_spec, rate_lambda=rate, seed=seed, slo=slo)
-        # generate_poisson is looked up per call, so a replacement of it is used
-        s = score(run_simulation(config, (generate or generate_poisson)(spec), seed=seed), slo)
-        points.append(SweepPoint(rate, s.attainment, s.mean_ttft, s.p99_ttft, s.mean_tpot))
-    return tuple(points)
+    return tuple(SweepPoint(rate, measure(config, replace(spec, rate_lambda=rate), generate))
+                 for rate in rate_grid)
 
 
 def goodput_from_sweep(points: Sequence[SweepPoint], threshold: float = 0.9) -> float:
@@ -152,16 +149,13 @@ def goodput_from_sweep(points: Sequence[SweepPoint], threshold: float = 0.9) -> 
     """
     best = 0.0
     for point in points:
-        if point.attainment >= threshold:
+        if point.score.attainment >= threshold:
             best = max(best, point.rate)
     return best
 
 
-def goodput(config: SystemConfig, workload_spec: WorkloadSpec, slo: Slo,
-            rate_grid: Sequence[float], threshold: float = 0.9,
-            seed: Optional[int] = None,
+def goodput(config: SystemConfig, spec: WorkloadSpec, rate_grid: Sequence[float],
+            threshold: float = 0.9,
             generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> float:
     """Highest grid rate sustaining the attainment threshold (0 if none)."""
-    return goodput_from_sweep(
-        sweep(config, workload_spec, slo, rate_grid, seed=seed, generate=generate), threshold)
-
+    return goodput_from_sweep(sweep(config, spec, rate_grid, generate), threshold)

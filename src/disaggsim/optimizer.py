@@ -19,14 +19,15 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# request_metrics is not called here: it stays bound because perfbench's
-# layers.patched replaces it by name in every scoring module.
-from .metrics import goodput, request_metrics, score  # noqa: F401
-from .engine import run_simulation
+# run_simulation, request_metrics and generate_poisson are not called here:
+# they stay bound because perfbench's layers.patched replaces them by name
+# in every module that simulates or scores.
+from .engine import run_simulation  # noqa: F401
+from .metrics import goodput, measure, request_metrics  # noqa: F401
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
                         SystemConfig, expand_shape, from_dict, to_dict)
 from .models import StageRole
-from .workload import Request, WorkloadSpec, generate_poisson
+from .workload import Request, WorkloadSpec, generate_poisson  # noqa: F401
 
 NEG_INF = float("-inf")
 
@@ -218,23 +219,19 @@ class EvalResult:
 
 
 def evaluate(config: SystemConfig, workload_spec: WorkloadSpec, objective: Objective,
-             seed: int, rate_grid: Optional[Sequence[float]] = None,
+             rate_grid: Optional[Sequence[float]] = None,
              generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> EvalResult:
     """Score one configuration: metric value minus the weighted GPU cost.
-    ``generate`` makes the requests from the spec (default
-    :func:`generate_poisson`, looked up per call)."""
+    ``generate`` makes the requests from the spec (see :func:`metrics.measure`)."""
     cost_value = cost(config.instances)
     try:
         config.validate()
         if objective.metric is Metric.GOODPUT:
             if not rate_grid:
                 raise ValueError("goodput objective needs a rate grid")
-            f_value = goodput(config, workload_spec, workload_spec.slo, rate_grid, seed=seed,
-                              generate=generate)
+            f_value = goodput(config, workload_spec, rate_grid, generate=generate)
         else:
-            spec = replace(workload_spec, seed=seed)
-            trace = run_simulation(config, (generate or generate_poisson)(spec), seed=seed)
-            scores = score(trace, workload_spec.slo)
+            scores = measure(config, workload_spec, generate)
             if objective.metric is Metric.NEG_MEAN_TTFT:
                 if not scores.completed:
                     raise ConfigInfeasible("no request completed")
@@ -298,11 +295,12 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
           rate_grid: Optional[Sequence[float]] = None,
           generate: Optional[Callable[[WorkloadSpec], list[Request]]] = None) -> SolveResult:
     """Maximize the objective over the space, each candidate deployed onto
-    ``base``; every candidate is logged. Exhaustive search evaluates each
-    deployed system once: IRP on and off with one encode GPU deploy the
-    same system. Random and surrogate search still evaluate every draw:
-    perfbench's optimizer-search golden digests cover each of their
-    simulations."""
+    ``base`` and simulated on ``workload_spec`` (with its seed); ``seed``
+    drives only the search's own draws. Every candidate is logged.
+    Exhaustive search evaluates each deployed system once: IRP on and off
+    with one encode GPU deploy the same system. Random and surrogate search
+    still evaluate every draw: perfbench's optimizer-search golden digests
+    cover each of their simulations."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -332,8 +330,7 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
         key = json.dumps(to_dict(config), sort_keys=True) if exhaustive else None
         result = results.get(key)
         if result is None:
-            result = evaluate(config, workload_spec, objective, seed=seed, rate_grid=rate_grid,
-                              generate=generate)
+            result = evaluate(config, workload_spec, objective, rate_grid, generate)
             if exhaustive:
                 results[key] = result
         log.append(TrialRecord(index=index, candidate=candidate.describe(),

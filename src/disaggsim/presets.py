@@ -86,11 +86,13 @@ class ExperimentPreset:
     workload: WorkloadSpec
     systems: dict[str, SystemConfig]
     rate_grid: tuple[float, ...]  # empty when the requests ignore the arrival rate
-    slo: Slo
-    notes: str = ""
     # The requests of a workload spec; every command that simulates the
     # preset's workload (simulate, sweep, the ablations) calls this.
     generate: Callable[[WorkloadSpec], list[Request]] = generate_poisson
+
+    @property
+    def slo(self) -> Slo:
+        return self.workload.slo
 
 
 def build_system(model: ModelSpec, cost: CostParams, shape: str, *,
@@ -121,11 +123,10 @@ _MODEL_ALIASES = {"minicpm": MINICPM, "internvl8": INTERNVL8, "internvl26": INTE
 def _slo_attainment_preset(model_name: str, images: int, seed: int = 20260808) -> ExperimentPreset:
     model = builtin_model(model_name)
     cost = SYNTHETIC_COSTS[model_name]
-    slo = slo_for(model_name, images)
     workload = WorkloadSpec(
         rate_lambda=1.0, num_requests=100, prompt_tokens=22,
         images_per_request=images, resolution=RES_4K, output_tokens=10,
-        seed=seed, slo=slo)
+        seed=seed, slo=slo_for(model_name, images))
     systems = {
         "epd": build_system(model, cost, "1E2P2D", tp={StageRole.ENCODE: 4}),
         "distserve": build_system(model, cost, "6EP2D"),
@@ -135,13 +136,12 @@ def _slo_attainment_preset(model_name: str, images: int, seed: int = 20260808) -
     return ExperimentPreset(
         name=f"slo-{alias}-{images}img",
         model=model, hardware=EIGHT_GPU_NODE, cost=cost, workload=workload,
-        systems=systems, rate_grid=_FIG5_GRIDS[model_name], slo=slo,
-        notes="online SLO-attainment sweep; synthetic stage calibration")
+        systems=systems, rate_grid=_FIG5_GRIDS[model_name])
 
 
 def encode_heavy_preset(seed: int = 20260808) -> ExperimentPreset:
     """4 high-resolution images per request on the smallest model."""
-    return _slo_attainment_preset(MINICPM, 4, seed)
+    return replace(_slo_attainment_preset(MINICPM, 4, seed), name="encode-heavy")
 
 
 def ttft_distribution_preset(model_name: str, images: int,
@@ -152,8 +152,7 @@ def ttft_distribution_preset(model_name: str, images: int,
     return replace(
         base, name=f"ttft-{base.name.removeprefix('slo-')}",
         workload=replace(base.workload, rate_lambda=rate), rate_grid=(rate,),
-        systems={label: base.systems[label] for label in ("epd", "distserve")},
-        notes="TTFT distribution at a fixed arrival rate")
+        systems={label: base.systems[label] for label in ("epd", "distserve")})
 
 
 def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentPreset:
@@ -161,11 +160,10 @@ def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentP
     model = builtin_model(MINICPM)
     cost = replace(SYNTHETIC_COSTS[MINICPM],
                    decode_base=0.004, decode_per_seq=0.002, decode_per_kv_token=4e-7)
-    slo = Slo(5.0, 0.1)
     workload = WorkloadSpec(
         rate_lambda=3.0, num_requests=100, prompt_tokens=22,
         images_per_request=1, resolution=RES_4K, output_tokens=50,
-        seed=seed, slo=slo)
+        seed=seed, slo=Slo(5.0, 0.1))
     controller = ControllerParams(
         monitor_interval=1.0,
         imbalance_threshold=4.0,
@@ -183,8 +181,7 @@ def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentP
         role_max_batch={StageRole.ENCODE: 1, StageRole.PREFILL: 1, StageRole.DECODE: 5})
     return ExperimentPreset(
         name="switch-shifted", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
-        workload=workload, systems={"epd": system}, rate_grid=(3.0,), slo=slo,
-        notes="10 short-output then 90 long-output requests at a fixed rate",
+        workload=workload, systems={"epd": system}, rate_grid=(3.0,),
         generate=partial(generate_shifted, early=(10, 50), late=(90, 500)))
 
 
@@ -192,16 +189,13 @@ def optimizer_preset(seed: int = 20260808) -> ExperimentPreset:
     """Six-image workload used for configuration search experiments."""
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]
-    slo = slo_for(MINICPM, 6)
     workload = WorkloadSpec(
         rate_lambda=1.0, num_requests=100, prompt_tokens=22,
         images_per_request=6, resolution=RES_4K, output_tokens=10,
-        seed=seed, slo=slo)
+        seed=seed, slo=slo_for(MINICPM, 6))
     return ExperimentPreset(
         name="optimizer-restricted", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
-        workload=workload, systems={}, rate_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6),
-        slo=slo,
-        notes="restricted search space; all eight GPUs used by every candidate")
+        workload=workload, systems={}, rate_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6))
 
 
 def offline_requests(spec: WorkloadSpec) -> list[Request]:
@@ -218,11 +212,10 @@ def offline_preset(seed: int = 20260808) -> ExperimentPreset:
     """Batch-submitted workload for end-to-end throughput comparisons."""
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]
-    slo = Slo(60.0, 1.0)  # throughput runs are not SLO-gated
     workload = WorkloadSpec(
         rate_lambda=1.0, num_requests=200, prompt_tokens=7,
         images_per_request=1, resolution=RES_LOW, output_tokens=10,
-        seed=seed, slo=slo)
+        seed=seed, slo=Slo(60.0, 1.0))  # throughput runs are not SLO-gated
     systems = {
         "epd-5e2p1d": build_system(model, cost, "5E2P1D", max_batch=offline_batches(8)),
         "distserve-7ep1d": build_system(model, cost, "7EP1D",
@@ -230,8 +223,7 @@ def offline_preset(seed: int = 20260808) -> ExperimentPreset:
     }
     return ExperimentPreset(
         name="offline-throughput", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
-        workload=workload, systems=systems, rate_grid=(), slo=slo,
-        notes="all requests submitted at time zero; report requests per second",
+        workload=workload, systems=systems, rate_grid=(),
         generate=offline_requests)
 
 

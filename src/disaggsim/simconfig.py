@@ -152,19 +152,6 @@ def parse_shape(shape: str) -> list[tuple[int, StageRole]]:
     return groups
 
 
-def format_shape(instances) -> str:
-    """Inverse of :func:`parse_shape` over an instance list (merging runs)."""
-    parts: list[str] = []
-    for inst in instances:
-        symbol = inst.role.value
-        if parts and parts[-1][1] == symbol:
-            count, _ = parts[-1]
-            parts[-1] = (count + 1, symbol)
-        else:
-            parts.append((1, symbol))
-    return "".join(f"{count}{symbol}" for count, symbol in parts)
-
-
 def expand_shape(shape: str, *, tp: Optional[dict[StageRole, int]] = None,
                  pp: Optional[dict[StageRole, int]] = None,
                  max_batch: Optional[dict[StageRole, int]] = None,

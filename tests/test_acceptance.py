@@ -16,7 +16,7 @@ from disaggsim.capacity import DeploymentShape, LimitingFactor, max_batch, \
 from disaggsim.costs import (CostParams, decode_step_latency, encode_latency,
                              prefill_latency)
 from disaggsim.engine import run_simulation
-from disaggsim.metrics import (SweepPoint, goodput_from_sweep, request_metrics,
+from disaggsim.metrics import (Score, SweepPoint, goodput_from_sweep, request_metrics,
                                sweep)
 from disaggsim.models import (HardwareSpec, ModelSpec, StageRole, builtin_model,
                               weights_bytes)
@@ -37,14 +37,13 @@ def test_acceptance_1_disaggregation_dominance():
     preset = get_preset("encode-heavy")
     points = {}
     for label, config in sorted(preset.systems.items()):
-        points[label] = sweep(config, preset.workload, preset.slo, preset.rate_grid,
-                              seed=preset.workload.seed)
+        points[label] = sweep(config, preset.workload, preset.rate_grid)
 
     dominated_rates = [
         i for i in range(len(preset.rate_grid))
-        if points["epd"][i].attainment >= 0.9
-        and points["distserve"][i].attainment <= 0.5
-        and points["monolithic"][i].attainment <= 0.5
+        if points["epd"][i].score.attainment >= 0.9
+        and points["distserve"][i].score.attainment <= 0.5
+        and points["monolithic"][i].score.attainment <= 0.5
     ]
     assert dominated_rates, "no rate with EPD >= 0.9 while both baselines <= 0.5"
 
@@ -91,7 +90,7 @@ def test_acceptance_3_optimizer_ablation():
                         cost=preset.cost)
     solved = solve(space, preset.workload, objective, base,
                    strategy=Strategy.EXHAUSTIVE, seed=0)
-    brute_best = max(evaluate(c.deploy(base), preset.workload, objective, seed=0).score
+    brute_best = max(evaluate(c.deploy(base), preset.workload, objective).score
                      for c in space.enumerate())
     assert solved.best_score == brute_best
     report(3, "optimizer ablation and exhaustive oracle")
@@ -179,9 +178,9 @@ def test_acceptance_6_metric_oracles():
     exact_metrics = request_metrics(exact_trace, Slo(100.0, 10.0))[0]
     assert exact_metrics.tpot == decode_step_latency(exact_cost, 1, 0)
 
-    points = [SweepPoint(0.5, 1.0, 0, 0, 0), SweepPoint(1.0, 0.95, 0, 0, 0),
-              SweepPoint(1.5, 0.4, 0, 0, 0)]
-    brute = max((p.rate for p in points if p.attainment >= 0.9), default=0.0)
+    points = [SweepPoint(rate, Score(attainment, 0.0, 0.0, 0.0, 0, 0.0))
+              for rate, attainment in ((0.5, 1.0), (1.0, 0.95), (1.5, 0.4))]
+    brute = max((p.rate for p in points if p.score.attainment >= 0.9), default=0.0)
     assert goodput_from_sweep(points, 0.9) == brute == 1.0
     report(6, "metric correctness oracles")
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from disaggsim import cli, optimizer
+from disaggsim import cli, metrics
 from disaggsim.engine import run_simulation
 from disaggsim.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main)
 from disaggsim.models import builtin_catalog
@@ -337,7 +337,7 @@ class TestSweep:
     def test_threshold_recorded_in_metadata(self, tmp_path):
         assert run(tmp_path, "goodput", "--preset", "ttft-minicpm-2img",
                    "--rate-grid", "0.25") == EXIT_OK
-        meta = json.loads((tmp_path / "sweep-ttft-minicpm-2img-meta.json").read_text())
+        meta = json.loads((tmp_path / "goodput-ttft-minicpm-2img-meta.json").read_text())
         assert meta["attainment_threshold"] == 0.9
 
     def test_csv_shape(self, tmp_path):
@@ -423,7 +423,7 @@ class TestOptimize:
         def recording(config, requests, seed=0):
             outputs.append(sorted({r.output_tokens for r in requests}))
             return run_simulation(config, requests, seed=seed)
-        monkeypatch.setattr(optimizer, "run_simulation", recording)
+        monkeypatch.setattr(metrics, "run_simulation", recording)
         code = run(tmp_path, "optimize", "--preset", "switch-shifted", "--objective",
                    "neg_mean_ttft", "--strategy", "random", "--trials", "2", "--seed", "0")
         assert code == EXIT_OK

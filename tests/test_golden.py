@@ -80,7 +80,12 @@ def row_digests(argv: list[str]) -> dict[str, str]:
 def test_outputs_match_golden(name, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     monkeypatch.chdir(tmp_path)
-    assert row_digests(TABLE[name]) == golden[name]
+    argv = TABLE[name]
+    assert row_digests(argv) == golden[name]
+    # the one sidecar names the command that wrote it
+    command = f"ablate-{argv[1]}" if argv[0] == "ablate" else argv[0]
+    assert [json.loads(path.read_text())["command"]
+            for path in Path(OUT).glob("*-meta.json")] == [command]
 
 
 def test_golden_covers_every_command():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,12 @@ from hypothesis import strategies as st
 from disaggsim import metrics as metrics_module
 from disaggsim.engine import run_simulation
 from disaggsim.metrics import (EmptySet, IncompleteRequest, Score, SweepPoint,
-                               goodput, goodput_from_sweep, request_metrics,
+                               goodput, goodput_from_sweep, measure, request_metrics,
                                score, slo_attainment, sweep, tpot, ttft)
 from disaggsim.models import StageRole
 from disaggsim.simconfig import InstanceConfig, SystemConfig
 from disaggsim.trace import RequestRecord, SimTrace
-from disaggsim.workload import Slo, WorkloadSpec
+from disaggsim.workload import Slo, WorkloadSpec, generate_poisson
 
 
 def record(rid=0, arrival=0.0, first=1.0, completion=2.0, output=5, slo=None):
@@ -114,30 +116,33 @@ class TestScore:
         assert score(trace_of(), Slo(1.0, 1.0)) == Score(0.0, inf, inf, inf, 0, 0.0)
 
 
+def point(rate: float, attainment: float) -> SweepPoint:
+    return SweepPoint(rate, Score(attainment, 0.0, 0.0, 0.0, 0, 0.0))
+
+
 class TestGoodput:
     def test_profile_matches_brute_force(self):
-        points = [SweepPoint(0.5, 1.0, 0, 0, 0), SweepPoint(1.0, 0.95, 0, 0, 0),
-                  SweepPoint(1.5, 0.4, 0, 0, 0)]
+        points = [point(0.5, 1.0), point(1.0, 0.95), point(1.5, 0.4)]
         assert goodput_from_sweep(points, 0.9) == 1.0
-        brute = max((p.rate for p in points if p.attainment >= 0.9), default=0.0)
+        brute = max((p.rate for p in points if p.score.attainment >= 0.9), default=0.0)
         assert goodput_from_sweep(points, 0.9) == brute
 
     def test_all_pass_returns_max_rate(self):
-        points = [SweepPoint(r, 1.0, 0, 0, 0) for r in (0.5, 1.0, 2.0)]
+        points = [point(r, 1.0) for r in (0.5, 1.0, 2.0)]
         assert goodput_from_sweep(points) == 2.0
 
     def test_all_fail_returns_zero(self):
-        points = [SweepPoint(r, 0.1, 0, 0, 0) for r in (0.5, 1.0)]
+        points = [point(r, 0.1) for r in (0.5, 1.0)]
         assert goodput_from_sweep(points) == 0.0
 
     def test_non_monotone_attainment_handled(self):
-        points = [SweepPoint(0.5, 0.8, 0, 0, 0), SweepPoint(1.0, 0.95, 0, 0, 0)]
+        points = [point(0.5, 0.8), point(1.0, 0.95)]
         assert goodput_from_sweep(points) == 1.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_stricter_threshold_never_increases_goodput(self, attainments):
-        points = [SweepPoint(i + 1.0, a, 0, 0, 0) for i, a in enumerate(attainments)]
+        points = [point(i + 1.0, a) for i, a in enumerate(attainments)]
         assert goodput_from_sweep(points, 1.0) <= goodput_from_sweep(points, 0.9)
 
     def test_rate_grid_must_ascend(self, toy_model, toy_hw, simple_cost):
@@ -147,11 +152,13 @@ class TestGoodput:
         spec = WorkloadSpec(rate_lambda=1.0, num_requests=3, images_per_request=0,
                             output_tokens=2, seed=1)
         with pytest.raises(ValueError):
-            goodput(config, spec, Slo(10.0, 1.0), [1.0, 0.5])
+            goodput(config, spec, [1.0, 0.5])
 
 
 class TestSweepEndToEnd:
-    def test_sweep_on_tiny_system(self, toy_model, toy_hw, simple_cost):
+    @pytest.fixture
+    def tiny(self, toy_model, toy_hw, simple_cost):
+        """A one-pipeline system and a small image workload for it."""
         config = SystemConfig(
             instances=(InstanceConfig(role=StageRole.ENCODE),
                        InstanceConfig(role=StageRole.PREFILL),
@@ -160,11 +167,29 @@ class TestSweepEndToEnd:
         spec = WorkloadSpec(rate_lambda=1.0, num_requests=20, prompt_tokens=10,
                             images_per_request=1, resolution=(100, 100),
                             output_tokens=4, seed=3)
-        result = sweep(config, spec, Slo(10.0, 1.0), [0.5, 1.0], seed=3)
+        return config, spec
+
+    def test_sweep_on_tiny_system(self, tiny):
+        config, spec = tiny
+        result = sweep(config, spec, [0.5, 1.0])
         assert len(result) == 2
-        assert all(0.0 <= p.attainment <= 1.0 for p in result)
-        again = sweep(config, spec, Slo(10.0, 1.0), [0.5, 1.0], seed=3)
+        assert all(0.0 <= p.score.attainment <= 1.0 for p in result)
+        again = sweep(config, spec, [0.5, 1.0])
         assert result == again
+
+    def test_measure_scores_the_simulation_of_the_specs_requests(self, tiny):
+        config, spec = tiny
+        expected = score(run_simulation(config, generate_poisson(spec), seed=spec.seed),
+                         spec.slo)
+        assert measure(config, spec) == expected
+
+    def test_a_tighter_slo_lowers_attainment(self, tiny):
+        config, spec = tiny
+        loose = sweep(config, spec, [0.5, 1.0])
+        tight = sweep(config, replace(spec, slo=Slo(1e-6, 1e-6)), [0.5, 1.0])
+        assert all(p.score.attainment == 1.0 for p in loose)
+        assert all(p.score.attainment == 0.0 for p in tight)
+        assert [p.score.mean_ttft for p in tight] == [p.score.mean_ttft for p in loose]
 
     def test_single_pipeline_ttft_matches_trace(self, toy_model, toy_hw, simple_cost):
         config = SystemConfig(
@@ -187,4 +212,4 @@ class TestSweepEndToEnd:
         monkeypatch.setattr(metrics_module, "run_simulation", never)
         spec = WorkloadSpec(rate_lambda=1.0, num_requests=3)
         with pytest.raises(ValueError):
-            sweep(None, spec, Slo(10.0, 1.0), grid)
+            sweep(None, spec, grid)

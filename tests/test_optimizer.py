@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disaggsim import optimizer
+from disaggsim import metrics
 from disaggsim.engine import run_simulation
 from disaggsim.models import StageRole
 from disaggsim.optimizer import (BudgetMode, Candidate, ConfigSpace, EmptyFeasibleSet,
@@ -13,7 +13,7 @@ from disaggsim.optimizer import (BudgetMode, Candidate, ConfigSpace, EmptyFeasib
                                  evaluate, restricted_space, solve, space_from_dict)
 from disaggsim.presets import optimizer_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
-from disaggsim.workload import Slo, WorkloadSpec
+from disaggsim.workload import Slo, WorkloadSpec, generate_poisson
 
 
 def small_space() -> ConfigSpace:
@@ -179,7 +179,7 @@ class TestSolve:
         result = solve(space, preset.workload, objective, base,
                        strategy=Strategy.EXHAUSTIVE, seed=1)
         brute = max(
-            (evaluate(c.deploy(base), preset.workload, objective, seed=1).score, i)
+            (evaluate(c.deploy(base), preset.workload, objective).score, i)
             for i, c in enumerate(space.enumerate()))
         assert result.best_score == pytest.approx(brute[0])
         assert len(result.log) == space.size()
@@ -198,15 +198,32 @@ class TestSolve:
             calls.append(args[0])
             return run_simulation(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer, "run_simulation", counted)
+        monkeypatch.setattr(metrics, "run_simulation", counted)
         result = solve(space, spec, objective, base, strategy=Strategy.EXHAUSTIVE, seed=1)
         assert (space.size(), len(calls), len(set(map(repr, calls)))) == (504, 432, 432)
         each = []
         for index, candidate in enumerate(space.enumerate()):
-            r = evaluate(candidate.deploy(base), spec, objective, seed=1)
+            r = evaluate(candidate.deploy(base), spec, objective)
             each.append(TrialRecord(index, candidate.describe(), r.score, r.f_value,
                                     r.cost_value, r.feasible))
         assert result.log == each
+
+    def test_candidates_are_simulated_on_the_specs_seed(self, monkeypatch):
+        # solve's seed drives the search; the requests and the simulation
+        # seed come from the workload spec alone
+        preset = _tiny_preset()
+        spec = replace(preset.workload, num_requests=3, output_tokens=2)
+        calls = []
+
+        def recording(config, requests, seed=0):
+            calls.append((requests, seed))
+            return run_simulation(config, requests, seed=seed)
+
+        monkeypatch.setattr(metrics, "run_simulation", recording)
+        solve(small_space(), spec, Objective(metric=Metric.NEG_MEAN_TTFT),
+              base_system(preset), strategy=Strategy.RANDOM, trials=2, seed=5)
+        assert spec.seed != 5
+        assert calls == [(generate_poisson(spec), spec.seed)] * 2
 
     def test_returned_score_dominates_log(self):
         preset = _tiny_preset()
@@ -239,7 +256,7 @@ class TestSolve:
         objective = Objective(metric=Metric.NEG_MEAN_TTFT, beta=0.0)
         base = base_system(preset)
         scores = sorted(
-            evaluate(c.deploy(base), preset.workload, objective, seed=2).score
+            evaluate(c.deploy(base), preset.workload, objective).score
             for c in space.enumerate())
         median = scores[len(scores) // 2]
         result = solve(space, preset.workload, objective, base,
@@ -280,7 +297,7 @@ class TestSolve:
         too_big = Candidate(encode_gpus=9, irp=False, encode_batch=1, prefill_gpus=1,
                             prefill_batch=1, decode_gpus=1, decode_batch=1)
         outcome = evaluate(too_big.deploy(base_system(preset)), preset.workload,
-                           Objective(metric=Metric.NEG_MEAN_TTFT), seed=0)
+                           Objective(metric=Metric.NEG_MEAN_TTFT))
         assert outcome.score == float("-inf")
         assert not outcome.feasible
 
@@ -295,11 +312,11 @@ class TestObjective:
         candidate = next(iter(small_space().enumerate()))
         with pytest.raises(ValueError):
             evaluate(candidate.deploy(base_system(preset)), preset.workload,
-                     Objective(metric=Metric.GOODPUT), seed=0, rate_grid=None)
+                     Objective(metric=Metric.GOODPUT), rate_grid=None)
 
     def test_throughput_metric_positive(self):
         preset = _tiny_preset()
         candidate = next(iter(small_space().enumerate()))
         outcome = evaluate(candidate.deploy(base_system(preset)), preset.workload,
-                           Objective(metric=Metric.THROUGHPUT, beta=0.0), seed=0)
+                           Objective(metric=Metric.THROUGHPUT, beta=0.0))
         assert outcome.feasible and outcome.f_value > 0

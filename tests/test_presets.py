@@ -42,6 +42,12 @@ def test_every_preset_is_well_formed():
             assert config.gpu_count <= preset.hardware.num_gpus, (name, label)
 
 
+@pytest.mark.parametrize("name", preset_names())
+def test_a_preset_is_named_as_it_is_looked_up(name):
+    # the commands name their files after preset.name
+    assert get_preset(name).name == name
+
+
 def test_preset_systems_use_single_request_batches_for_latency_runs():
     preset = get_preset("slo-minicpm-2img")
     for config in preset.systems.values():
