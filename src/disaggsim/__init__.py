@@ -3,7 +3,7 @@ multimodal-model serving."""
 
 from .costs import Channel, CostParams
 from .engine import run_simulation
-from .metrics import goodput, slo_attainment, tpot, ttft
+from .metrics import goodput, score
 from .models import HardwareSpec, ModelSpec, StageRole, builtin_catalog
 from .simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from .workload import Request, Slo, WorkloadSpec, generate_poisson
@@ -12,7 +12,7 @@ __all__ = [
     "Channel", "CostParams", "HardwareSpec", "InstanceConfig", "ModelSpec",
     "Request", "SchedulePolicy", "Slo", "StageRole", "SystemConfig",
     "WorkloadSpec", "builtin_catalog", "generate_poisson", "goodput",
-    "run_simulation", "slo_attainment", "tpot", "ttft",
+    "run_simulation", "score",
 ]
 
 __version__ = "0.1.0"

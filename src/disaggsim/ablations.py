@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -14,12 +15,11 @@ from .engine import run_simulation
 from .metrics import measure, request_metrics, score  # noqa: F401
 from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
 from .models import StageRole
-from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, RES_4K,
-                      build_system, builtin_model, get_preset,
-                      offline_batches, slo_for)
+from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, build_system,
+                      builtin_model, get_preset, offline_batches)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
-from .workload import WorkloadSpec, generate_poisson  # noqa: F401
+from .workload import generate_poisson  # noqa: F401
 
 
 def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
@@ -35,10 +35,8 @@ def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
     without_irp = disable_irp(with_irp)
     rows = []
     for images in images_list:
-        spec = WorkloadSpec(
-            rate_lambda=rate, num_requests=num_requests, prompt_tokens=22,
-            images_per_request=images, resolution=RES_4K, output_tokens=10,
-            seed=seed, slo=slo_for(MINICPM, images))
+        spec = replace(get_preset(f"slo-minicpm-{images}img").workload, rate_lambda=rate,
+                       num_requests=num_requests, seed=seed)
         ttft_on = measure(with_irp, spec).mean_ttft
         ttft_off = measure(without_irp, spec).mean_ttft
         rows.append({
@@ -90,12 +88,13 @@ def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260
     }
 
 
-def _final_role_counts(trace: SimTrace) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for record in trace.instances.values():
-        role = record.role_at(float("inf"))
-        counts[role.value] = counts.get(role.value, 0) + 1
-    return counts
+def _final_role_counts(config: SystemConfig, trace: SimTrace) -> dict[str, int]:
+    """Instances per role once every switch of ``trace`` is done, counted
+    in instance order."""
+    roles = [inst.role for inst in config.instances]
+    for switch in trace.switches:
+        roles[switch.instance_id] = switch.target
+    return dict(Counter(role.value for role in roles))
 
 
 def switch_ablation(seed: int = 20260808) -> dict:
@@ -109,7 +108,7 @@ def switch_ablation(seed: int = 20260808) -> dict:
     trace_on = run_simulation(enabled, workload, seed=seed)
     trace_off = run_simulation(disabled, workload, seed=seed)
 
-    def summarize(trace: SimTrace) -> dict:
+    def summarize(config: SystemConfig, trace: SimTrace) -> dict:
         scores = score(trace, preset.slo)
         return {
             "makespan": trace.horizon,
@@ -117,12 +116,12 @@ def switch_ablation(seed: int = 20260808) -> dict:
             "mean_tpot": scores.mean_tpot,
             "completed": scores.completed,
             "switches": len(trace.switches),
-            "final_roles": _final_role_counts(trace),
+            "final_roles": _final_role_counts(config, trace),
         }
 
     return {
-        "with_switch": summarize(trace_on),
-        "without_switch": summarize(trace_off),
+        "with_switch": summarize(enabled, trace_on),
+        "without_switch": summarize(disabled, trace_off),
         "makespan_ratio": trace_on.horizon / trace_off.horizon,
     }
 

@@ -316,8 +316,9 @@ def cmd_optimize(args) -> int:
                          "objective; give --rate-grid")
     base = SystemConfig(instances=(), hardware=preset.hardware, model=preset.model,
                         cost=preset.cost)
-    result = solve(space, replace(preset.workload, seed=args.seed), objective, base,
-                   strategy=Strategy(args.strategy), trials=args.trials, seed=args.seed,
+    seed = args.seed if args.seed is not None else preset.workload.seed
+    result = solve(space, replace(preset.workload, seed=seed), objective, base,
+                   strategy=Strategy(args.strategy), trials=args.trials, seed=seed,
                    rate_grid=rate_grid, generate=preset.generate)
     best_path = out / "optimize-best.json"
     save_system_config(best_path, result.best_config)
@@ -325,7 +326,7 @@ def cmd_optimize(args) -> int:
     print(f"best score={result.best_score} candidate={result.best_candidate.describe()}")
     _write_meta(out / "optimize-meta.json", "optimize", {
         "preset": preset.name, "objective": args.objective, "beta": args.beta,
-        "trials": args.trials, "seed": args.seed, "strategy": args.strategy,
+        "trials": args.trials, "seed": seed, "strategy": args.strategy,
         "rate_grid": rate_grid, "space": to_dict(space),
     }, {"best_score": result.best_score, "best_config": to_dict(result.best_config)})
     return EXIT_OK
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[m.value for m in Metric])
     opt.add_argument("--beta", type=_NON_NEGATIVE, default=0.075)
     opt.add_argument("--trials", type=_AT_LEAST_ONE, default=24)
-    opt.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    opt.add_argument("--seed", type=_NON_NEGATIVE_INT)
     opt.add_argument("--strategy", default="surrogate",
                      choices=[s.value for s in Strategy])
     opt.add_argument("--rate-grid", type=_rate_grid)

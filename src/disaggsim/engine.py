@@ -90,18 +90,20 @@ from .models import (StageRole, kv_bytes_per_token, mm_bytes_per_token,
                      patches_for_image, tokens_for_request, weights_bytes)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, InstanceConfig,
                         SchedulePolicy, SystemConfig)
-from .trace import InstanceRecord, RequestRecord, ShardRecord, SimTrace
+from .trace import RequestRecord, ShardRecord, SimTrace
 from .workload import Request
 
 # Registration delay after migration so the onload phase is distinguishable.
 _ONLOAD_DELAY = 1e-6
 
 # Segments of at least this many steps are planned in one numpy pass
-# (plan_steps_numpy), shorter ones step by step (plan_steps). Set on a 2-core
-# host, Python 3.11, numpy 2.4, when the loop cost 0.25 us a step and the
-# numpy pass 4 us plus 0.02 us a step; the inline loop, at about 0.08 us a
-# step, now crosses the numpy pass near 40 steps.
-_VECTOR_STEPS = 20
+# (plan_steps_numpy), shorter ones step by step (plan_steps), where they cross.
+# Microseconds a segment of a batch of 8, best of five timeit runs in each of
+# two sessions, on a 2-core host (Python 3.11, numpy 2.4):
+#   steps      20       30       40       44       48       60
+#   loop    2.1-2.2  3.0-3.1  3.7-4.0  4.2-4.3  4.5-4.7  5.6-5.9
+#   numpy   3.8      4.0-4.2  4.1-4.3  4.2-4.5  4.1-4.3  4.4-4.7
+_VECTOR_STEPS = 44
 
 _WORKER_DONE = "worker_done"
 _BATCH_END = "batch_end"
@@ -265,7 +267,6 @@ class _Instance:
         self.admit_wait: deque[int] = deque()
         self.mm: Optional[BlockManager] = None
         self.kv: Optional[BlockManager] = None
-        self.record = InstanceRecord(iid=iid, initial_role=cfg.role)
         self.rebuild_caches(system)
 
     def rebuild_caches(self, system: SystemConfig) -> None:
@@ -357,9 +358,7 @@ class _Sim:
             if shape is None:
                 shape = shapes[key] = _Shape(self.model, req, config.block_size)
             rec = RequestRecord(rid=req.id, arrival=req.arrival_time,
-                                prompt_tokens=req.prompt_tokens, mm_tokens=shape.mm_tokens,
-                                total_tokens=shape.total_tokens, output_tokens=req.output_tokens,
-                                slo=req.slo)
+                                output_tokens=req.output_tokens)
             self.records[req.id] = rec
             arrivals.append(_Req(req, shape, rec))
         self.arrivals = iter(arrivals)  # those not yet pushed
@@ -411,9 +410,8 @@ class _Sim:
                     raise RuntimeError(
                         f"instance {inst.iid} leaked {manager.used_blocks} "
                         f"{manager.kind.value} blocks")
-        instances = {inst.iid: inst.record for inst in self.insts}
-        return SimTrace(requests=self.records, instances=instances,
-                        switches=self.switches, meta={"seed": self.seed})
+        return SimTrace(requests=self.records, switches=self.switches,
+                        meta={"seed": self.seed})
 
     # --- pools and loads ------------------------------------------------------
 
@@ -646,7 +644,6 @@ class _Sim:
         self._rebuild_pools()
         self.touched.add(iid)
         self.recheck_waits = True
-        inst.record.roles.append((t, inst.role))
         self.switch_rec.onload_done = t
         self.switches.append(self.switch_rec)
         self.switch_rec = None

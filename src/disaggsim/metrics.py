@@ -7,16 +7,8 @@ from typing import Callable, Optional, Sequence
 
 from .engine import run_simulation
 from .simconfig import SystemConfig
-from .trace import RequestRecord, SimTrace
+from .trace import SimTrace
 from .workload import Request, Slo, WorkloadSpec, generate_poisson
-
-
-class IncompleteRequest(ValueError):
-    """Metric requested for a request that never completed."""
-
-
-class EmptySet(ValueError):
-    """Attainment requested over an empty request set."""
 
 
 @dataclass(frozen=True)
@@ -48,43 +40,15 @@ class SweepPoint:
     score: Score
 
 
-def _completed(trace: SimTrace, rid: int) -> RequestRecord:
-    rec = trace.requests[rid]
-    if not rec.completed:
-        raise IncompleteRequest(f"request {rid} did not complete")
-    return rec
-
-
-def ttft(trace: SimTrace, rid: int) -> float:
-    """Seconds from submission to the first token (:attr:`RequestRecord.ttft`)."""
-    return _completed(trace, rid).ttft
-
-
-def tpot(trace: SimTrace, rid: int) -> float:
-    """Mean inter-token gap after the first token (:attr:`RequestRecord.tpot`)."""
-    return _completed(trace, rid).tpot
-
-
-def request_metrics(trace: SimTrace, slo: Optional[Slo] = None) -> list[RequestMetrics]:
-    """Per-request metrics for every completed request, ordered by id.
-
-    When ``slo`` is None each request is judged against its own attached
-    limits.
-    """
+def request_metrics(trace: SimTrace, slo: Slo) -> list[RequestMetrics]:
+    """Per-request metrics for every completed request, ordered by id, each
+    judged against ``slo``."""
     out = []
     for rec in sorted(trace.completed_records(), key=lambda r: r.rid):
         t_first, t_out = rec.ttft, rec.tpot
-        limits = slo if slo is not None else _request_slo(trace, rec.rid)
-        met = t_first <= limits.ttft and t_out <= limits.tpot
+        met = t_first <= slo.ttft and t_out <= slo.tpot
         out.append(RequestMetrics(rid=rec.rid, ttft=t_first, tpot=t_out, met_slo=met))
     return out
-
-
-def _request_slo(trace: SimTrace, rid: int) -> Slo:
-    slo = trace.requests[rid].slo
-    if slo is None:
-        raise ValueError("trace carries no per-request SLO; pass one explicitly")
-    return Slo(*slo)
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
@@ -92,10 +56,9 @@ def _percentile(values: Sequence[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))]
 
 
-def score(trace: SimTrace, slo: Optional[Slo] = None) -> Score:
-    """Every score of ``trace``, each request judged against ``slo`` (or,
-    when None, its own attached limits). Rejected requests count against
-    attainment; they certainly missed."""
+def score(trace: SimTrace, slo: Slo) -> Score:
+    """Every score of ``trace``, each request judged against ``slo``.
+    Rejected requests count against attainment; they certainly missed."""
     metrics = request_metrics(trace, slo)
     ttfts = [m.ttft for m in metrics]
     tpots = [m.tpot for m in metrics]
@@ -109,13 +72,6 @@ def score(trace: SimTrace, slo: Optional[Slo] = None) -> Score:
         completed=len(metrics),
         throughput=len(metrics) / horizon if horizon > 0 else 0.0,
     )
-
-
-def slo_attainment(trace: SimTrace, slo: Optional[Slo] = None) -> float:
-    """Fraction of requests meeting both TTFT and TPOT limits."""
-    if not trace.requests:
-        raise EmptySet("no requests in trace")
-    return score(trace, slo).attainment
 
 
 def measure(config: SystemConfig, spec: WorkloadSpec,

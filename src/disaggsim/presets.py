@@ -120,7 +120,7 @@ _FIG5_GRIDS = {
 _MODEL_ALIASES = {"minicpm": MINICPM, "internvl8": INTERNVL8, "internvl26": INTERNVL26}
 
 
-def _slo_attainment_preset(model_name: str, images: int, seed: int = 20260808) -> ExperimentPreset:
+def _slo_preset(model_name: str, images: int, seed: int = 20260808) -> ExperimentPreset:
     model = builtin_model(model_name)
     cost = SYNTHETIC_COSTS[model_name]
     workload = WorkloadSpec(
@@ -141,13 +141,13 @@ def _slo_attainment_preset(model_name: str, images: int, seed: int = 20260808) -
 
 def encode_heavy_preset(seed: int = 20260808) -> ExperimentPreset:
     """4 high-resolution images per request on the smallest model."""
-    return replace(_slo_attainment_preset(MINICPM, 4, seed), name="encode-heavy")
+    return replace(_slo_preset(MINICPM, 4, seed), name="encode-heavy")
 
 
 def ttft_distribution_preset(model_name: str, images: int,
                              seed: int = 20260808) -> ExperimentPreset:
     """Fixed-rate run comparing TTFT distributions of the two splits."""
-    base = _slo_attainment_preset(model_name, images, seed)
+    base = _slo_preset(model_name, images, seed)
     rate = 0.25 if model_name == MINICPM else 0.08
     return replace(
         base, name=f"ttft-{base.name.removeprefix('slo-')}",
@@ -237,7 +237,7 @@ def _named_presets() -> dict[str, Callable[[], ExperimentPreset]]:
     for alias, name in _MODEL_ALIASES.items():
         for images in (2, 4, 6, 8):
             presets[f"slo-{alias}-{images}img"] = (
-                lambda n=name, i=images: _slo_attainment_preset(n, i))
+                lambda n=name, i=images: _slo_preset(n, i))
             presets[f"ttft-{alias}-{images}img"] = (
                 lambda n=name, i=images: ttft_distribution_preset(n, i))
     return presets

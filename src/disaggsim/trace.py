@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 
 from .controller import SwitchEventRecord
-from .models import StageRole
 
 
 class TraceInvariantError(ValueError):
@@ -42,11 +41,7 @@ class ShardRecord:
 class RequestRecord:
     rid: int
     arrival: float
-    prompt_tokens: int
-    mm_tokens: int
-    total_tokens: int
     output_tokens: int
-    slo: Optional[tuple[float, float]] = None
     rejected: Optional[str] = None
     e_instance: Optional[int] = None
     p_instance: Optional[int] = None
@@ -80,25 +75,8 @@ class RequestRecord:
 
 
 @dataclass
-class InstanceRecord:
-    iid: int
-    initial_role: StageRole
-    roles: list[tuple[float, StageRole]] = field(default_factory=list)
-
-    def role_at(self, t: float) -> StageRole:
-        current = self.initial_role
-        for when, role in self.roles:
-            if when <= t:
-                current = role
-            else:
-                break
-        return current
-
-
-@dataclass
 class SimTrace:
     requests: dict[int, RequestRecord]
-    instances: dict[int, InstanceRecord]
     switches: list[SwitchEventRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 

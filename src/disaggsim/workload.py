@@ -71,10 +71,10 @@ class WorkloadSpec:
             raise ValueError("resolution required when images_per_request > 0")
 
 
-def _arrivals(spec: WorkloadSpec) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
-    gaps = rng.exponential(1.0 / spec.rate_lambda, size=spec.num_requests)
-    return np.cumsum(gaps)
+def _arrivals(rate_lambda: float, count: int, seed: int) -> list[float]:
+    """``count`` arrival times of a Poisson process of rate ``rate_lambda``."""
+    gaps = np.random.default_rng(seed).exponential(1.0 / rate_lambda, size=count)
+    return np.cumsum(gaps).tolist()
 
 
 def _images(spec: WorkloadSpec) -> tuple[Resolution, ...]:
@@ -86,6 +86,7 @@ def _images(spec: WorkloadSpec) -> tuple[Resolution, ...]:
 def _requests(spec: WorkloadSpec, outputs: list[int]) -> list[Request]:
     """``spec``'s Poisson requests, request ``i`` asking for ``outputs[i]`` tokens."""
     images = _images(spec)
+    arrivals = _arrivals(spec.rate_lambda, spec.num_requests, spec.seed)
     return [
         Request(
             id=i,
@@ -95,7 +96,7 @@ def _requests(spec: WorkloadSpec, outputs: list[int]) -> list[Request]:
             output_tokens=tokens,
             slo=spec.slo,
         )
-        for i, (t, tokens) in enumerate(zip(_arrivals(spec).tolist(), outputs))
+        for i, (t, tokens) in enumerate(zip(arrivals, outputs))
     ]
 
 
@@ -185,7 +186,6 @@ def load_trace(path, default_slo: Optional[Slo] = None,
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line_no) from exc
     if rate_lambda is not None and requests:
-        rng = np.random.default_rng(seed)
-        arrivals = np.cumsum(rng.exponential(1.0 / rate_lambda, size=len(requests)))
-        requests = [replace(r, arrival_time=float(t)) for r, t in zip(requests, arrivals)]
+        arrivals = _arrivals(rate_lambda, len(requests), seed)
+        requests = [replace(r, arrival_time=t) for r, t in zip(requests, arrivals)]
     return requests

@@ -7,6 +7,7 @@ from disaggsim import cli, metrics
 from disaggsim.engine import run_simulation
 from disaggsim.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main)
 from disaggsim.models import builtin_catalog
+from disaggsim.presets import get_preset
 from disaggsim.simconfig import save_system_config, system_from_dict
 from disaggsim.workload import Slo, WorkloadSpec, generate_poisson, save_trace
 
@@ -428,6 +429,22 @@ class TestOptimize:
                    "neg_mean_ttft", "--strategy", "random", "--trials", "2", "--seed", "0")
         assert code == EXIT_OK
         assert outputs and all(tokens == [50, 500] for tokens in outputs), outputs
+
+    def test_optimize_without_seed_simulates_the_presets_workload(self, tmp_path, monkeypatch):
+        workloads = []
+
+        def recording(config, requests, seed=0):
+            workloads.append((list(requests), seed))
+            return run_simulation(config, requests, seed=seed)
+        monkeypatch.setattr(metrics, "run_simulation", recording)
+        code = run(tmp_path, "optimize", "--preset", "switch-shifted", "--objective",
+                   "neg_mean_ttft", "--strategy", "random", "--trials", "1")
+        assert code == EXIT_OK
+        preset = get_preset("switch-shifted")
+        expected = (preset.generate(preset.workload), preset.workload.seed)
+        assert workloads and all(w == expected for w in workloads)
+        meta = json.loads((tmp_path / "optimize-meta.json").read_text())
+        assert meta["seed"] == preset.workload.seed
 
     def test_optimize_with_space_file(self, tmp_path):
         space_file = tmp_path / "space.json"

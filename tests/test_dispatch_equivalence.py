@@ -45,7 +45,7 @@ from disaggsim.blocks import blocks_for
 from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
 from disaggsim.engine import (_ARRIVAL, _BATCH_END, _PLACED, _STEP_END, _TRANSFER_END,
                               _VECTOR_STEPS, _WORKER_DONE, _Sim, irp_shard, run_simulation)
-from disaggsim.models import StageRole
+from disaggsim.models import StageRole, tokens_for_request
 from disaggsim.presets import get_preset, switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.trace import ShardRecord
@@ -177,10 +177,9 @@ class FullScanSim(CheckedSim):
         # routes where the first qualifying instance's policy picks another instance
         self.policy_splits = 0
 
-    @staticmethod
-    def _fits(inst, r, mm: bool, kv: bool) -> bool:
-        kv_need = r.rec.total_tokens + (r.req.output_tokens if inst.serves_decode else 0)
-        mm_need = r.rec.mm_tokens
+    def _fits(self, inst, r, mm: bool, kv: bool) -> bool:
+        mm_need, tokens = tokens_for_request(self.model, r.req)
+        kv_need = tokens + (r.req.output_tokens if inst.serves_decode else 0)
         return ((inst.mm is None or blocks_for(mm_need, inst.mm.block_size) <= inst.mm.total_blocks)
                 and (inst.kv is None
                      or blocks_for(kv_need, inst.kv.block_size) <= inst.kv.total_blocks)
@@ -208,7 +207,7 @@ class FullScanSim(CheckedSim):
         return inst
 
     def _admission_reason(self, r) -> str | None:
-        tokens = r.rec.total_tokens
+        mm_tokens, tokens = tokens_for_request(self.model, r.req)
         if tokens == 0:
             return "empty"
         if tokens > self.model.max_context_tokens:
@@ -219,10 +218,10 @@ class FullScanSim(CheckedSim):
                 continue
             role, mm, kv = inst.role, inst.mm, inst.kv
             if role.serves_encode and mm is not None:
-                mm_ok |= blocks_for(r.rec.mm_tokens, mm.block_size) <= mm.total_blocks
+                mm_ok |= blocks_for(mm_tokens, mm.block_size) <= mm.total_blocks
             if role.serves_prefill and mm is not None and kv is not None:
                 kv_need = tokens + (r.req.output_tokens if role is StageRole.MONOLITHIC else 0)
-                kv_p_ok |= (blocks_for(r.rec.mm_tokens, mm.block_size) <= mm.total_blocks
+                kv_p_ok |= (blocks_for(mm_tokens, mm.block_size) <= mm.total_blocks
                             and blocks_for(kv_need, kv.block_size) <= kv.total_blocks)
             if role.serves_decode and kv is not None:
                 need = tokens + r.req.output_tokens
@@ -614,7 +613,7 @@ def test_monolithic_arrivals_cut_its_decode_segment():
 def test_queued_prefill_that_does_not_fit_is_retried_after_every_step():
     config = exact_system((StageRole.MONOLITHIC, 4), kv_fraction=0.001)
     cache_tokens = _Sim(config, [], 0).insts[0].kv.total_blocks * config.block_size
-    prompt = _Sim(config, [exact_request(0, 0.0, 2)], 0).records[0].total_tokens
+    prompt = tokens_for_request(config.model, exact_request(0, 0.0, 2))[1]
     # Request 0 takes the whole KV cache, so request 1 waits for it in the queue.
     sim = run_exact(config, [exact_request(0, 0.0, cache_tokens - prompt),
                              exact_request(1, 0.5, 4)])

@@ -6,87 +6,76 @@ from hypothesis import strategies as st
 
 from disaggsim import metrics as metrics_module
 from disaggsim.engine import run_simulation
-from disaggsim.metrics import (EmptySet, IncompleteRequest, Score, SweepPoint,
-                               goodput, goodput_from_sweep, measure, request_metrics,
-                               score, slo_attainment, sweep, tpot, ttft)
+from disaggsim.metrics import (Score, SweepPoint, goodput, goodput_from_sweep, measure,
+                               request_metrics, score, sweep)
 from disaggsim.models import StageRole
 from disaggsim.simconfig import InstanceConfig, SystemConfig
 from disaggsim.trace import RequestRecord, SimTrace
 from disaggsim.workload import Slo, WorkloadSpec, generate_poisson
 
 
-def record(rid=0, arrival=0.0, first=1.0, completion=2.0, output=5, slo=None):
+def record(rid=0, arrival=0.0, first=1.0, completion=2.0, output=5):
     tokens = [first] if output == 1 else [
         first + (completion - first) * i / (output - 1) for i in range(output)]
     return RequestRecord(
-        rid=rid, arrival=arrival, prompt_tokens=10, mm_tokens=0, total_tokens=10,
-        output_tokens=output, slo=slo, first_token_time=first,
+        rid=rid, arrival=arrival, output_tokens=output, first_token_time=first,
         token_times=tokens, completion_time=completion)
 
 
+def rejected(rid=0):
+    return RequestRecord(rid=rid, arrival=0.0, output_tokens=2, rejected="context")
+
+
 def trace_of(*records) -> SimTrace:
-    return SimTrace(requests={r.rid: r for r in records}, instances={})
+    return SimTrace(requests={r.rid: r for r in records})
+
+
+def attainment(trace: SimTrace, slo: Slo) -> float:
+    return score(trace, slo).attainment
 
 
 class TestTtft:
     def test_simple(self):
-        assert ttft(trace_of(record(first=1.4, arrival=0.0)), 0) == pytest.approx(1.4)
+        assert record(first=1.4, arrival=0.0).ttft == pytest.approx(1.4)
 
     def test_queueing_included(self):
         # arrival 0, service starts 2, first token at 3: queueing counts
-        assert ttft(trace_of(record(arrival=0.0, first=3.0)), 0) == pytest.approx(3.0)
-
-    def test_incomplete_raises(self):
-        rec = RequestRecord(rid=0, arrival=0.0, prompt_tokens=1, mm_tokens=0,
-                            total_tokens=1, output_tokens=2)
-        with pytest.raises(IncompleteRequest):
-            ttft(trace_of(rec), 0)
+        assert record(arrival=0.0, first=3.0).ttft == pytest.approx(3.0)
 
 
 class TestTpot:
     def test_uniform_gaps(self):
         rec = record(first=1.0, completion=1.2, output=3)  # tokens at 1.0, 1.1, 1.2
-        assert tpot(trace_of(rec), 0) == pytest.approx(0.1)
+        assert rec.tpot == pytest.approx(0.1)
 
     def test_single_token_defined_zero(self):
-        assert tpot(trace_of(record(first=1.0, completion=1.0, output=1)), 0) == 0.0
+        assert record(first=1.0, completion=1.0, output=1).tpot == 0.0
 
 
 class TestAttainment:
     def test_all_meet(self):
         t = trace_of(*[record(rid=i, first=0.5, completion=1.0) for i in range(4)])
-        assert slo_attainment(t, Slo(1.0, 1.0)) == 1.0
+        assert attainment(t, Slo(1.0, 1.0)) == 1.0
 
     def test_nine_of_ten(self):
         records = [record(rid=i, first=0.5, completion=1.0) for i in range(9)]
         records.append(record(rid=9, first=5.0, completion=5.5))
-        assert slo_attainment(trace_of(*records), Slo(1.0, 1.0)) == pytest.approx(0.9)
+        assert attainment(trace_of(*records), Slo(1.0, 1.0)) == pytest.approx(0.9)
 
     def test_zero_limits(self):
         t = trace_of(record())
-        assert slo_attainment(t, Slo(1e-12, 1e-12)) == 0.0
-
-    def test_empty_set_raises(self):
-        with pytest.raises(EmptySet):
-            slo_attainment(trace_of(), Slo(1.0, 1.0))
+        assert attainment(t, Slo(1e-12, 1e-12)) == 0.0
 
     def test_invariant_under_reordering(self):
         records = [record(rid=i, first=0.1 * i + 0.1, completion=0.1 * i + 0.6)
                    for i in range(6)]
-        forward = slo_attainment(trace_of(*records), Slo(0.45, 0.2))
-        backward = slo_attainment(trace_of(*reversed(records)), Slo(0.45, 0.2))
+        forward = attainment(trace_of(*records), Slo(0.45, 0.2))
+        backward = attainment(trace_of(*reversed(records)), Slo(0.45, 0.2))
         assert forward == backward
-
-    def test_uses_per_request_slo_when_none_given(self):
-        ok = record(rid=0, first=0.5, completion=1.0, slo=(1.0, 1.0))
-        miss = record(rid=1, first=2.0, completion=2.5, slo=(1.0, 1.0))
-        assert slo_attainment(trace_of(ok, miss)) == pytest.approx(0.5)
 
     def test_rejected_requests_count_against_attainment(self):
         ok = record(rid=0, first=0.5, completion=1.0)
-        rej = RequestRecord(rid=1, arrival=0.0, prompt_tokens=1, mm_tokens=0,
-                            total_tokens=1, output_tokens=2, rejected="context")
-        assert slo_attainment(trace_of(ok, rej), Slo(1.0, 1.0)) == pytest.approx(0.5)
+        assert attainment(trace_of(ok, rejected(rid=1)), Slo(1.0, 1.0)) == pytest.approx(0.5)
 
 
 class TestScore:
@@ -95,8 +84,7 @@ class TestScore:
         records = [record(rid=0, first=0.5, completion=1.0),
                    record(rid=1, first=1.5, completion=2.0),
                    record(rid=2, first=2.5, completion=3.0),
-                   RequestRecord(rid=3, arrival=0.0, prompt_tokens=1, mm_tokens=0,
-                                 total_tokens=1, output_tokens=2, rejected="context")]
+                   rejected(rid=3)]
         assert score(trace_of(*records), Slo(2.0, 0.2)) == Score(
             attainment=0.5, mean_ttft=1.5, p99_ttft=2.5, mean_tpot=0.125,
             completed=3, throughput=1.0)
@@ -109,10 +97,8 @@ class TestScore:
         assert score(trace_of(*reversed(records)), Slo(1.0, 1.0)).mean_ttft == (2.0 + 1e16) / 3
 
     def test_nothing_completed(self):
-        rejected = RequestRecord(rid=0, arrival=0.0, prompt_tokens=1, mm_tokens=0,
-                                 total_tokens=1, output_tokens=2, rejected="context")
         inf = float("inf")
-        assert score(trace_of(rejected), Slo(1.0, 1.0)) == Score(0.0, inf, inf, inf, 0, 0.0)
+        assert score(trace_of(rejected()), Slo(1.0, 1.0)) == Score(0.0, inf, inf, inf, 0, 0.0)
         assert score(trace_of(), Slo(1.0, 1.0)) == Score(0.0, inf, inf, inf, 0, 0.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from disaggsim.costs import CostParams
 from disaggsim.engine import run_simulation
-from disaggsim.models import HardwareSpec, StageRole, builtin_model
+from disaggsim.models import HardwareSpec, StageRole, builtin_model, tokens_for_request
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.trace import TraceInvariantError
 from disaggsim.workload import Request, Slo
@@ -105,10 +105,11 @@ def test_causality_and_conservation_on_large_random_workload():
     trace = run_simulation(config, workload, seed=1)
     trace.validate()
     assert trace.completed_count + trace.rejected_count == 1000
-    # multimodal tokens transferred exactly match tokens encoded, per request
+    # multimodal tokens transferred exactly match the request's own, per request
+    requests = {r.id: r for r in workload}
     for rec in trace.completed_records():
         sharded = sum(s.patches for s in rec.shards) * MODEL.tokens_per_patch
-        assert sharded == rec.mm_tokens
+        assert sharded == tokens_for_request(MODEL, requests[rec.rid])[0]
         assert all(s.transfer_end is not None for s in rec.shards)
 
 

@@ -63,8 +63,7 @@ def assert_same_export(trace: SimTrace, tmp_path) -> None:
 
 def record(rid: int, arrival: float, **fields) -> RequestRecord:
     tokens = fields.get("token_times", [])
-    return RequestRecord(rid=rid, arrival=arrival, prompt_tokens=1, mm_tokens=0,
-                         total_tokens=1, output_tokens=len(tokens), **fields)
+    return RequestRecord(rid=rid, arrival=arrival, output_tokens=len(tokens), **fields)
 
 
 def served(rid: int, arrival: float, tokens: list[float], **fields) -> RequestRecord:
@@ -76,7 +75,7 @@ def served(rid: int, arrival: float, tokens: list[float], **fields) -> RequestRe
 
 
 def hand_built(*records: RequestRecord) -> SimTrace:
-    return SimTrace(requests={r.rid: r for r in records}, instances={})
+    return SimTrace(requests={r.rid: r for r in records})
 
 
 @pytest.mark.parametrize("preset", preset_names())
