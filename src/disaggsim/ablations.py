@@ -15,7 +15,7 @@ from .engine import run_simulation
 from .metrics import measure, request_metrics, score  # noqa: F401
 from .optimizer import Metric, Objective, Strategy, evaluate, restricted_space, solve
 from .models import StageRole
-from .presets import (ExperimentPreset, SYNTHETIC_COSTS, MINICPM, build_system,
+from .presets import (DEFAULT_SEED, ExperimentPreset, SYNTHETIC_COSTS, MINICPM, build_system,
                       builtin_model, get_preset, offline_batches)
 from .simconfig import SystemConfig, disable_irp
 from .trace import SimTrace
@@ -23,7 +23,7 @@ from .workload import generate_poisson  # noqa: F401
 
 
 def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
-                 num_requests: int = 100, seed: int = 20260808) -> list[dict]:
+                 num_requests: int = 100, seed: int = DEFAULT_SEED) -> list[dict]:
     """Mean TTFT with patch sharding enabled vs disabled, per image count.
 
     Both deployments use identical GPUs: one five-worker encode instance
@@ -48,7 +48,7 @@ def irp_ablation(images_list: Sequence[int] = (2, 4, 6, 8), rate: float = 0.125,
     return rows
 
 
-def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = 20260808,
+def optimizer_ablation(trials: int = 24, num_random: int = 10, seed: int = DEFAULT_SEED,
                        beta: float = 0.075,
                        preset: Optional[ExperimentPreset] = None) -> dict:
     """Solver-found configuration vs the mean of uniformly sampled ones.
@@ -97,7 +97,7 @@ def _final_role_counts(config: SystemConfig, trace: SimTrace) -> dict[str, int]:
     return dict(Counter(role.value for role in roles))
 
 
-def switch_ablation(seed: int = 20260808) -> dict:
+def switch_ablation(seed: int = DEFAULT_SEED) -> dict:
     """Shifted workload with the switching controller on vs off."""
     preset = get_preset("switch-shifted")
     workload = preset.generate(replace(preset.workload, seed=seed))
@@ -126,7 +126,7 @@ def switch_ablation(seed: int = 20260808) -> dict:
     }
 
 
-def offline_throughput(seed: int = 20260808) -> list[dict]:
+def offline_throughput(seed: int = DEFAULT_SEED) -> list[dict]:
     """Requests-per-second for each offline system plus shape/batch sweeps."""
     preset = get_preset("offline-throughput")
     spec = replace(preset.workload, seed=seed)

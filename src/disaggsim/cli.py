@@ -25,11 +25,11 @@ from .engine import run_simulation
 from .models import StageRole, UnknownResolution, builtin_catalog, load_catalog
 from .optimizer import (Metric, Objective, Strategy, TrialRecord, load_space, restricted_space,
                         solve)
-from .presets import (EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
-                      get_preset, preset_names)
+from .presets import (DEFAULT_SEED, EIGHT_GPU_NODE, HEAVY_ENCODE_ACT_BYTES,
+                      HEAVY_PREFILL_ACT_BYTES, get_preset, preset_names)
 from .simconfig import (CapacityExceeded, ConfigInfeasible, SystemConfig, disable_irp,
                         from_dict, load_system_config, save_system_config, to_dict)
-from .workload import ParseError, Slo, WorkloadSpec, generate_poisson, load_trace, save_trace
+from .workload import ParseError, WorkloadSpec, generate_poisson, load_trace, save_trace
 
 OUT_DIR_ENV = "DISAGGSIM_OUT_DIR"
 
@@ -147,12 +147,10 @@ def cmd_simulate(args) -> int:
             raise ParseError("--config and --workload required without --preset", 1)
         catalog = _load_input(load_catalog, args.catalog) if args.catalog else builtin_catalog()
         config = _apply_flags(_load_input(load_system_config, args.config, catalog), args)
-        if args.slo is None:
-            raise ParseError("--slo TTFT,TPOT required with --workload files", 1)
         if args.workload_rate is not None and args.seed is None:
             raise ParseError("--seed required when regenerating arrivals", 1)
         seed = args.seed or 0
-        workload = _load_input(load_trace, args.workload, args.slo, args.workload_rate, seed)
+        workload = _load_input(load_trace, args.workload, args.workload_rate, seed)
         runs.append(("run", config, workload))
         inputs = {"seed": seed}
         files = {"config": args.config, "workload": args.workload}
@@ -211,7 +209,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 20260808
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     inputs = {"seed": seed}
     if args.which == "irp":
         rows = ablations.irp_ablation(seed=seed)
@@ -338,12 +336,14 @@ def cmd_workload(args) -> int:
         rate_lambda=args.rate, num_requests=args.num_requests,
         prompt_tokens=args.prompt_tokens, images_per_request=args.images,
         resolution=args.resolution if args.images else None,
-        output_tokens=args.output_tokens, seed=args.seed, slo=args.slo)
+        output_tokens=args.output_tokens, seed=args.seed)
     requests = generate_poisson(spec)
     path = out / (args.name or "workload.csv")
     save_trace(path, requests)
     print(f"wrote {len(requests)} requests to {path}")
-    _write_meta(out / "workload-meta.json", "workload", to_dict(spec))
+    inputs = to_dict(spec)
+    del inputs["slo"]  # the file holds no SLO
+    _write_meta(out / "workload-meta.json", "workload", inputs)
     return EXIT_OK
 
 
@@ -375,11 +375,6 @@ def _resolution(text: str) -> tuple[int, int]:
     return _AT_LEAST_ONE(w), _AT_LEAST_ONE(h)
 
 
-def _slo(text: str) -> Slo:
-    ttft, tpot = text.split(",")
-    return Slo(_POSITIVE(ttft), _POSITIVE(tpot))
-
-
 def _rate_grid(text: str) -> list[float]:
     rates = [_POSITIVE(part) for part in text.split(",") if part.strip()]
     if not rates or any(b <= a for a, b in zip(rates, rates[1:])):
@@ -402,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workload-rate", dest="workload_rate", type=_POSITIVE,
                      help="regenerate trace arrivals at this rate (needs --seed)")
     sim.add_argument("--catalog", help="model catalog file")
-    sim.add_argument("--slo", type=_slo, help="TTFT,TPOT limits for trace workloads")
     sim.add_argument("--seed", type=_NON_NEGATIVE_INT)
     sim.add_argument("--irp", choices=("on", "off"), default="on")
     sim.add_argument("--role-switch", dest="role_switch", choices=("on", "off"), default="on")
@@ -461,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--resolution", type=_resolution, default=(4032, 3024))
     wl.add_argument("--prompt-tokens", type=_NON_NEGATIVE_INT, default=22)
     wl.add_argument("--output-tokens", type=_AT_LEAST_ONE, default=10)
-    wl.add_argument("--slo", type=_slo, default=Slo(10.0, 1.0))
     wl.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
     wl.add_argument("--name")
     wl.set_defaults(func=cmd_workload)

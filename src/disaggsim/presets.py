@@ -21,6 +21,8 @@ MINICPM = "minicpm-v-2.6"
 INTERNVL8 = "internvl2-8b"
 INTERNVL26 = "internvl2-26b"
 
+DEFAULT_SEED = 20260808  # of every preset workload and ablation run without --seed
+
 RES_4K = (4032, 3024)
 RES_LOW = (313, 234)
 
@@ -120,7 +122,7 @@ _FIG5_GRIDS = {
 _MODEL_ALIASES = {"minicpm": MINICPM, "internvl8": INTERNVL8, "internvl26": INTERNVL26}
 
 
-def _slo_preset(model_name: str, images: int, seed: int = 20260808) -> ExperimentPreset:
+def _slo_preset(model_name: str, images: int, seed: int = DEFAULT_SEED) -> ExperimentPreset:
     model = builtin_model(model_name)
     cost = SYNTHETIC_COSTS[model_name]
     workload = WorkloadSpec(
@@ -139,13 +141,13 @@ def _slo_preset(model_name: str, images: int, seed: int = 20260808) -> Experimen
         systems=systems, rate_grid=_FIG5_GRIDS[model_name])
 
 
-def encode_heavy_preset(seed: int = 20260808) -> ExperimentPreset:
+def encode_heavy_preset(seed: int = DEFAULT_SEED) -> ExperimentPreset:
     """4 high-resolution images per request on the smallest model."""
     return replace(_slo_preset(MINICPM, 4, seed), name="encode-heavy")
 
 
 def ttft_distribution_preset(model_name: str, images: int,
-                             seed: int = 20260808) -> ExperimentPreset:
+                             seed: int = DEFAULT_SEED) -> ExperimentPreset:
     """Fixed-rate run comparing TTFT distributions of the two splits."""
     base = _slo_preset(model_name, images, seed)
     rate = 0.25 if model_name == MINICPM else 0.08
@@ -155,7 +157,7 @@ def ttft_distribution_preset(model_name: str, images: int,
         systems={label: base.systems[label] for label in ("epd", "distserve")})
 
 
-def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentPreset:
+def switch_preset(seed: int = DEFAULT_SEED, role_switch: bool = True) -> ExperimentPreset:
     """Shifted-output workload served by an initially encode-heavy deployment."""
     model = builtin_model(MINICPM)
     cost = replace(SYNTHETIC_COSTS[MINICPM],
@@ -185,7 +187,7 @@ def switch_preset(seed: int = 20260808, role_switch: bool = True) -> ExperimentP
         generate=partial(generate_shifted, early=(10, 50), late=(90, 500)))
 
 
-def optimizer_preset(seed: int = 20260808) -> ExperimentPreset:
+def optimizer_preset(seed: int = DEFAULT_SEED) -> ExperimentPreset:
     """Six-image workload used for configuration search experiments."""
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]
@@ -203,12 +205,12 @@ def offline_requests(spec: WorkloadSpec) -> list[Request]:
     images = tuple(spec.resolution for _ in range(spec.images_per_request))
     return [
         Request(id=i, arrival_time=0.0, prompt_tokens=spec.prompt_tokens,
-                images=images, output_tokens=spec.output_tokens, slo=spec.slo)
+                images=images, output_tokens=spec.output_tokens)
         for i in range(spec.num_requests)
     ]
 
 
-def offline_preset(seed: int = 20260808) -> ExperimentPreset:
+def offline_preset(seed: int = DEFAULT_SEED) -> ExperimentPreset:
     """Batch-submitted workload for end-to-end throughput comparisons."""
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]

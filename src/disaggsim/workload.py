@@ -34,7 +34,6 @@ class Request:
     prompt_tokens: int
     images: tuple[Resolution, ...]
     output_tokens: int
-    slo: Slo
 
     def __post_init__(self) -> None:
         # a tuple, so that requests of one shape can share the engine's record of it
@@ -45,8 +44,6 @@ class Request:
             raise ValueError("output_tokens must be >= 1")
         if self.prompt_tokens < 0:
             raise ValueError("prompt_tokens must be >= 0")
-        if not (self.slo.ttft > 0 and self.slo.tpot > 0):  # inf: no limit; NaN fails
-            raise ValueError(f"slo limits must be positive, not {self.slo}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +66,8 @@ class WorkloadSpec:
             raise ValueError("num_requests must be >= 1")
         if self.images_per_request > 0 and self.resolution is None:
             raise ValueError("resolution required when images_per_request > 0")
+        if not (self.slo.ttft > 0 and self.slo.tpot > 0):  # inf: no limit; NaN fails
+            raise ValueError(f"slo limits must be positive, not {self.slo}")
 
 
 def _arrivals(rate_lambda: float, count: int, seed: int) -> list[float]:
@@ -94,7 +93,6 @@ def _requests(spec: WorkloadSpec, outputs: list[int]) -> list[Request]:
             prompt_tokens=spec.prompt_tokens,
             images=images,
             output_tokens=tokens,
-            slo=spec.slo,
         )
         for i, (t, tokens) in enumerate(zip(arrivals, outputs))
     ]
@@ -121,8 +119,9 @@ def generate_shifted(spec: WorkloadSpec, early: tuple[int, int],
 
 # ``width``/``height`` hold the first image; ``resolutions`` lists every image
 # as ``WxH`` joined by ``;``. Files without ``resolutions`` repeat the first.
+# Other columns, such as the SLO limits of older files, are ignored.
 _TRACE_FIELDS = ("id", "arrival", "prompt_tokens", "num_images", "width",
-                 "height", "output_tokens", "ttft_limit", "tpot_limit", "resolutions")
+                 "height", "output_tokens", "resolutions")
 
 
 def save_trace(path, requests: Sequence[Request]) -> None:
@@ -133,8 +132,7 @@ def save_trace(path, requests: Sequence[Request]) -> None:
             width, height = r.images[0] if r.images else (0, 0)
             writer.writerow([
                 r.id, repr(r.arrival_time), r.prompt_tokens, len(r.images),
-                width, height, r.output_tokens, repr(r.slo.ttft), repr(r.slo.tpot),
-                ";".join(f"{w}x{h}" for w, h in r.images),
+                width, height, r.output_tokens, ";".join(f"{w}x{h}" for w, h in r.images),
             ])
 
 
@@ -151,8 +149,7 @@ def _row_images(row: dict) -> tuple[tuple[int, int], ...]:
     return images
 
 
-def load_trace(path, default_slo: Optional[Slo] = None,
-               rate_lambda: Optional[float] = None, seed: int = 0) -> list[Request]:
+def load_trace(path, rate_lambda: Optional[float] = None, seed: int = 0) -> list[Request]:
     """One request per line; arrivals honored or regenerated at ``rate_lambda``."""
     requests: list[Request] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -164,20 +161,12 @@ def load_trace(path, default_slo: Optional[Slo] = None,
             raise ParseError(f"missing columns {sorted(missing)}", 1)
         for line_no, row in enumerate(reader, start=2):
             try:
-                images = _row_images(row)
-                if "ttft_limit" in row and row.get("ttft_limit"):
-                    slo = Slo(float(row["ttft_limit"]), float(row["tpot_limit"]))
-                elif default_slo is not None:
-                    slo = default_slo
-                else:
-                    raise ValueError("no SLO columns and no default_slo given")
                 requests.append(Request(
                     id=int(row["id"]),
                     arrival_time=float(row["arrival"]),
                     prompt_tokens=int(row["prompt_tokens"]),
-                    images=images,
+                    images=_row_images(row),
                     output_tokens=int(row["output_tokens"]),
-                    slo=slo,
                 ))
                 if (rate_lambda is None and len(requests) > 1
                         and requests[-1].arrival_time < requests[-2].arrival_time):

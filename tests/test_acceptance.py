@@ -20,7 +20,7 @@ from disaggsim.metrics import (Score, SweepPoint, goodput_from_sweep, request_me
                                sweep)
 from disaggsim.models import (HardwareSpec, ModelSpec, StageRole, builtin_model,
                               weights_bytes)
-from disaggsim.presets import (HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
+from disaggsim.presets import (DEFAULT_SEED, HEAVY_ENCODE_ACT_BYTES, HEAVY_PREFILL_ACT_BYTES,
                                get_preset)
 from disaggsim.simconfig import InstanceConfig, SystemConfig
 from disaggsim.workload import Request, Slo, WorkloadSpec, generate_poisson
@@ -66,7 +66,7 @@ def test_acceptance_2_irp_ablation():
 
 
 def test_acceptance_3_optimizer_ablation():
-    result = optimizer_ablation(trials=24, num_random=10, seed=20260808)
+    result = optimizer_ablation(trials=24, num_random=10, seed=DEFAULT_SEED)
     assert result["solver_goodput"] >= 2 * result["random_mean_goodput"], result
 
     # exhaustive strategy equals brute-force enumeration on a small space
@@ -97,7 +97,7 @@ def test_acceptance_3_optimizer_ablation():
 
 
 def test_acceptance_4_role_switch_ablation():
-    result = switch_ablation(seed=20260808)
+    result = switch_ablation(seed=DEFAULT_SEED)
     assert result["makespan_ratio"] <= 0.67, result["makespan_ratio"]
     final_roles = result["with_switch"]["final_roles"]
     assert final_roles.get("D", 0) >= 3, final_roles
@@ -156,7 +156,7 @@ def test_acceptance_6_metric_oracles():
                    InstanceConfig(role=StageRole.DECODE, max_batch=4)),
         hardware=hw, model=model, cost=cost)
     request = Request(id=0, arrival_time=0.0, prompt_tokens=10,
-                      images=((100, 100),), output_tokens=4, slo=Slo(100.0, 10.0))
+                      images=((100, 100),), output_tokens=4)
     trace = run_simulation(config, [request])
     metrics = request_metrics(trace, Slo(100.0, 10.0))[0]
 

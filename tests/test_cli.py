@@ -9,7 +9,7 @@ from disaggsim.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, m
 from disaggsim.models import builtin_catalog
 from disaggsim.presets import get_preset
 from disaggsim.simconfig import save_system_config, system_from_dict
-from disaggsim.workload import Slo, WorkloadSpec, generate_poisson, save_trace
+from disaggsim.workload import WorkloadSpec, generate_poisson, save_trace
 
 
 def run(tmp_path, *argv) -> int:
@@ -20,7 +20,7 @@ def run(tmp_path, *argv) -> int:
 def workload_file(tmp_path) -> Path:
     spec = WorkloadSpec(rate_lambda=1.0, num_requests=3, prompt_tokens=22,
                         images_per_request=1, resolution=(4032, 3024),
-                        output_tokens=4, seed=1, slo=Slo(5.0, 0.1))
+                        output_tokens=4, seed=1)
     path = tmp_path / "wl.csv"
     save_trace(path, generate_poisson(spec))
     return path
@@ -62,8 +62,7 @@ def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option,
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     argv = {
-        "--config": ["simulate", "--config", str(path), "--workload", str(workload_file),
-                     "--slo", "5.0,0.1"],
+        "--config": ["simulate", "--config", str(path), "--workload", str(workload_file)],
         "--switch-params": ["simulate", "--preset", "switch-shifted",
                             "--switch-params", str(path)],
         "--space": ["optimize", "--space", str(path), "--trials", "1"],
@@ -75,12 +74,10 @@ def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option,
 
 # Each input flag's command, with ``{path}`` for the file under test.
 INPUT_FILE_ARGV = {
-    "--config": ["simulate", "--config", "{path}", "--workload", "{workload}",
-                 "--slo", "5.0,0.1"],
-    "--workload": ["simulate", "--config", "{config}", "--workload", "{path}",
-                   "--slo", "5.0,0.1"],
+    "--config": ["simulate", "--config", "{path}", "--workload", "{workload}"],
+    "--workload": ["simulate", "--config", "{config}", "--workload", "{path}"],
     "--catalog": ["simulate", "--catalog", "{path}", "--config", "{config}",
-                  "--workload", "{workload}", "--slo", "5.0,0.1"],
+                  "--workload", "{workload}"],
     "capacity --catalog": ["capacity", "--catalog", "{path}"],
     "--switch-params": ["simulate", "--preset", "switch-shifted", "--switch-params", "{path}"],
     "--space": ["optimize", "--space", "{path}", "--trials", "1"],
@@ -124,7 +121,6 @@ SWEEP = ("sweep", "--preset", "ttft-minicpm-2img")
     (WORKLOAD, "--prompt-tokens", "-4"),
     (WORKLOAD, "--images", "-1"),
     (WORKLOAD, "--seed", "-1"),
-    (WORKLOAD, "--slo", "-1,0.5"),
     (("workload", "--rate", "1", "--num-requests", "5", "--seed", "1", "--images", "1"),
      "--resolution", "0x100"),
     (("simulate", "--preset", "switch-shifted"), "--seed", "-1"),
@@ -145,10 +141,21 @@ def test_out_of_range_number_is_parse_error(tmp_path, capsys, command, flag, val
     assert not any(tmp_path.iterdir()), "a rejected command wrote output"
 
 
+@pytest.mark.parametrize("command", [("simulate", "--preset", "switch-shifted"), WORKLOAD],
+                         ids=["simulate", "workload"])
+def test_slo_flag_is_gone(tmp_path, capsys, command):
+    """A workload spec is the only home of an SLO; no command takes one."""
+    with pytest.raises(SystemExit) as excinfo:
+        run(tmp_path, *command, "--slo", "5.0,0.1")
+    assert excinfo.value.code == EXIT_PARSE
+    assert "--slo" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir()), "a rejected command wrote output"
+
+
 class TestSimulate:
     def test_single_run_smoke(self, tmp_path, config_file, workload_file):
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1")
+                   "--workload", str(workload_file))
         assert code == EXIT_OK
         summary = (tmp_path / "simulate-run-summary.csv").read_text().splitlines()
         assert summary[0].startswith("rid,")
@@ -170,19 +177,19 @@ class TestSimulate:
         bad = config_file.parent / "bad.json"
         bad.write_text(json.dumps(data))
         code = run(tmp_path, "simulate", "--config", str(bad),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1")
+                   "--workload", str(workload_file))
         assert code == EXIT_INFEASIBLE
 
     def test_workload_rate_regenerates_arrivals(self, tmp_path, config_file, workload_file):
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1",
+                   "--workload", str(workload_file),
                    "--workload-rate", "4.0", "--seed", "3")
         assert code == EXIT_OK
 
     def test_workload_rate_without_seed_is_parse_error(self, tmp_path, config_file,
                                                        workload_file):
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1",
+                   "--workload", str(workload_file),
                    "--workload-rate", "4.0")
         assert code == EXIT_PARSE
 
@@ -191,7 +198,7 @@ class TestSimulate:
                                                        workload_file, capsys, rate):
         with pytest.raises(SystemExit) as excinfo:
             run(tmp_path, "simulate", "--config", str(config_file),
-                "--workload", str(workload_file), "--slo", "5.0,0.1",
+                "--workload", str(workload_file),
                 f"--workload-rate={rate}", "--seed", "3")
         assert excinfo.value.code == EXIT_PARSE
         assert "--workload-rate" in capsys.readouterr().err
@@ -201,7 +208,7 @@ class TestSimulate:
         bad.write_text("id,arrival,prompt_tokens,num_images,width,height,output_tokens\n"
                        "0,zero,22,0,0,0,4\n")
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(bad), "--slo", "5.0,0.1")
+                   "--workload", str(bad))
         assert code == EXIT_PARSE
 
     @pytest.mark.parametrize("arrival", ["nan", "inf", "0.25"])
@@ -213,27 +220,14 @@ class TestSimulate:
                        f"1,{arrival},22,0,0,0,4\n"
                        "2,2.0,22,0,0,0,4\n")
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(bad), "--slo", "5.0,0.1")
+                   "--workload", str(bad))
         assert code == EXIT_PARSE
         assert "line 3" in capsys.readouterr().err
         # Regenerated arrivals replace an out-of-order one, not a non-finite one.
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(bad), "--slo", "5.0,0.1",
+                   "--workload", str(bad),
                    "--workload-rate", "4.0", "--seed", "3")
         assert code == (EXIT_OK if arrival == "0.25" else EXIT_PARSE)
-
-    @pytest.mark.parametrize("limits", ["nan,0.1", "5.0,nan"])
-    def test_nan_slo_limit_is_parse_error_naming_the_line(self, tmp_path, config_file,
-                                                          capsys, limits):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("id,arrival,prompt_tokens,num_images,width,height,output_tokens,"
-                       "ttft_limit,tpot_limit\n"
-                       "0,0.5,22,0,0,0,4,5.0,0.1\n"
-                       f"1,1.0,22,0,0,0,4,{limits}\n")
-        code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(bad), "--slo", "5.0,0.1")
-        assert code == EXIT_PARSE
-        assert "line 3" in capsys.readouterr().err
 
     def test_unknown_preset_is_parse_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -252,7 +246,7 @@ class TestSimulate:
         data["model"] = "no-such-model"
         config_file.write_text(json.dumps(data))
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1")
+                   "--workload", str(workload_file))
         assert code == EXIT_PARSE
 
     def test_unknown_config_key_is_parse_error(self, tmp_path, config_file, workload_file,
@@ -261,7 +255,7 @@ class TestSimulate:
         data["kv_fration"] = 0.3
         config_file.write_text(json.dumps(data))
         code = run(tmp_path, "simulate", "--config", str(config_file),
-                   "--workload", str(workload_file), "--slo", "5.0,0.1")
+                   "--workload", str(workload_file))
         assert code == EXIT_PARSE
         assert "kv_fration" in capsys.readouterr().err
 
@@ -285,7 +279,7 @@ class TestSimulate:
 
         def meta(out, workload, *flags):
             assert run(out, "simulate", "--config", str(config_file), "--workload",
-                       str(workload), "--slo", "5.0,0.1", *flags) == EXIT_OK
+                       str(workload), *flags) == EXIT_OK
             return json.loads((out / "simulate-meta.json").read_text())
 
         first, moved = meta(tmp_path / "a", workload_file), meta(tmp_path / "b", copy)
@@ -392,6 +386,7 @@ class TestWorkloadCommand:
         plain, images = meta(tmp_path / "a"), meta(tmp_path / "b", "--images", "3")
         assert plain["images_per_request"] == 0 and images["images_per_request"] == 3
         assert plain["config_hash"] != images["config_hash"]
+        assert "slo" not in plain  # the trace it describes holds none
 
     def test_seed_is_mandatory(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -132,6 +132,17 @@ def roles_at(trace, t: float) -> list[StageRole]:
     return roles
 
 
+def active_roles_at(trace, t: float) -> list:
+    """``roles_at(trace, t)``, with None for each instance that a switch has
+    taken offline: an instance serves no stage from its switch's ``time``
+    until ``onload_done``."""
+    roles = roles_at(trace, t)
+    for switch in trace.switches:
+        if switch.time <= t < switch.onload_done:
+            roles[switch.instance_id] = None
+    return roles
+
+
 class TestEngineIntegration:
     def test_switches_happen_and_phases_are_ordered(self, switched_trace):
         assert switched_trace.switches
@@ -155,15 +166,18 @@ class TestEngineIntegration:
         switched_trace.validate()
 
     def test_stage_coverage_never_drops_below_floor(self, switched_trace):
-        # replay the role timeline and check every stage keeps an instance
-        times = sorted({0.0}
-                       | {s.offload_done for s in switched_trace.switches}
-                       | {s.onload_done + 1e-9 for s in switched_trace.switches})
+        # every stage keeps an active instance at each phase boundary, and
+        # each switch leaves its source role at least the controller's floor
+        switches = switched_trace.switches
+        floor = get_preset("switch-shifted").systems["epd"].role_switch.min_instances_per_stage
+        times = sorted({0.0} | {getattr(s, phase) for s in switches for phase in
+                                ("time", "offload_done", "migration_done", "onload_done")})
         for t in times:
-            counts = {E: 0, P: 0, D: 0}
-            for role in roles_at(switched_trace, t):
-                counts[role] += 1
-            assert all(count >= 1 for count in counts.values()), (t, counts)
+            active = active_roles_at(switched_trace, t)
+            assert all(active.count(stage) >= 1 for stage in (E, P, D)), (t, active)
+        for switch in switches:
+            active = active_roles_at(switched_trace, switch.time)
+            assert active.count(switch.source) >= floor, (switch, active)
 
     def test_reaches_decode_majority(self, switched_trace):
         assert roles_at(switched_trace, float("inf")).count(D) >= 3

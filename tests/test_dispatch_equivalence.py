@@ -49,7 +49,7 @@ from disaggsim.models import StageRole, tokens_for_request
 from disaggsim.presets import get_preset, switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.trace import ShardRecord
-from disaggsim.workload import Request, Slo, generate_poisson
+from disaggsim.workload import Request, generate_poisson
 
 PRESET = switch_preset()
 BASE = PRESET.systems["epd"]
@@ -444,7 +444,7 @@ def test_admission_verdicts_follow_role_switches():
                                            for role, tp in roles),
                      role_switch=EAGER, mm_cache_tokens=700, kv_fraction=0.001)
     workload = [Request(id=i, arrival_time=0.1 * i, prompt_tokens=20, images=images,
-                        output_tokens=output, slo=Slo(5.0, 0.1))
+                        output_tokens=output)
                 for i, (images, output) in enumerate(shapes * 6)]
     reference = assert_equivalent(config, workload)
     assert reference.switches
@@ -468,7 +468,7 @@ def test_mixed_stage_policies_route_by_the_pools_first_instance():
                      hardware=replace(BASE.hardware, num_gpus=len(roles)),
                      role_switch=EAGER, kv_fraction=0.004)
     workload = [Request(id=i, arrival_time=0.05 * i, prompt_tokens=20, images=((787, 444),),
-                        output_tokens=(30, 300)[i % 2], slo=Slo(5.0, 0.1)) for i in range(40)]
+                        output_tokens=(30, 300)[i % 2]) for i in range(40)]
     reference = assert_equivalent(config, workload)
     assert reference.switches
     assert reference.policy_splits == 2
@@ -496,7 +496,7 @@ def random_case(seed: int) -> tuple[SystemConfig, list[Request]]:
     arrivals = np.cumsum(rng.exponential(rng.choice([0.02, 0.1, 0.4]), size=n))
     workload = [Request(id=i, arrival_time=float(t), prompt_tokens=int(rng.integers(1, 41)),
                         images=tuple(RESOLUTIONS[j] for j in rng.integers(0, 3, rng.integers(3))),
-                        output_tokens=int(rng.choice([1, 1, 2, 30, 200])), slo=Slo(5.0, 0.1))
+                        output_tokens=int(rng.choice([1, 1, 2, 30, 200])))
                 for i, t in enumerate(arrivals)]
     return config, workload
 
@@ -539,7 +539,7 @@ def exact_system(*roles: tuple[StageRole, int], kv_fraction: float = 0.5) -> Sys
 
 def exact_request(rid: int, arrival: float, output_tokens: int) -> Request:
     return Request(id=rid, arrival_time=arrival, prompt_tokens=16, images=((313, 234),),
-                   output_tokens=output_tokens, slo=Slo(5.0, 0.1))
+                   output_tokens=output_tokens)
 
 
 class RecordingSim(CheckedSim):

@@ -17,13 +17,12 @@ from disaggsim.models import HardwareSpec, ModelSpec, StageRole
 from disaggsim.presets import get_preset
 from disaggsim.simconfig import (CapacityExceeded, ConfigInfeasible, InstanceConfig,
                                  SchedulePolicy, SystemConfig)
-from disaggsim.workload import Request, Slo
+from disaggsim.workload import Request
 
 
 def req(rid, arrival=0.0, images=1, prompt=10, output=4, res=(100, 100)):
     return Request(id=rid, arrival_time=arrival, prompt_tokens=prompt,
-                   images=tuple(res for _ in range(images)), output_tokens=output,
-                   slo=Slo(100.0, 10.0))
+                   images=tuple(res for _ in range(images)), output_tokens=output)
 
 
 def inst(role, tp=1, max_batch=1, policy=SchedulePolicy.FCFS, pp=1):

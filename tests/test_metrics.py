@@ -185,7 +185,7 @@ class TestSweepEndToEnd:
             hardware=toy_hw, model=toy_model, cost=simple_cost)
         from disaggsim.workload import Request
         request = Request(id=0, arrival_time=0.0, prompt_tokens=10,
-                          images=((100, 100),), output_tokens=3, slo=Slo(10.0, 1.0))
+                          images=((100, 100),), output_tokens=3)
         trace = run_simulation(config, [request])
         metrics = request_metrics(trace, Slo(10.0, 1.0))
         assert metrics[0].ttft == pytest.approx(

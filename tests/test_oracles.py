@@ -10,7 +10,7 @@ from disaggsim.costs import CostParams
 from disaggsim.engine import _VECTOR_STEPS, run_simulation
 from disaggsim.models import StageRole
 from disaggsim.simconfig import InstanceConfig, SystemConfig
-from disaggsim.workload import Request, Slo
+from disaggsim.workload import Request
 
 # Dyadic costs: every sum below is exact in binary floating point, so the
 # oracle's token times must equal the engine's bit for bit.
@@ -52,7 +52,7 @@ def test_decode_token_times_are_a_cumulative_sum_of_step_costs(toy_model, toy_hw
         instances=(InstanceConfig(role=StageRole.MONOLITHIC, max_batch=len(outputs)),),
         hardware=toy_hw, model=toy_model, cost=COST)
     workload = [Request(id=i, arrival_time=0.0, prompt_tokens=PROMPT, images=(),
-                        output_tokens=n, slo=Slo(100.0, 10.0))
+                        output_tokens=n)
                 for i, n in enumerate(outputs)]
     trace = run_simulation(config, workload)
 

@@ -5,7 +5,7 @@ import pytest
 from disaggsim import cli, metrics as metrics_module
 from disaggsim.metrics import request_metrics
 from disaggsim.engine import run_simulation
-from disaggsim.presets import SLO_TABLE, get_preset, preset_names, slo_for
+from disaggsim.presets import DEFAULT_SEED, SLO_TABLE, get_preset, preset_names, slo_for
 from disaggsim.workload import Slo, generate_poisson
 
 
@@ -40,6 +40,12 @@ def test_every_preset_is_well_formed():
         for label, config in preset.systems.items():
             config.validate()
             assert config.gpu_count <= preset.hardware.num_gpus, (name, label)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_every_preset_uses_the_default_seed(name):
+    # so that a command without --seed runs every preset, and every ablation, on one seed
+    assert get_preset(name).workload.seed == DEFAULT_SEED
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -10,7 +10,7 @@ from disaggsim.engine import run_simulation
 from disaggsim.models import HardwareSpec, StageRole, builtin_model, tokens_for_request
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
 from disaggsim.trace import TraceInvariantError
-from disaggsim.workload import Request, Slo
+from disaggsim.workload import Request
 
 MODEL = builtin_model("minicpm-v-2.6")
 HW = HardwareSpec(gpu_memory=82e9, intra_node_bandwidth=300e9,
@@ -67,7 +67,7 @@ def random_workload(rng: np.random.Generator, n: int) -> list[Request]:
         requests.append(Request(
             id=i, arrival_time=float(t), prompt_tokens=int(rng.integers(1, 50)),
             images=tuple(res for _ in range(images)),
-            output_tokens=int(rng.integers(1, 8)), slo=Slo(10.0, 1.0)))
+            output_tokens=int(rng.integers(1, 8))))
     return requests
 
 
@@ -166,7 +166,7 @@ def test_interference_ordering_random_arrivals():
         workload = [
             Request(id=i, arrival_time=float(t), prompt_tokens=22,
                     images=((4032, 3024),) * int(rng.integers(1, 3)),
-                    output_tokens=3, slo=Slo(100.0, 10.0))
+                    output_tokens=3)
             for i, t in enumerate(arrivals)
         ]
         agg = run_simulation(aggregated, workload)

@@ -47,7 +47,6 @@ class TestPoisson:
         assert len(r.images) == 2
         assert r.images[0] == (4032, 3024)
         assert r.output_tokens == 10
-        assert r.slo == Slo(2.0, 0.05)
 
     def test_ks_against_exponential(self):
         requests = generate_poisson(spec(rate_lambda=2.0, num_requests=1000, seed=11))
@@ -87,14 +86,12 @@ class TestTraceIO:
         assert load_trace(path) == requests
 
     def test_mixed_resolutions_round_trip(self, tmp_path):
-        slo = Slo(5.0, 0.1)
         requests = [
             Request(id=0, arrival_time=0.5, prompt_tokens=22,
-                    images=((4032, 3024), (313, 234)), output_tokens=10, slo=slo),
-            Request(id=1, arrival_time=0.75, prompt_tokens=4, images=(),
-                    output_tokens=3, slo=slo),
+                    images=((4032, 3024), (313, 234)), output_tokens=10),
+            Request(id=1, arrival_time=0.75, prompt_tokens=4, images=(), output_tokens=3),
             Request(id=2, arrival_time=1.0, prompt_tokens=8,
-                    images=((787, 444), (4032, 3024), (787, 444)), output_tokens=2, slo=slo),
+                    images=((787, 444), (4032, 3024), (787, 444)), output_tokens=2),
         ]
         path = tmp_path / "mixed.csv"
         save_trace(path, requests)
@@ -151,20 +148,30 @@ class TestTraceIO:
             f"1,{arrival},22,0,0,0,3\n"
             "2,2.0,22,0,0,0,3\n")
         with pytest.raises(ParseError) as excinfo:
-            load_trace(path, default_slo=Slo(5.0, 0.1))
-        assert excinfo.value.line == 3
-
-    @pytest.mark.parametrize("limits", ["nan,0.1", "5.0,nan"])
-    def test_nan_slo_limit_names_its_line(self, tmp_path, limits):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "id,arrival,prompt_tokens,num_images,width,height,output_tokens,"
-            "ttft_limit,tpot_limit\n"
-            "0,0.5,22,0,0,0,3,5.0,0.1\n"
-            f"1,1.0,22,0,0,0,3,{limits}\n")
-        with pytest.raises(ParseError, match="slo limits must be positive") as excinfo:
             load_trace(path)
         assert excinfo.value.line == 3
+
+    def test_slo_columns_of_older_files_are_ignored(self, tmp_path):
+        """A file with the ``ttft_limit`` and ``tpot_limit`` columns that
+        older versions wrote loads to the same requests as the file
+        ``save_trace`` writes now, whatever the limits hold."""
+        old = tmp_path / "old.csv"
+        old.write_text(
+            "id,arrival,prompt_tokens,num_images,width,height,output_tokens,"
+            "ttft_limit,tpot_limit,resolutions\n"
+            "0,0.5,22,2,4032,3024,10,2.6,0.04,4032x3024;313x234\n"
+            "1,0.75,4,0,0,0,3,nan,-1.0,\n")
+        requests = load_trace(old)
+        assert requests == [
+            Request(id=0, arrival_time=0.5, prompt_tokens=22,
+                    images=((4032, 3024), (313, 234)), output_tokens=10),
+            Request(id=1, arrival_time=0.75, prompt_tokens=4, images=(), output_tokens=3),
+        ]
+        new = tmp_path / "new.csv"
+        save_trace(new, requests)
+        assert new.read_text().splitlines()[0] == (
+            "id,arrival,prompt_tokens,num_images,width,height,output_tokens,resolutions")
+        assert load_trace(new) == requests
 
     def test_unsorted_rows_allowed_when_arrivals_regenerated(self, tmp_path):
         path = tmp_path / "unsorted.csv"
@@ -174,8 +181,8 @@ class TestTraceIO:
             "1,0.25,22,0,0,0,3\n"
             "2,0.25,22,0,0,0,3\n")
         with pytest.raises(ParseError):
-            load_trace(path, default_slo=Slo(5.0, 0.1))
-        regenerated = load_trace(path, default_slo=Slo(5.0, 0.1), rate_lambda=2.0, seed=1)
+            load_trace(path)
+        regenerated = load_trace(path, rate_lambda=2.0, seed=1)
         assert [r.id for r in regenerated] == [0, 1, 2]
 
     def test_missing_columns_rejected(self, tmp_path):
@@ -197,31 +204,25 @@ class TestTraceIO:
 class TestValidation:
     def test_request_rejects_zero_output(self):
         with pytest.raises(ValueError):
-            Request(id=0, arrival_time=0.0, prompt_tokens=1, images=(),
-                    output_tokens=0, slo=Slo(1.0, 1.0))
+            Request(id=0, arrival_time=0.0, prompt_tokens=1, images=(), output_tokens=0)
 
     def test_request_rejects_negative_arrival(self):
         with pytest.raises(ValueError):
-            Request(id=0, arrival_time=-1.0, prompt_tokens=1, images=(),
-                    output_tokens=1, slo=Slo(1.0, 1.0))
+            Request(id=0, arrival_time=-1.0, prompt_tokens=1, images=(), output_tokens=1)
 
     @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
     def test_request_rejects_non_finite_arrival(self, arrival):
         with pytest.raises(ValueError, match="arrival_time must be finite"):
-            Request(id=0, arrival_time=arrival, prompt_tokens=1, images=(),
-                    output_tokens=1, slo=Slo(1.0, 1.0))
+            Request(id=0, arrival_time=arrival, prompt_tokens=1, images=(), output_tokens=1)
 
     @pytest.mark.parametrize("slo", [Slo(float("nan"), 1.0), Slo(1.0, float("nan")),
                                      Slo(0.0, 1.0), Slo(1.0, -1.0)])
-    def test_request_rejects_nan_or_non_positive_slo_limit(self, slo):
+    def test_spec_rejects_nan_or_non_positive_slo_limit(self, slo):
         with pytest.raises(ValueError, match="slo limits must be positive"):
-            Request(id=0, arrival_time=0.0, prompt_tokens=1, images=(),
-                    output_tokens=1, slo=slo)
+            spec(slo=slo)
 
-    def test_request_takes_an_infinite_slo_limit_as_none(self):
-        request = Request(id=0, arrival_time=0.0, prompt_tokens=1, images=(),
-                          output_tokens=1, slo=Slo(float("inf"), float("inf")))
-        assert request.slo == Slo(float("inf"), float("inf"))
+    def test_spec_takes_an_infinite_slo_limit_as_none(self):
+        assert spec(slo=Slo(float("inf"), float("inf"))).slo == Slo(float("inf"), float("inf"))
 
     def test_spec_requires_resolution_for_images(self):
         with pytest.raises(ValueError):
