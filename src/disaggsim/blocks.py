@@ -37,14 +37,16 @@ class BlockManager:
     def used_blocks(self) -> int:
         return self.total_blocks - self.free_blocks
 
+    # Both round ``tokens`` up to blocks as :func:`blocks_for` does, inline.
     def can_allocate(self, tokens: int) -> bool:
-        return blocks_for(tokens, self.block_size) <= self.free_blocks
+        # A count of no tokens rounds to at most 0 blocks, which always fit.
+        return -(-tokens // self.block_size) <= self.free_blocks
 
     def allocate(self, request_id: int, tokens: int) -> int:
         """Reserve blocks for ``tokens``; return how many were taken."""
         if request_id in self.allocated:
             raise RuntimeError(f"request {request_id} already holds {self.kind.value} blocks")
-        need = blocks_for(tokens, self.block_size)
+        need = -(-tokens // self.block_size) if tokens > 0 else 0
         if need > self.free_blocks:
             raise RuntimeError(f"{self.kind.value} cache overcommitted ({need} > {self.free_blocks})")
         self.free_blocks -= need

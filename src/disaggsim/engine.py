@@ -33,8 +33,8 @@ takes its stage's holders, keeps those with free blocks only when it
 reserves any, then the least-loaded or the next round-robin instance of
 those, by the policy of the pool's first instance. What depends only on a
 size is worked out once per run: a patch count's shard split over an encode
-width and an E→P shard's wire time; an encode batch times each distinct
-(patches, items) load of its workers once. Each instance keeps running
+width and an E→P shard's wire time; a shape keeps its P→D wire time; an
+encode batch times each distinct (patches, items) load of its workers once. Each instance keeps running
 patch and token sums of its queue and its running batch for the load reads
 and of its decode batch's KV tokens for the step time. Dispatch after an
 event visits only the instances that event touched, retrying the wait
@@ -42,16 +42,22 @@ queues only after a cache free or a pool change, and while one is not empty.
 A request's engine state is kept only while it is open; its trace record is
 written as the run goes, and no decision reads it.
 
-Events whose outcome is fixed when they are pushed are folded, leaving 7
-per request on encode-heavy ``epd`` where there were 13. Only the next
-arrival waits in the heap; ARRIVAL is alone at its priority, so arrivals
-pop in workload order. An encode batch pushes one WORKER_DONE per distinct
-finish time, over its workers in id order: they are pushed back to back,
-so nothing pops between two at one time, and none leaves work to dispatch.
-A request's shards share one FIFO channel, so the last sent arrives last:
-each shard's transfer end is written when it is sent, a worker event sends
-a request's consecutive shards at once, and only the last pushes a
-TRANSFER_END.
+Events whose outcome is fixed when they are pushed are folded, leaving 5
+per request on encode-heavy ``epd`` where there were 13. Arrivals never
+enter the heap: the next one, in workload order, waits beside it and runs
+when the heap is empty or its top is later, so it runs after every event
+at its time, as it did alone at the last priority. An encode batch pushes
+one WORKER_DONE per distinct finish time, over its workers in id order:
+they are pushed back to back, so nothing pops between two at one time, and
+none leaves work to dispatch. The last also ends the batch. The instance's
+next batch then starts ahead of other instances' worker and batch ends at
+that time, which read nothing it changes as long as that batch takes time:
+with ``enc_base`` 0 (no preset has it) a batch of text-only requests ends
+when it starts, and its worker event can pop ahead of a prefill batch end
+it used to follow. A request's shards share one FIFO channel, so the last
+sent arrives last: each shard's transfer end is written when it is sent, a
+worker event sends a request's consecutive shards at once, and only the
+last pushes a TRANSFER_END.
 
 A decode instance does not pop one event per step. It plans a *segment*:
 the run of steps from now through the first in which a member emits its
@@ -111,9 +117,9 @@ _STEP_END = "step_end"
 _TRANSFER_END = "transfer_end"
 _SWITCH_ONLOAD = "switch_onload"
 _MONITOR = "monitor"
-_ARRIVAL = "arrival"
 
-# Completions and transfers settle before new work is considered at a tie.
+# Completions and transfers settle before new work is considered at a tie;
+# an arrival runs after every event at its time.
 _PRIO = {
     _WORKER_DONE: 0,
     _BATCH_END: 1,
@@ -121,7 +127,6 @@ _PRIO = {
     _TRANSFER_END: 3,
     _SWITCH_ONLOAD: 4,
     _MONITOR: 5,
-    _ARRIVAL: 6,
 }
 
 
@@ -202,11 +207,11 @@ def plan_steps_numpy(cost: CostParams, batch: int, kv: int, factor: float, start
 class _Shape:
     """What every request of one (images, prompt, output) shape needs: its
     patches and tokens, its MM blocks, its KV blocks without and with the
-    output tokens (indexed by ``serves_decode``), and, under the stage
-    pools of version ``judged``, the members of each pool that hold it and
-    its admission verdict."""
+    output tokens (indexed by ``serves_decode``), its P→D wire time once
+    worked out, and, under the stage pools of version ``judged``, the
+    members of each pool that hold it and its admission verdict."""
     __slots__ = ("patches", "mm_tokens", "total_tokens", "output_tokens", "mm_blocks",
-                 "kv_blocks", "holders", "verdict", "judged")
+                 "kv_blocks", "pd_wire", "holders", "verdict", "judged")
 
     def __init__(self, model, req: Request, block_size: int):
         self.patches = sum(patches_for_image(model, res) for res in req.images)
@@ -215,6 +220,7 @@ class _Shape:
         self.mm_blocks = blocks_for(self.mm_tokens, block_size)
         self.kv_blocks = (blocks_for(self.total_tokens, block_size),
                           blocks_for(self.total_tokens + req.output_tokens, block_size))
+        self.pd_wire: Optional[float] = None
         self.holders: Optional[dict[str, list[_Instance]]] = None  # by stage, as the pools
         self.verdict: Optional[str] = None
         self.judged = 0  # pool versions count from 1
@@ -361,7 +367,7 @@ class _Sim:
                                 output_tokens=req.output_tokens)
             self.records[req.id] = rec
             arrivals.append(_Req(req, shape, rec))
-        self.arrivals = iter(arrivals)  # those not yet pushed
+        self.arrivals = iter(arrivals)  # those not yet run
         self.outstanding = len(self.records)
 
     # --- event plumbing -----------------------------------------------------
@@ -369,18 +375,11 @@ class _Sim:
     def _push(self, t: float, kind: str, data: tuple) -> None:
         heapq.heappush(self.heap, (t, _PRIO[kind], next(self.seq), kind, data))
 
-    def _push_arrival(self) -> None:
-        r = next(self.arrivals, None)
-        if r is not None:
-            self._push(r.req.arrival_time, _ARRIVAL, (r,))
-
     def run(self) -> SimTrace:
-        self._push_arrival()
         if self.system.role_switch is not None and self.records:
             self._push(self.system.role_switch.monitor_interval, _MONITOR, ())
 
         handlers = {
-            _ARRIVAL: self._on_arrival,
             _WORKER_DONE: self._on_worker_done,
             _BATCH_END: self._on_batch_end,
             _STEP_END: self._on_step_end,
@@ -388,15 +387,26 @@ class _Sim:
             _SWITCH_ONLOAD: self._on_switch_onload,
             _MONITOR: self._on_monitor,
         }
-        insts = self.insts
-        while self.heap:
-            t, _, _, kind, data = heapq.heappop(self.heap)
-            if kind == _STEP_END and data[1] != insts[data[0]].serial:
-                continue  # the end of a segment that was cut short
-            if t < self.last_pop - 1e-12:
-                raise RuntimeError("event heap popped an event in the past")
-            self.last_pop = t
-            handlers[kind](t, *data)
+        insts, heap, arrivals, on_arrival = self.insts, self.heap, self.arrivals, self._on_arrival
+        # The next arrival waits beside the heap and runs after every event at its time.
+        r = next(arrivals, None)
+        arrival = float("inf") if r is None else r.req.arrival_time
+        while True:
+            if heap and heap[0][0] <= arrival:
+                t, _, _, kind, data = heapq.heappop(heap)
+                if kind == _STEP_END and data[1] != insts[data[0]].serial:
+                    continue  # the end of a segment that was cut short
+                if t < self.last_pop - 1e-12:
+                    raise RuntimeError("event heap popped an event in the past")
+                self.last_pop = t
+                handlers[kind](t, *data)
+            elif r is None:
+                break
+            else:
+                t = self.last_pop = arrival
+                on_arrival(t, r)
+                r = next(arrivals, None)
+                arrival = float("inf") if r is None else r.req.arrival_time
             self._dispatch(t)
 
         return self._finalize()
@@ -492,23 +502,19 @@ class _Sim:
             return "kv_capacity"
         return "mm_capacity"
 
-    @staticmethod
-    def _room(inst: _Instance, shape: _Shape, mm: bool, kv: bool) -> bool:
-        """Whether ``inst`` has free blocks now for ``shape``'s MM tokens (if
-        ``mm``) and the KV tokens it reserves there (if ``kv``)."""
-        return ((not mm or inst.mm.can_allocate(shape.mm_tokens))
-                and (not kv or inst.kv.can_allocate(inst.kv_tokens(shape))))
-
     def _reserve(self, inst: _Instance, r: _Req, mm: bool, kv: bool) -> bool:
-        """Reserve what :meth:`_room` checks, all or nothing."""
-        if not self._room(inst, r.shape, mm, kv):
+        """Reserve free blocks on ``inst`` for ``r``'s MM tokens (if ``mm``)
+        and the KV tokens it reserves there (if ``kv``), all or nothing."""
+        shape = r.shape
+        if (mm and not inst.mm.can_allocate(shape.mm_tokens)) or \
+                (kv and not inst.kv.can_allocate(inst.kv_tokens(shape))):
             return False
         self._allocate(inst, r, mm, kv)
         return True
 
     @staticmethod
     def _allocate(inst: _Instance, r: _Req, mm: bool, kv: bool) -> None:
-        """Take the blocks :meth:`_room` has found free."""
+        """Take the blocks :meth:`_reserve` has found free."""
         if mm:
             inst.mm.allocate(r.req.id, r.shape.mm_tokens)
         if kv:
@@ -525,10 +531,11 @@ class _Sim:
         shape = r.shape
         if shape.judged != self.pools_version:
             self._admission_reason(r)  # judged again, and its holders with it
-        fits, reserves = shape.holders[stage], mm or kv
-        if reserves:
-            room = self._room
-            fits = [i for i in fits if room(i, shape, mm, kv)]
+        fits = shape.holders[stage]
+        if mm:
+            fits = [i for i in fits if i.mm.can_allocate(shape.mm_tokens)]
+        if kv:
+            fits = [i for i in fits if i.kv.can_allocate(i.kv_tokens(shape))]
         if not fits:
             return None
         if self.pools[stage][0].policy is SchedulePolicy.LEAST_LOADED:
@@ -536,7 +543,7 @@ class _Sim:
         else:
             inst = fits[self.rr[stage] % len(fits)]
             self.rr[stage] += 1
-        if reserves:
+        if mm or kv:
             self._allocate(inst, r, mm, kv)
         slot, column = _PLACED[stage]
         setattr(r, slot, inst.iid)
@@ -546,7 +553,6 @@ class _Sim:
     # --- event handlers ---------------------------------------------------------
 
     def _on_arrival(self, t: float, r: _Req) -> None:
-        self._push_arrival()
         reason = self._admission_reason(r)
         if reason is not None:
             if not self.system.admission_control:
@@ -560,7 +566,10 @@ class _Sim:
             r.p_iid = r.rec.p_instance = inst.iid
         self._enqueue(inst, r, t)
 
-    def _on_worker_done(self, t: float, items: list[tuple[int, int]]) -> None:
+    def _on_worker_done(self, t: float, items: list[tuple[int, int]],
+                        batch_iid: Optional[int]) -> None:
+        """Shards done on an encode instance's workers; at the batch's last
+        finish time, ``batch_iid`` names the instance, whose batch ends too."""
         last = len(items) - 1
         for n, (rid, shard_idx) in enumerate(items):
             r = self.rs[rid]
@@ -577,17 +586,22 @@ class _Sim:
                 # A later shard finds the request already in ep_wait.
                 if not self._try_reserve_prefill(r, t):
                     self.ep_wait.append(rid)
+        if batch_iid is not None:
+            self._end_batch(self.insts[batch_iid])
 
-    def _on_batch_end(self, t: float, iid: int) -> None:
-        inst = self.insts[iid]
+    def _end_batch(self, inst: _Instance) -> tuple[int, ...]:
+        """Empty ``inst``'s running slot; the ids of the batch that ran."""
         batch = inst.running
         inst.running = None
         inst.running_patches = inst.running_tokens = 0
-        self.touched.add(iid)
-        if not inst.serves_prefill:
-            return  # encode batch: worker events already launched the transfers
-        # prefill or fused encode+prefill: the first output token exists now
-        for rid in batch:
+        self.touched.add(inst.iid)
+        return batch
+
+    def _on_batch_end(self, t: float, iid: int) -> None:
+        """A prefill batch, fused with encoding or not, ends: the first
+        output token exists now."""
+        inst = self.insts[iid]
+        for rid in self._end_batch(inst):
             r = self.rs[rid]
             r.rec.prefill_end = t
             r.rec.first_token_time = t
@@ -712,29 +726,23 @@ class _Sim:
         self._push(rec.migration_done + _ONLOAD_DELAY, _SWITCH_ONLOAD, (inst.iid,))
 
     # --- transfers ----------------------------------------------------------------
+    # Each (src, dst) pair is one FIFO channel: a transfer starts once it is
+    # ready and the channel is free, and ends a wire time later.
 
-    def _schedule_transfer(self, src: int, dst: int, nbytes: float, ready: float) -> float:
-        """Queue a transfer on the FIFO channel ``(src, dst)``; its end time."""
-        key = (src, dst)
-        start = max(ready, self.chan_free.get(key, 0.0))
-        duration = transfer_latency(nbytes, self.system.transfer_channel, self.hw,
-                                    self.cost.transfer_setup)
-        self.chan_free[key] = start + duration
-        return start + duration
+    def _wire(self, nbytes: float) -> float:
+        return transfer_latency(nbytes, self.system.transfer_channel, self.hw,
+                                self.cost.transfer_setup)
 
     def _send_ready_shards(self, r: _Req, t: float) -> None:
         """Send the shards that are encoded and not yet sent, in turn on the
-        request's E→P channel, as :meth:`_schedule_transfer` would. All of a
-        request's shards share that FIFO channel, so the last one sent ends
-        last: only it pushes a TRANSFER_END."""
+        request's E→P channel. All of a request's shards share that channel,
+        so the last one sent ends last: only it pushes a TRANSFER_END."""
         key, wire, records = (r.e_iid, r.p_iid), self.shard_wire, r.rec.shards
         end = self.chan_free.get(key, 0.0)
         for shard_idx in r.ready_unsent:
             patches = r.shards[shard_idx][1]
             if patches not in wire:
-                wire[patches] = transfer_latency(
-                    patches * self.model.tokens_per_patch * self.mm_bpt,
-                    self.system.transfer_channel, self.hw, self.cost.transfer_setup)
+                wire[patches] = self._wire(patches * self.model.tokens_per_patch * self.mm_bpt)
             end = (end if end > t else t) + wire[patches]
             records[shard_idx].transfer_end = end
         self.chan_free[key] = end
@@ -751,7 +759,11 @@ class _Sim:
     def _try_reserve_decode(self, r: _Req, t: float) -> bool:
         if self._route("decode", r, self._decode_load, kv=True) is None:
             return False
-        end = self._schedule_transfer(r.p_iid, r.d_iid, r.shape.total_tokens * self.kv_bpt, t)
+        shape, key = r.shape, (r.p_iid, r.d_iid)
+        if shape.pd_wire is None:
+            shape.pd_wire = self._wire(shape.total_tokens * self.kv_bpt)
+        end = self.chan_free.get(key, 0.0)
+        end = self.chan_free[key] = (end if end > t else t) + shape.pd_wire
         self._push(end, _TRANSFER_END, ("pd", r.req.id))
         return True
 
@@ -819,7 +831,7 @@ class _Sim:
     def _start_encode(self, inst: _Instance, batch: list[int], t: float) -> None:
         """Shard each request's patches across the instance's workers, and
         push one WORKER_DONE per distinct finish time, over its workers'
-        (request, shard) items in worker id order."""
+        (request, shard) items in worker id order; the last ends the batch."""
         width, splits = inst.tp, self.splits
         worker_load = [0] * width
         worker_items: list[list[tuple[int, int]]] = [[] for _ in range(width)]
@@ -843,10 +855,10 @@ class _Sim:
                 if key not in runs:
                     runs[key] = encode_latency(self.cost, load, tp_width=1, batch_size=key[1])
                 done.setdefault(t + runs[key], []).extend(items)
+        last = max(done)
         for finish, items in done.items():
-            self._push(finish, _WORKER_DONE, (items,))
+            self._push(finish, _WORKER_DONE, (items, inst.iid if finish == last else None))
         self._launch(inst, batch)
-        self._push(max(done), _BATCH_END, (inst.iid,))
 
     def _start_step(self, inst: _Instance, t: float) -> None:
         """Open a segment: the run of decode steps from ``t`` through the
@@ -933,10 +945,13 @@ class _Sim:
             self.recheck_waits = False
             if self.ep_wait or self.pd_wait:
                 self._retry_waits(t)
-        if self.touched:
-            for iid in sorted(self.touched):
+        touched = self.touched
+        if len(touched) == 1:
+            self._start_work(self.insts[touched.pop()], t)
+        elif touched:
+            for iid in sorted(touched):
                 self._start_work(self.insts[iid], t)
-            self.touched.clear()
+            touched.clear()
         # At most one switch is in flight, so only its instance can be offloading.
         if self.switch_rec is not None:
             inst = self.insts[self.switch_rec.instance_id]

@@ -23,14 +23,17 @@ prefills, and on random systems with exact costs, where events of different
 instances tie.
 
 The engine folds events whose outcome is fixed when they are pushed: it
-keeps only the next arrival in the heap, pushes one WORKER_DONE per distinct
-finish time of an encode batch and one E→P TRANSFER_END per request, for its
-last shard. ``PerEventSim`` keeps the unfolded shape, and its traces must
-equal the engine's on every case here as well.
+runs arrivals beside the heap, one request ahead, pushes one WORKER_DONE per
+distinct finish time of an encode batch, the last of which ends the batch,
+and one E→P TRANSFER_END per request, for its last shard; it times each E→P
+shard size and each shape's P→D transfer once. ``PerEventSim`` keeps the
+unfolded shape, with its own arrival events and transfer channels, and its
+traces must equal the engine's on every case here as well.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import replace
 
@@ -42,9 +45,11 @@ from hypothesis import strategies as st
 from disaggsim.controller import ControllerParams
 from disaggsim import engine
 from disaggsim.blocks import blocks_for
-from disaggsim.costs import CostParams, decode_step_latency, encode_latency, parallel_factor
-from disaggsim.engine import (_ARRIVAL, _BATCH_END, _PLACED, _STEP_END, _TRANSFER_END,
-                              _VECTOR_STEPS, _WORKER_DONE, _Sim, irp_shard, run_simulation)
+from disaggsim.costs import (CostParams, decode_step_latency, encode_latency, parallel_factor,
+                             transfer_latency)
+from disaggsim.engine import (_BATCH_END, _MONITOR, _PLACED, _PRIO, _STEP_END, _SWITCH_ONLOAD,
+                              _TRANSFER_END, _VECTOR_STEPS, _WORKER_DONE, _Sim, irp_shard,
+                              run_simulation)
 from disaggsim.models import StageRole, tokens_for_request
 from disaggsim.presets import get_preset, switch_preset
 from disaggsim.simconfig import InstanceConfig, SchedulePolicy, SystemConfig
@@ -58,6 +63,10 @@ RESOLUTIONS = [(313, 234), (787, 444), (4032, 3024)]
 # fails fast instead of hanging: with the controller on, the monitor re-arms
 # for as long as requests are open. Stalls fail the test.
 STALL_TIME = 10_000.0
+# PerEventSim's arrival events, alone at the last priority, after every
+# engine event at their time.
+_ARRIVAL = "arrival"
+_ARRIVAL_PRIO = max(_PRIO.values()) + 1
 # Looser than the preset so that short random workloads still switch roles.
 EAGER = ControllerParams(monitor_interval=0.5, imbalance_threshold=1.5, smoothing=1.0,
                          min_instances_per_stage=1, cooldown=1.0,
@@ -284,15 +293,40 @@ class PerStepSim(BoundedSim):
 
 
 class PerEventSim(BoundedSim):
-    """The engine with its events unfolded: every arrival pushed at the
-    start, one WORKER_DONE per encode worker, and one TRANSFER_END per E→P
-    shard, which writes the shard's transfer end when it pops."""
+    """The engine with its events unfolded: every arrival pushed into the
+    heap at the start, one WORKER_DONE per encode worker and a BATCH_END
+    per encode batch, and one TRANSFER_END per E→P shard, which writes the
+    shard's transfer end when it pops. Every E→P shard and P→D transfer is
+    queued on its FIFO channel here, each timed by its own
+    ``transfer_latency`` call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.shards_done = Counter()
-        for r in self.arrivals:  # leaves none for the engine to push
+
+    def _push(self, t: float, kind: str, data: tuple) -> None:
+        if kind == _ARRIVAL:
+            heapq.heappush(self.heap, (t, _ARRIVAL_PRIO, next(self.seq), kind, data))
+        else:
+            super()._push(t, kind, data)
+
+    def run(self):
+        for r in self.arrivals:
             self._push(r.req.arrival_time, _ARRIVAL, (r,))
+        if self.system.role_switch is not None and self.records:
+            self._push(self.system.role_switch.monitor_interval, _MONITOR, ())
+        handlers = {_ARRIVAL: self._on_arrival, _WORKER_DONE: self._on_worker_done,
+                    _BATCH_END: self._on_batch_end, _STEP_END: self._on_step_end,
+                    _TRANSFER_END: self._on_transfer_end,
+                    _SWITCH_ONLOAD: self._on_switch_onload, _MONITOR: self._on_monitor}
+        while self.heap:
+            t, _, _, kind, data = heapq.heappop(self.heap)
+            if kind == _STEP_END and data[1] != self.insts[data[0]].serial:
+                continue
+            self.last_pop = t
+            handlers[kind](t, *data)
+            self._dispatch(t)
+        return self._finalize()
 
     def _start_encode(self, inst, batch, t: float) -> None:
         worker_load = [0] * inst.tp
@@ -310,9 +344,25 @@ class PerEventSim(BoundedSim):
         for k, items in sorted(worker_items.items()):
             finishes.append(t + encode_latency(self.cost, worker_load[k], tp_width=1,
                                                batch_size=len(items)))
-            self._push(finishes[-1], _WORKER_DONE, (items,))
+            self._push(finishes[-1], _WORKER_DONE, (items, None))
         self._launch(inst, batch)
         self._push(max(finishes), _BATCH_END, (inst.iid,))
+
+    def _on_batch_end(self, t: float, iid: int) -> None:
+        inst = self.insts[iid]
+        if inst.serves_prefill:
+            super()._on_batch_end(t, iid)
+        else:  # worker events have already sent the encode batch's shards
+            self._end_batch(inst)
+
+    def _schedule_transfer(self, src: int, dst: int, nbytes: float, ready: float) -> float:
+        """Queue a transfer on the FIFO channel ``(src, dst)``; its end time."""
+        key = (src, dst)
+        start = max(ready, self.chan_free.get(key, 0.0))
+        duration = transfer_latency(nbytes, self.system.transfer_channel, self.hw,
+                                    self.cost.transfer_setup)
+        self.chan_free[key] = start + duration
+        return start + duration
 
     def _send_ready_shards(self, r, t: float) -> None:
         for shard_idx in r.ready_unsent:
@@ -321,6 +371,13 @@ class PerEventSim(BoundedSim):
             end = self._schedule_transfer(r.e_iid, r.p_iid, nbytes, t)
             self._push(end, _TRANSFER_END, ("ep", r.req.id, shard_idx))
         r.ready_unsent.clear()
+
+    def _try_reserve_decode(self, r, t: float) -> bool:
+        if self._route("decode", r, self._decode_load, kv=True) is None:
+            return False
+        end = self._schedule_transfer(r.p_iid, r.d_iid, r.shape.total_tokens * self.kv_bpt, t)
+        self._push(end, _TRANSFER_END, ("pd", r.req.id))
+        return True
 
     def _on_transfer_end(self, t: float, kind: str, rid: int, shard_idx=None) -> None:
         if kind == "ep":
@@ -642,16 +699,20 @@ def test_step_ends_at_one_time_pop_in_instance_order():
 
 class CountingSim(_Sim):
     """The engine, counting the events it pushes by kind (each pops once, as
-    the heap drains) and the most ARRIVALs the heap has held at once."""
+    the heap drains), the BATCH_ENDs it pushes by instance and the most
+    ARRIVALs the heap has held at once."""
 
     def __init__(self, *args, **kwargs):
         self.pushed = Counter()
+        self.batch_ends = Counter()
         self.most_arrivals = 0
         super().__init__(*args, **kwargs)
 
     def _push(self, t: float, kind: str, data: tuple) -> None:
         super()._push(t, kind, data)
         self.pushed[kind] += 1
+        if kind == _BATCH_END:
+            self.batch_ends[data[0]] += 1
         if kind == _ARRIVAL:
             waiting = sum(event[3] == _ARRIVAL for event in self.heap)
             self.most_arrivals = max(self.most_arrivals, waiting)
@@ -674,7 +735,8 @@ def test_tied_workers_and_interleaved_shards_fold_exactly():
     # Request 3 is encoded from 0.625 and finds the prefill MM held by
     # requests 0, 1 and 2, so it waits in ep_wait with shards ready until
     # request 0's prefill ends at 0.9375; its shards then queue on the
-    # channel behind request 2's last, which arrives at 1.0.
+    # channel behind request 2's last, which arrives at 1.0. Each of the
+    # three encode batches ends with its last worker event, not a BATCH_END.
     config = exact_system((StageRole.ENCODE, 2), (StageRole.PREFILL, 1), (StageRole.DECODE, 4))
     config = replace(config, mm_cache_tokens=3 * 384,
                      instances=(replace(config.instances[0], tp=4), *config.instances[1:]),
@@ -694,19 +756,20 @@ def test_tied_workers_and_interleaved_shards_fold_exactly():
         [1.0 + 0.0625 * k for k in range(1, 5)]
     assert (sim.pushed[_WORKER_DONE], unfolded.pushed[_WORKER_DONE]) == (6, 12)
     assert (sim.pushed[_TRANSFER_END], unfolded.pushed[_TRANSFER_END]) == (8, 20)
-    assert (sim.most_arrivals, unfolded.most_arrivals) == (1, 4)
+    assert (sim.batch_ends[0], unfolded.batch_ends[0]) == (0, 3)
+    assert (sim.most_arrivals, unfolded.most_arrivals) == (0, 4)
 
 
 def test_encode_heavy_epd_event_budget():
-    """At most 7 events per request on encode-heavy ``epd``, where unfolded
-    arrivals, worker events and shard transfers made 13, and one arrival in
-    the heap at a time."""
+    """At most 5 events per request on encode-heavy ``epd``, where unfolded
+    arrivals, worker events, encode batch ends and shard transfers made 13,
+    and no arrival ever in the heap."""
     preset = get_preset("encode-heavy")
     spec = replace(preset.workload, num_requests=300, rate_lambda=2.0, seed=3)
     sim = CountingSim(preset.systems["epd"], generate_poisson(spec), 7)
     sim.run()
-    assert sum(sim.pushed.values()) <= 7 * spec.num_requests, sim.pushed
-    assert sim.most_arrivals == 1
+    assert sum(sim.pushed.values()) <= 5 * spec.num_requests, sim.pushed
+    assert sim.most_arrivals == 0
 
 
 def test_encode_heavy_epd_work_per_shape(monkeypatch):

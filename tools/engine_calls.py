@@ -1,4 +1,5 @@
-"""Python calls per simulated request, and a run whose requests share no shape.
+"""Python calls and heap events per simulated request, and a run whose
+requests share no shape.
 
     python3 tools/engine_calls.py [--checkout DIR] [--seed 3]
     python3 tools/engine_calls.py --parent HEAD --pairs 10 --out BENCH_name.json
@@ -10,7 +11,11 @@ in), two things, one JSON object per line:
   Python calls made inside ``run_simulation`` per simulated request. A
   ``cProfile`` profiler is on only while each ``run_simulation`` call runs,
   so set-up, scoring and export are not counted. The count repeats exactly
-  from run to run.
+  from run to run. Beside it, ``events_per_request``: from a second,
+  unprofiled repetition, the events the engine pushes onto its heap per
+  simulated request, by deployment family (``epd``, ``distserve``,
+  ``monolithic``) and event kind. A subclass of the engine's ``_Sim``
+  counts its pushes; every pushed event pops once, as the heap drains.
 * ``distinct``: host µs per request and peak RSS of one ``epd`` run of the
   encode-heavy preset, 2·10^4 Poisson requests at 2 r/s in which every
   request has its own (prompt, output) pair, so that no work done once per
@@ -35,6 +40,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
 from time import perf_counter
 
@@ -45,10 +51,22 @@ DISTINCT_REQUESTS = 20_000
 DISTINCT_RATE = 2.0
 
 
-def calls_per_request(seed: int) -> dict:
-    """Per perfbench workload: profiled calls and requests inside ``run_simulation``."""
-    from disaggsim import engine
+def run_workload(cls, seed: int, run_simulation) -> None:
+    """One repetition of variant 0 of a perfbench workload, with
+    ``run_simulation`` in place of the engine's wherever it is called."""
     from perfbench.layers import _SIM_CONSUMERS, patched
+
+    bench = cls(seed)
+    bench.setup()
+    with tempfile.TemporaryDirectory() as tmp, \
+            patched([(module, "run_simulation", run_simulation) for module in _SIM_CONSUMERS]):
+        bench.run(Path(tmp), 0)
+
+
+def calls_per_request(seed: int) -> dict:
+    """Per perfbench workload: profiled calls and requests inside
+    ``run_simulation``, and heap events per request."""
+    from disaggsim import engine
     from perfbench.workloads import WORKLOADS
 
     out = {}
@@ -64,16 +82,44 @@ def calls_per_request(seed: int) -> dict:
             requests[0] += len(sim.requests)
             return sim
 
-        bench = cls(seed)
-        bench.setup()
-        with tempfile.TemporaryDirectory() as tmp, \
-                patched([(module, "run_simulation", run_simulation)
-                         for module in _SIM_CONSUMERS]):
-            bench.run(Path(tmp), 0)
+        run_workload(cls, seed, run_simulation)
         calls = pstats.Stats(profile).total_calls
         out[name] = {"calls": calls, "requests": requests[0],
-                     "calls_per_request": round(calls / requests[0], 1)}
+                     "calls_per_request": round(calls / requests[0], 1),
+                     "events_per_request": events_per_request(cls, seed)}
     return out
+
+
+def events_per_request(cls, seed: int) -> dict:
+    """Heap events pushed per simulated request by one repetition of ``cls``,
+    per deployment family: in all, and by kind."""
+    from disaggsim import engine
+    from perfbench.layers import system_label
+
+    pushed, requests = defaultdict(Counter), Counter()
+
+    class CountingSim(engine._Sim):
+        kinds: Counter  # this run's family's pushes, by kind
+
+        def _push(self, t, kind, data):
+            super()._push(t, kind, data)
+            self.kinds[kind] += 1
+
+        def _push_step_end(self, inst, end):
+            super()._push_step_end(inst, end)
+            self.kinds[engine._STEP_END] += 1
+
+    def run_simulation(config, workload, seed=0):
+        sim = CountingSim(config, workload, seed)
+        sim.kinds = pushed[system_label(config)]
+        trace = sim.run()
+        requests[system_label(config)] += len(trace.requests)
+        return trace
+
+    run_workload(cls, seed, run_simulation)
+    return {label: {"all": round(sum(kinds.values()) / requests[label], 3),
+                    **{kind: round(n / requests[label], 3) for kind, n in sorted(kinds.items())}}
+            for label, kinds in sorted(pushed.items())}
 
 
 def distinct_run() -> dict:
