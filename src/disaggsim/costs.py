@@ -54,6 +54,8 @@ class CostParams:
             value = getattr(self, key)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{key} must be finite and non-negative, not {value}")
+        if self.enc_base == 0:
+            raise ValueError("enc_base must be positive, not 0")
         if not 0 < self.tp_efficiency <= 1:
             raise ValueError("tp_efficiency must be in (0, 1]")
 

@@ -39,8 +39,8 @@ patch and token sums of its queue and its running batch for the load reads
 and of its decode batch's KV tokens for the step time. Dispatch after an
 event visits only the instances that event touched, retrying the wait
 queues only after a cache free or a pool change, and while one is not empty.
-A request's engine state is kept only while it is open; its trace record is
-written as the run goes, and no decision reads it.
+Engine state is made at a request's arrival and kept only while it is
+open; its trace record is written as the run goes, and no decision reads it.
 
 Events whose outcome is fixed when they are pushed are folded, leaving 5
 per request on encode-heavy ``epd`` where there were 13. Arrivals never
@@ -51,13 +51,11 @@ one WORKER_DONE per distinct finish time, over its workers in id order:
 they are pushed back to back, so nothing pops between two at one time, and
 none leaves work to dispatch. The last also ends the batch. The instance's
 next batch then starts ahead of other instances' worker and batch ends at
-that time, which read nothing it changes as long as that batch takes time:
-with ``enc_base`` 0 (no preset has it) a batch of text-only requests ends
-when it starts, and its worker event can pop ahead of a prefill batch end
-it used to follow. A request's shards share one FIFO channel, so the last
-sent arrives last: each shard's transfer end is written when it is sent, a
-worker event sends a request's consecutive shards at once, and only the
-last pushes a TRANSFER_END.
+that time, which read nothing it changes, since ``enc_base`` is positive
+and so every batch takes time. A request's shards share one FIFO channel,
+so the last sent arrives last: each shard's transfer end is written when it
+is sent, a worker event sends a request's consecutive shards at once, and
+only the last pushes a TRANSFER_END.
 
 A decode instance does not pop one event per step. It plans a *segment*:
 the run of steps from now through the first in which a member emits its
@@ -350,7 +348,7 @@ class _Sim:
         # trace record, which no decision reads.
         self.rs: dict[int, _Req] = {}
         self.records: dict[int, RequestRecord] = {}
-        arrivals = []
+        req_shapes = []
         shapes: dict[tuple, _Shape] = {}
         last_arrival = float("-inf")
         for req in workload:
@@ -363,11 +361,11 @@ class _Sim:
             shape = shapes.get(key)
             if shape is None:
                 shape = shapes[key] = _Shape(self.model, req, config.block_size)
-            rec = RequestRecord(rid=req.id, arrival=req.arrival_time,
-                                output_tokens=req.output_tokens)
-            self.records[req.id] = rec
-            arrivals.append(_Req(req, shape, rec))
-        self.arrivals = iter(arrivals)  # those not yet run
+            req_shapes.append(shape)
+            self.records[req.id] = RequestRecord(rid=req.id, arrival=req.arrival_time,
+                                                 output_tokens=req.output_tokens)
+        # Those not yet run, each made as it is drawn, one ahead of its run.
+        self.arrivals = map(_Req, workload, req_shapes, self.records.values())
         self.outstanding = len(self.records)
 
     # --- event plumbing -----------------------------------------------------
@@ -446,14 +444,14 @@ class _Sim:
         return float(len(inst.resident) + len(inst.admit_wait))
 
     def _stage_loads(self) -> dict[StageRole, StageLoad]:
+        """Each role's load. Switching needs E, P and D roles only, so each pool is one role."""
         loads: dict[StageRole, StageLoad] = {}
         for stage, role, per_inst in (
             ("encode", StageRole.ENCODE, lambda i: float(i.queued_patches)),
             ("prefill", StageRole.PREFILL, self._prefill_load),
             ("decode", StageRole.DECODE, self._decode_load),
         ):
-            pool = [i for i in self.pools[stage] if i.role is role]
-            entries = tuple((i.iid, per_inst(i)) for i in pool)
+            entries = tuple((i.iid, per_inst(i)) for i in self.pools[stage])
             total = sum(load for _, load in entries)
             if stage == "prefill":
                 total += sum(self.rs[rid].shape.total_tokens for rid in self.ep_wait)
@@ -575,8 +573,6 @@ class _Sim:
             r = self.rs[rid]
             r.rec.shards[shard_idx].end = t
             r.shards_run_done += 1
-            if r.shards_run_done == len(r.shards):
-                r.rec.encode_end = t
             r.ready_unsent.append(shard_idx)
             if r.p_iid is not None:  # prefill MM reserved: send as shards finish,
                 if n == last or items[n + 1][0] != rid:  # a run of them in one send
@@ -603,16 +599,13 @@ class _Sim:
         inst = self.insts[iid]
         for rid in self._end_batch(inst):
             r = self.rs[rid]
-            r.rec.prefill_end = t
-            r.rec.first_token_time = t
             r.rec.token_times.append(t)
             self._free(inst, inst.mm, rid)
             if r.req.output_tokens == 1:
                 self._free(inst, inst.kv, rid)
                 self._complete(r, t)
             elif inst.serves_decode:  # monolithic: decode in place
-                r.d_iid = iid
-                r.rec.d_instance = iid
+                r.d_iid = r.rec.d_instance = iid
                 self._admit_decode(inst, rid, t)
             else:
                 if not self._try_reserve_decode(r, t):
@@ -640,7 +633,6 @@ class _Sim:
         if kind == "ep":  # the request's last shard has arrived
             src = self.insts[r.e_iid]
             self._free(src, src.mm, rid)
-            r.rec.ep_transfer_end = t
             self._enqueue(self.insts[r.p_iid], r, t)
         else:  # pd
             src = self.insts[r.p_iid]
@@ -781,7 +773,7 @@ class _Sim:
         inst.resident_kv += r.shape.total_tokens + r.emitted
 
     def _complete(self, r: _Req, t: float) -> None:
-        r.rec.completion_time = t
+        """Close ``r``, whose last token, at ``t``, is in its record."""
         del self.rs[r.req.id]
         self.outstanding -= 1
 
@@ -824,7 +816,6 @@ class _Sim:
             rec = self.rs[rid].rec
             if encodes:
                 rec.encode_start = t
-                rec.encode_end = t + enc_dur
             rec.prefill_start = t + enc_dur
         self._push(t + enc_dur + pre_dur, _BATCH_END, (inst.iid,))
 

@@ -18,7 +18,7 @@ class TraceInvariantError(ValueError):
 
 # Lines of events.jsonl formatted before each write.
 _CHUNK_ROWS = 8192
-# A served request's stage stamps: event labels 1-8, each its field less "_time".
+# A served request's stage stamps: event labels 1-8, each its attribute less "_time".
 _STAMPS = ("encode_start", "encode_end", "ep_transfer_end", "prefill_start",
            "prefill_end", "first_token_time", "pd_transfer_end", "completion_time")
 _LINE_END = np.frombuffer(b"}\n", dtype=np.uint8)
@@ -48,14 +48,33 @@ class RequestRecord:
     d_instance: Optional[int] = None
     shards: list[ShardRecord] = field(default_factory=list)
     encode_start: Optional[float] = None
-    encode_end: Optional[float] = None
-    ep_transfer_end: Optional[float] = None
     prefill_start: Optional[float] = None
-    prefill_end: Optional[float] = None
-    first_token_time: Optional[float] = None
     pd_transfer_end: Optional[float] = None
     token_times: list[float] = field(default_factory=list)
-    completion_time: Optional[float] = None
+
+    @property
+    def first_token_time(self) -> Optional[float]:
+        """Prefill emits the first token as it ends."""
+        return self.token_times[0] if self.token_times else None
+
+    prefill_end = first_token_time
+
+    @property
+    def completion_time(self) -> Optional[float]:
+        tokens = self.token_times
+        return tokens[-1] if tokens and len(tokens) == self.output_tokens else None
+
+    @property
+    def ep_transfer_end(self) -> Optional[float]:
+        """The shards share one FIFO channel: the transfer ends with the last."""
+        return max([s.transfer_end for s in self.shards]) if self.shards else None
+
+    @property
+    def encode_end(self) -> Optional[float]:
+        """The last shard's end; a fused executor starts prefill as encoding ends."""
+        if self.shards:
+            return max([s.end for s in self.shards])
+        return self.prefill_start if self.encode_start is not None else None
 
     @property
     def completed(self) -> bool:
@@ -103,8 +122,10 @@ class SimTrace:
                 if r.completed:
                     raise TraceInvariantError(f"request {r.rid} both rejected and completed")
                 continue
-            if not r.completed:
-                raise TraceInvariantError(f"request {r.rid} neither completed nor rejected")
+            if not r.completed:  # it completes with its last output token
+                raise TraceInvariantError(
+                    f"request {r.rid}: {len(r.token_times)} token times for "
+                    f"{r.output_tokens} output tokens")
             self._check_causality(r)
         for switch in self.switches:
             stamps = (switch.offload_done, switch.migration_done, switch.onload_done)
@@ -119,37 +140,23 @@ class SimTrace:
             if a is not None and b is not None and a > b + 1e-12:
                 raise TraceInvariantError(f"request {r.rid}: {label} out of order ({a} > {b})")
 
-        ordered("arrival/encode", r.arrival, r.encode_start)
-        ordered("encode start/end", r.encode_start, r.encode_end)
+        # The shards first: the encode and E->P ends are read from them.
         for shard in r.shards:
             if shard.end is None or shard.transfer_end is None:
                 raise TraceInvariantError(
                     f"request {r.rid}: shard on worker {shard.worker} never ended or arrived")
             ordered("shard run", r.encode_start, shard.end)
             ordered("shard transfer", shard.end, shard.transfer_end)
-            ordered("shard/ep-end", shard.transfer_end, r.ep_transfer_end)
-        # A request's shards share one FIFO channel: its transfer ends with the last.
-        if r.shards and r.ep_transfer_end != max(shard.transfer_end for shard in r.shards):
-            raise TraceInvariantError(
-                f"request {r.rid}: E->P transfer end {r.ep_transfer_end} is not its "
-                "last shard's transfer end")
-        ordered("encode/transfer", r.encode_end, r.ep_transfer_end)
+        ordered("arrival/encode", r.arrival, r.encode_start)
+        ordered("encode start/end", r.encode_start, r.encode_end)
         ordered("transfer/prefill", r.ep_transfer_end, r.prefill_start)
         ordered("prefill run", r.prefill_start, r.prefill_end)
-        ordered("prefill/first token", r.prefill_end, r.first_token_time)
         ordered("first token/pd", r.first_token_time, r.pd_transfer_end)
-        ordered("first token/completion", r.first_token_time, r.completion_time)
-        if len(r.token_times) != r.output_tokens:
-            raise TraceInvariantError(
-                f"request {r.rid}: {len(r.token_times)} token times for "
-                f"{r.output_tokens} output tokens")
-        if r.token_times and r.first_token_time != r.token_times[0]:
-            raise TraceInvariantError(f"request {r.rid}: first token time mismatch")
+        if len(r.token_times) > 1:  # decode starts once the KV cache has arrived
+            ordered("pd/second token", r.pd_transfer_end, r.token_times[1])
         for earlier, later in zip(r.token_times, r.token_times[1:]):
             if later <= earlier:
                 raise TraceInvariantError(f"request {r.rid}: token times not strictly increasing")
-        if r.token_times and r.completion_time != r.token_times[-1]:
-            raise TraceInvariantError(f"request {r.rid}: completion != last token time")
 
     # --- export -------------------------------------------------------------
 

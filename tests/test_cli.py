@@ -46,6 +46,7 @@ def config_file(tmp_path) -> Path:
     ("--config", {**SHAPE_CONFIG, "hardware": {**HARDWARE, "gpu_memory": -1}}, "gpu_memory"),
     ("--config", {**SHAPE_CONFIG, "cost": {"decode_base": float("nan")}}, "decode_base"),
     ("--config", {**SHAPE_CONFIG, "cost": {"decode_base": float("inf")}}, "decode_base"),
+    ("--config", {**SHAPE_CONFIG, "cost": {"enc_base": 0}}, "enc_base"),
     ("--config", {**SHAPE_CONFIG, "shape": "1X2P"}, "shape"),
     ("--switch-params", {"monitor_interval": -1}, "monitor_interval"),
     ("--space", {"gpu_budget": "8"}, "gpu_budget"),
@@ -55,8 +56,8 @@ def config_file(tmp_path) -> Path:
     ("--config", {**SHAPE_CONFIG, "kv_fraction": 1.5}, "kv_fraction"),
     ("--space", {"gpu_budget": 8, "encode_batches": [0]}, "encode_batches"),
     ("--space", {"gpu_budget": 8, "decode_gpus": []}, "decode_gpus"),
-], ids=["kv_fraction", "tp", "gpu_memory", "decode_base-nan", "decode_base-inf", "shape",
-        "monitor_interval", "gpu_budget", "role_max_batch-0", "block_size-0",
+], ids=["kv_fraction", "tp", "gpu_memory", "decode_base-nan", "decode_base-inf", "enc_base-0",
+        "shape", "monitor_interval", "gpu_budget", "role_max_batch-0", "block_size-0",
         "mm_cache_tokens-negative", "kv_fraction-1.5", "encode_batches-0", "decode_gpus-empty"])
 def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option, data, field):
     path = tmp_path / "input.json"

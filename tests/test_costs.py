@@ -26,9 +26,11 @@ class TestEncodeLatency:
         assert encode_latency(params, 5) < encode_latency(params, 10)
 
     def test_heaviness_multiplier_scales_patch_term(self):
-        base = CostParams(enc_base=0.0, enc_per_patch=0.1)
-        heavy = CostParams(enc_base=0.0, enc_per_patch=0.1, encode_heaviness=1.2)
-        assert encode_latency(heavy, 10) == pytest.approx(1.2 * encode_latency(base, 10))
+        base = CostParams(enc_base=0.25, enc_per_patch=0.1)
+        heavy = CostParams(enc_base=0.25, enc_per_patch=0.1, encode_heaviness=1.2)
+        patch_term = encode_latency(base, 10) - encode_latency(base, 0)
+        assert encode_latency(heavy, 10) - encode_latency(heavy, 0) == pytest.approx(
+            1.2 * patch_term)
 
     def test_tensor_parallel_division(self):
         params = CostParams(enc_base=0.1, enc_per_patch=0.05, tp_efficiency=1.0)
@@ -154,6 +156,12 @@ class TestValidationAndCalibration:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             CostParams(enc_base=-0.1)
+
+    def test_rejects_zero_encode_base(self):
+        """A zero-time encode batch would let the engine's folded batch end
+        pop ahead of a prefill batch end at the same instant."""
+        with pytest.raises(ValueError, match="enc_base"):
+            CostParams(enc_base=0.0)
 
     def test_rejects_bad_tp_efficiency(self):
         with pytest.raises(ValueError):

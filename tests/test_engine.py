@@ -483,3 +483,24 @@ def test_a_finished_simulation_is_freed_by_reference_counting(name):
         assert all(len(rec.shards) == 4 for rec in trace.requests.values())
     else:
         assert config.role_switch is not None and trace.switches
+
+
+def test_a_request_s_engine_state_is_kept_only_while_it_is_open():
+    """At the middle arrival of an overloaded ``epd`` run, the only live
+    ``_Req`` objects are the open requests' and the arriving one's: each is
+    made as its arrival is drawn and dropped when its request closes."""
+    preset = get_preset("encode-heavy")
+    workload = preset.generate(replace(preset.workload, rate_lambda=2.0, num_requests=400))
+    middle = workload[len(workload) // 2].id
+    seen = []
+
+    class Probe(engine._Sim):
+        def _on_arrival(self, t, r):
+            if r.req.id == middle:
+                live = sum(isinstance(o, engine._Req) for o in gc.get_objects())
+                seen.append((live, len(self.rs)))
+            super()._on_arrival(t, r)
+
+    Probe(preset.systems["epd"], workload, 0).run()
+    [(live, open_requests)] = seen
+    assert 0 < open_requests and live <= open_requests + 1

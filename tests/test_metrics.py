@@ -16,10 +16,9 @@ from disaggsim.workload import Slo, WorkloadSpec, generate_poisson
 
 def record(rid=0, arrival=0.0, first=1.0, completion=2.0, output=5):
     tokens = [first] if output == 1 else [
-        first + (completion - first) * i / (output - 1) for i in range(output)]
-    return RequestRecord(
-        rid=rid, arrival=arrival, output_tokens=output, first_token_time=first,
-        token_times=tokens, completion_time=completion)
+        *(first + (completion - first) * i / (output - 1) for i in range(output - 1)),
+        completion]
+    return RequestRecord(rid=rid, arrival=arrival, output_tokens=output, token_times=tokens)
 
 
 def rejected(rid=0):

@@ -4,11 +4,12 @@ Each test computes what a run must produce from the cost model's formulas,
 written out here, and calls no engine helper besides ``run_simulation``.
 """
 
+import numpy as np
 import pytest
 
 from disaggsim.costs import CostParams
 from disaggsim.engine import _VECTOR_STEPS, run_simulation
-from disaggsim.models import StageRole
+from disaggsim.models import HardwareSpec, StageRole
 from disaggsim.simconfig import InstanceConfig, SystemConfig
 from disaggsim.workload import Request
 
@@ -62,3 +63,39 @@ def test_decode_token_times_are_a_cumulative_sum_of_step_costs(toy_model, toy_hw
     for i, rec in enumerate(sorted(trace.requests.values(), key=lambda r: r.rid)):
         assert rec.token_times == [first if i == 0 else rest, *decode[i]], i
         assert rec.completion_time == decode[i][-1]
+
+
+# M/D/1 on the encode stage: each of N Poisson arrivals waits for one encode
+# instance that serves one request at a time, in a fixed ENC_BASE. The first
+# WARM arrivals, which find the queue emptier than in steady state, are not
+# counted. Across seeds 0-29 the mean wait over the rest spread around the
+# Pollaczek-Khinchine value with a relative standard deviation of 0.031,
+# 0.036 and 0.050 at rho = 0.3, 0.5 and 0.7 (mean ratios 1.010, 1.007 and
+# 1.010); each run below must fall within four of them.
+N, WARM = 12_000, 1_200
+MD1_SPREAD = {0.3: 0.031, 0.5: 0.036, 0.7: 0.050}
+
+
+@pytest.mark.parametrize("rho", sorted(MD1_SPREAD))
+def test_encode_queue_wait_is_m_d_1(toy_model, rho):
+    """Text-only requests of one output token: encoding takes ENC_BASE, and
+    prefill takes a microsecond, over links of infinite bandwidth, so only
+    the encode queue delays a request's encode start."""
+    instant = HardwareSpec(gpu_memory=1e9, intra_node_bandwidth=float("inf"),
+                           inter_node_bandwidth=float("inf"), num_gpus=8)
+    cost = CostParams(enc_base=ENC_BASE, enc_per_patch=0.0, prefill_base=1e-6,
+                      prefill_per_token=0.0, prefill_quad=0.0)
+    config = SystemConfig(
+        instances=(InstanceConfig(role=StageRole.ENCODE, max_batch=1),
+                   InstanceConfig(role=StageRole.PREFILL, max_batch=8),
+                   InstanceConfig(role=StageRole.DECODE)),
+        hardware=instant, model=toy_model, cost=cost)
+    arrivals = np.cumsum(np.random.default_rng(0).exponential(ENC_BASE / rho, N))
+    workload = [Request(id=i, arrival_time=float(t), prompt_tokens=PROMPT, images=(),
+                        output_tokens=1)
+                for i, t in enumerate(arrivals)]
+    trace = run_simulation(config, workload)
+
+    waits = [trace.requests[i].encode_start - arrivals[i] for i in range(WARM, N)]
+    expected = rho * ENC_BASE / (2 * (1 - rho))
+    assert abs(np.mean(waits) / expected - 1) <= 4 * MD1_SPREAD[rho]

@@ -129,9 +129,21 @@ def test_validate_requires_every_shard_to_end_and_arrive_last_with_its_request()
         setattr(rec.shards[1], field, value)
         with pytest.raises(TraceInvariantError, match=f"request {rid}: "):
             trace.validate()
-    trace = run_simulation(config, workload)
-    trace.requests[rid].ep_transfer_end += 1e-13  # within the ordering tolerance
-    with pytest.raises(TraceInvariantError, match="last shard's transfer end"):
+
+
+def test_validate_requires_decode_to_wait_for_the_kv_cache():
+    """A request's second token comes from a decode step, which starts only
+    once its prefilled KV cache has arrived."""
+    config = SystemConfig(
+        instances=(InstanceConfig(role=StageRole.ENCODE, max_batch=2),
+                   InstanceConfig(role=StageRole.PREFILL, max_batch=2),
+                   InstanceConfig(role=StageRole.DECODE, max_batch=8)),
+        hardware=HW, model=MODEL, cost=COST)
+    trace = run_simulation(config, random_workload(np.random.default_rng(5), 40))
+    trace.validate()
+    rec = next(r for r in trace.completed_records() if r.output_tokens > 1)
+    rec.pd_transfer_end = rec.token_times[1] + 1e-6
+    with pytest.raises(TraceInvariantError, match=f"request {rec.rid}: pd/second token"):
         trace.validate()
 
 

@@ -69,9 +69,7 @@ def record(rid: int, arrival: float, **fields) -> RequestRecord:
 def served(rid: int, arrival: float, tokens: list[float], **fields) -> RequestRecord:
     """A request prefilled on a fused instance: prefill end, first token and
     token 0 at one time, completion at the last token's."""
-    return record(rid, arrival, prefill_start=arrival, prefill_end=tokens[0],
-                  first_token_time=tokens[0], token_times=tokens,
-                  completion_time=tokens[-1], **fields)
+    return record(rid, arrival, prefill_start=arrival, token_times=tokens, **fields)
 
 
 def hand_built(*records: RequestRecord) -> SimTrace:
