@@ -53,13 +53,6 @@ class StageLoad:
     instances: tuple[tuple[int, float], ...]  # (instance id, its load)
 
 
-@dataclass(frozen=True)
-class SwitchDecision:
-    instance_id: int
-    source: StageRole
-    target: StageRole
-
-
 @dataclass
 class SwitchEventRecord:
     time: float
@@ -76,8 +69,9 @@ _STAGE_ORDER = (StageRole.ENCODE, StageRole.PREFILL, StageRole.DECODE)
 
 
 def monitor_and_decide(loads: Mapping[StageRole, StageLoad], params: ControllerParams,
-                       now: float, last_switch_time: float) -> Optional[SwitchDecision]:
-    """Pick (instance, source, target) when stage queues are imbalanced.
+                       now: float, previous_switch_time: float) -> Optional[SwitchEventRecord]:
+    """The record of a switch begun ``now``, of an instance from its source
+    to its target stage, when stage queues are imbalanced.
 
     Work units differ by stage (patches / prefill tokens / sequences), so the
     trigger compares additively smoothed ratios rather than raw magnitudes.
@@ -85,7 +79,7 @@ def monitor_and_decide(loads: Mapping[StageRole, StageLoad], params: ControllerP
     inside the cooldown window, or when every under-loaded stage sits at its
     instance floor.
     """
-    if now - last_switch_time < params.cooldown:
+    if now - previous_switch_time < params.cooldown:
         return None
     stages = [s for s in _STAGE_ORDER if s in loads]
     if len(stages) < 2:
@@ -105,7 +99,7 @@ def monitor_and_decide(loads: Mapping[StageRole, StageLoad], params: ControllerP
     if smoothed[target] / smoothed[source] <= params.imbalance_threshold:
         return None
     instance_id, _ = min(loads[source].instances, key=lambda pair: (pair[1], pair[0]))
-    return SwitchDecision(instance_id=instance_id, source=source, target=target)
+    return SwitchEventRecord(time=now, instance_id=instance_id, source=source, target=target)
 
 
 def migration_latency(cost: CostParams, source: StageRole, target: StageRole) -> float:

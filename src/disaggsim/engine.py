@@ -24,10 +24,10 @@ request needs is worked out once per *shape*. Requests of one (images,
 prompt, output) shape share a :class:`_Shape`: patches and tokens, MM
 blocks, and KV blocks with and without the output; a :class:`_Req` holds
 only where its request is and how far it has got. A shape is judged once
-per version of the stage pools, and keeps that version, its admission
-verdict and its *holders*, the members of each pool that hold it (the pools
-themselves when all do), so no table keeps a finished shape alive; the
-pools are rebuilt, under a new version, only when a switch begins or ends.
+per stage pools object, and keeps the pools it was judged under, its
+admission verdict and its *holders*, the members of each pool that hold it
+(the pools themselves when all do), so no table keeps a finished shape
+alive; a switch's beginning and its end each make a new pools object.
 Caches count blocks instead of naming them (:class:`BlockManager`). A route
 takes its stage's holders, keeps those with free blocks only when it
 reserves any, then the least-loaded or the next round-robin instance of
@@ -86,8 +86,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .blocks import BlockManager, CacheKind, blocks_for
-from .controller import (SwitchDecision, SwitchEventRecord, migration_latency,
-                         monitor_and_decide, StageLoad)
+from .controller import SwitchEventRecord, migration_latency, monitor_and_decide, StageLoad
 from .costs import (CostParams, decode_step_latencies, decode_step_latency,
                     encode_latency, parallel_factor, prefill_latency, transfer_latency)
 from .models import (StageRole, kv_bytes_per_token, mm_bytes_per_token,
@@ -206,8 +205,8 @@ class _Shape:
     """What every request of one (images, prompt, output) shape needs: its
     patches and tokens, its MM blocks, its KV blocks without and with the
     output tokens (indexed by ``serves_decode``), its P→D wire time once
-    worked out, and, under the stage pools of version ``judged``, the
-    members of each pool that hold it and its admission verdict."""
+    worked out, and, under the stage pools ``judged``, the members of each
+    pool that hold it and its admission verdict."""
     __slots__ = ("patches", "mm_tokens", "total_tokens", "output_tokens", "mm_blocks",
                  "kv_blocks", "pd_wire", "holders", "verdict", "judged")
 
@@ -221,7 +220,7 @@ class _Shape:
         self.pd_wire: Optional[float] = None
         self.holders: Optional[dict[str, list[_Instance]]] = None  # by stage, as the pools
         self.verdict: Optional[str] = None
-        self.judged = 0  # pool versions count from 1
+        self.judged: Optional[dict[str, list[_Instance]]] = None
 
 
 class _Req:
@@ -237,7 +236,6 @@ class _Req:
         self.d_iid: Optional[int] = None
         self.shards: tuple[tuple[int, int], ...] = ()  # (worker, patches), once encoding
         self.shards_run_done = 0
-        self.ready_unsent: list[int] = []
         self.emitted = 0
 
 
@@ -249,7 +247,6 @@ class _Instance:
         self.pp = cfg.pp
         self.max_batch = cfg.max_batch
         self.policy = cfg.policy
-        self.state = "active"  # active | offloading | migrating
         self.queue: deque[int] = deque()
         self.running: Optional[tuple[int, ...]] = None  # the ids of the batch in flight
         # Patch and token sums over ``queue`` and over ``running``, kept in
@@ -317,7 +314,8 @@ class _Sim:
         self.cost = config.cost
         self.seed = seed
         self.insts = [_Instance(i, cfg, config) for i, cfg in enumerate(config.instances)]
-        self.pools_version = 0
+        # The switch in flight, if any; its instance offloads until ``offload_done``.
+        self.switch_rec: Optional[SwitchEventRecord] = None
         self._rebuild_pools()
 
         self.kv_bpt = kv_bytes_per_token(self.model)
@@ -340,8 +338,6 @@ class _Sim:
         self.touched: set[int] = set()
         self.recheck_waits = False
 
-        self.switch_rec: Optional[SwitchEventRecord] = None
-        self.last_switch = float("-inf")
         self.switches: list[SwitchEventRecord] = []
 
         # Open requests (admitted, not yet complete) by id; every request's
@@ -424,11 +420,12 @@ class _Sim:
     # --- pools and loads ------------------------------------------------------
 
     def _rebuild_pools(self) -> None:
-        """The active instances that serve each stage, in iid order, under a
-        new version number, which voids the shapes' admission verdicts."""
-        self.pools = {stage: [i for i in self.insts if i.state == "active" and i.role in roles]
+        """The instances that serve each stage, in iid order, but for the
+        switching one, in a new pools object, which voids the shapes'
+        admission verdicts."""
+        switching = None if self.switch_rec is None else self.switch_rec.instance_id
+        self.pools = {stage: [i for i in self.insts if i.iid != switching and i.role in roles]
                       for stage, roles in _SERVES.items()}
-        self.pools_version += 1
 
     def _arrival_load(self, inst: _Instance) -> float:
         # outstanding work, in-flight batch included, so idle instances win
@@ -479,10 +476,10 @@ class _Sim:
         active instance that holds it. A switching instance counts for no
         stage: it is leaving its old role and has no caches for the new one.
         Only the pools change the verdict, so a shape is judged once per
-        version of them."""
+        pools object."""
         shape = r.shape
-        if shape.judged != self.pools_version:
-            shape.verdict, shape.judged = self._judge(shape), self.pools_version
+        if shape.judged is not self.pools:
+            shape.verdict, shape.judged = self._judge(shape), self.pools
         return shape.verdict
 
     def _judge(self, shape: _Shape) -> Optional[str]:
@@ -527,7 +524,7 @@ class _Sim:
         ties go to the lowest iid; round-robin (FCFS) cycles over the
         qualifying instances by the stage's counter."""
         shape = r.shape
-        if shape.judged != self.pools_version:
+        if shape.judged is not self.pools:
             self._admission_reason(r)  # judged again, and its holders with it
         fits = shape.holders[stage]
         if mm:
@@ -603,7 +600,7 @@ class _Sim:
             self._free(inst, inst.mm, rid)
             if r.req.output_tokens == 1:
                 self._free(inst, inst.kv, rid)
-                self._complete(r, t)
+                self._complete(r)
             elif inst.serves_decode:  # monolithic: decode in place
                 r.d_iid = r.rec.d_instance = iid
                 self._admit_decode(inst, rid, t)
@@ -624,7 +621,7 @@ class _Sim:
                 self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
                 inst.resident_kv -= r.shape.total_tokens + r.emitted
-                self._complete(r, t)
+                self._complete(r)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
             self._reside(inst, inst.admit_wait.popleft())
 
@@ -641,50 +638,45 @@ class _Sim:
             self._admit_decode(self.insts[r.d_iid], rid, t)
 
     def _on_switch_onload(self, t: float, iid: int) -> None:
-        inst = self.insts[iid]
-        inst.role = self.switch_rec.target
+        rec, inst = self.switch_rec, self.insts[iid]
+        inst.role = rec.target
         if self.system.role_max_batch:
             inst.max_batch = self.system.role_max_batch.get(inst.role, inst.max_batch)
         inst.rebuild_caches(self.system)
-        inst.state = "active"
+        rec.onload_done = t
+        self.switches.append(rec)
+        self.switch_rec = None
         self._rebuild_pools()
         self.touched.add(iid)
         self.recheck_waits = True
-        self.switch_rec.onload_done = t
-        self.switches.append(self.switch_rec)
-        self.switch_rec = None
 
     def _on_monitor(self, t: float) -> None:
         if self.outstanding <= 0:
             return
         params = self.system.role_switch
-        if self.switch_rec is None:
-            decision = monitor_and_decide(self._stage_loads(), params, t, self.last_switch)
-            if decision is not None and not self._strands(decision):
-                self._begin_switch(decision, t)
+        if self.switch_rec is None:  # none in flight: the last one begun has ended
+            last = self.switches[-1].time if self.switches else float("-inf")
+            rec = monitor_and_decide(self._stage_loads(), params, t, last)
+            if rec is not None and not self._strands(rec):
+                self._begin_switch(rec)
         self._push(t + params.monitor_interval, _MONITOR, ())
 
     # --- switching --------------------------------------------------------------
 
-    def _strands(self, decision: SwitchDecision) -> bool:
+    def _strands(self, rec: SwitchEventRecord) -> bool:
         """Whether the switch would leave an open request that still needs
         the source role with no other instance of it that holds it."""
-        if decision.source is StageRole.ENCODE:
+        if rec.source is StageRole.ENCODE:
             # Every encode instance has the same MM cache, which holds every
             # admitted request, and the controller never takes a role's last.
             return False
-        rest = [i for i in self.insts
-                if i.role is decision.source and i.iid != decision.instance_id]
-        needs = _STILL_NEEDS[decision.source]
+        rest = [i for i in self.insts if i.role is rec.source and i.iid != rec.instance_id]
+        needs = _STILL_NEEDS[rec.source]
         return any(needs(r) and not any(i.holds(r.shape) for i in rest) for r in self.rs.values())
 
-    def _begin_switch(self, decision: SwitchDecision, t: float) -> None:
-        inst = self.insts[decision.instance_id]
-        rec = SwitchEventRecord(time=t, instance_id=inst.iid,
-                                source=decision.source, target=decision.target)
+    def _begin_switch(self, rec: SwitchEventRecord) -> None:
+        inst = self.insts[rec.instance_id]
         self.switch_rec = rec
-        self.last_switch = t
-        inst.state = "offloading"
         self._rebuild_pools()
         if inst.role is StageRole.ENCODE and inst.queue:
             # Queued encode work holds no cache yet, so it can move to siblings.
@@ -693,18 +685,15 @@ class _Sim:
             inst.queued_patches = inst.queued_tokens = 0
             for rid in pending:  # the offloading instance has left the pool
                 r = self.rs[rid]
-                self._enqueue(self._route("encode", r, self._arrival_load), r, t)
+                self._enqueue(self._route("encode", r, self._arrival_load), r, rec.time)
                 rec.redistributed += 1
         # Prefill queues and decode residents hold transferred cache data and
         # therefore drain in place before the migration phase starts.
 
     def _maybe_finish_offload(self, inst: _Instance, t: float) -> None:
-        if inst.state != "offloading":
-            return
-        if inst.running is not None or inst.seg_ends:
-            return
-        if inst.queue or inst.resident or inst.admit_wait:
-            return
+        """End the offload once neither of ``inst``'s caches holds a
+        reservation. Every request with work on an instance holds one
+        there but queued encode work, which the switch's start moved away."""
         # A reservation counts even when it holds no blocks: a text-only
         # request's MM reservation still has its encoded data on the way.
         if (inst.mm is not None and inst.mm.allocated) or \
@@ -713,7 +702,6 @@ class _Sim:
         # Migration takes a fixed time from here, so its end is known now.
         rec = self.switch_rec
         rec.offload_done = t
-        inst.state = "migrating"
         rec.migration_done = t + migration_latency(self.cost, rec.source, rec.target)
         self._push(rec.migration_done + _ONLOAD_DELAY, _SWITCH_ONLOAD, (inst.iid,))
 
@@ -772,8 +760,8 @@ class _Sim:
         inst.resident.append(rid)
         inst.resident_kv += r.shape.total_tokens + r.emitted
 
-    def _complete(self, r: _Req, t: float) -> None:
-        """Close ``r``, whose last token, at ``t``, is in its record."""
+    def _complete(self, r: _Req) -> None:
+        """Close ``r``, whose last token is in its record."""
         del self.rs[r.req.id]
         self.outstanding -= 1
 
@@ -833,6 +821,7 @@ class _Sim:
                 split = tuple((k, p) for k, p in enumerate(irp_shard(*key)) if p > 0)
                 splits[key] = split or ((0, 0),)
             r.shards = splits[key]
+            r.ready_unsent = []  # shards encoded, not yet sent
             r.rec.encode_start = t
             r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in r.shards]
             for shard_idx, (k, p) in enumerate(r.shards):
@@ -913,8 +902,6 @@ class _Sim:
             self.pd_wait.popleft()
 
     def _start_work(self, inst: _Instance, t: float) -> None:
-        if inst.state == "migrating":
-            return
         if inst.running is not None or inst.seg_ends:
             return
         # Queued work (only encode and prefill roles queue) preempts decode
@@ -943,11 +930,9 @@ class _Sim:
             for iid in sorted(touched):
                 self._start_work(self.insts[iid], t)
             touched.clear()
-        # At most one switch is in flight, so only its instance can be offloading.
-        if self.switch_rec is not None:
-            inst = self.insts[self.switch_rec.instance_id]
-            if inst.state == "offloading":
-                self._maybe_finish_offload(inst, t)
+        rec = self.switch_rec
+        if rec is not None and rec.offload_done is None:
+            self._maybe_finish_offload(self.insts[rec.instance_id], t)
 
 
 def run_simulation(config: SystemConfig, workload: Sequence[Request],

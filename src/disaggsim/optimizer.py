@@ -25,7 +25,7 @@ import numpy as np
 from .engine import run_simulation  # noqa: F401
 from .metrics import goodput, measure, request_metrics  # noqa: F401
 from .simconfig import (ConfigInfeasible, InstanceConfig, SchedulePolicy,
-                        SystemConfig, expand_shape, from_dict, to_dict)
+                        SystemConfig, expand_shape, from_dict)
 from .models import StageRole
 from .workload import Request, WorkloadSpec, generate_poisson  # noqa: F401
 
@@ -306,7 +306,8 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
     rng = np.random.default_rng(seed)
     log: list[TrialRecord] = []
     exhaustive = strategy is Strategy.EXHAUSTIVE
-    results: dict[str, EvalResult] = {}  # exhaustive only, by deployed system
+    # Exhaustive only, by the deployed system's instances: every candidate shares ``base``.
+    results: dict[tuple[InstanceConfig, ...], EvalResult] = {}
     seen: list[tuple[np.ndarray, float]] = []
     best: Optional[tuple[float, Candidate, SystemConfig]] = None
 
@@ -323,23 +324,20 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
                 yield _surrogate_propose(space, rng, seen)
         candidates = proposer()
 
-    any_candidate = False
     for index, candidate in enumerate(candidates):
-        any_candidate = True
         config = candidate.deploy(base)
-        key = json.dumps(to_dict(config), sort_keys=True) if exhaustive else None
-        result = results.get(key)
+        result = results.get(config.instances)
         if result is None:
             result = evaluate(config, workload_spec, objective, rate_grid, generate)
             if exhaustive:
-                results[key] = result
+                results[config.instances] = result
         log.append(TrialRecord(index=index, candidate=candidate.describe(),
                                score=result.score, f_value=result.f_value,
                                cost_value=result.cost_value, feasible=result.feasible))
         seen.append((candidate.encode_vector(), result.score))
         if result.feasible and (best is None or result.score > best[0]):
             best = (result.score, candidate, config)
-    if not any_candidate or best is None:
+    if best is None:
         raise EmptyFeasibleSet("no feasible candidate was evaluated")
     return SolveResult(best_candidate=best[1], best_config=best[2],
                        best_score=best[0], log=log)

@@ -7,6 +7,7 @@ not measurements of any real accelerator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
@@ -200,22 +201,13 @@ def optimizer_preset(seed: int = DEFAULT_SEED) -> ExperimentPreset:
         workload=workload, systems={}, rate_grid=(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6))
 
 
-def offline_requests(spec: WorkloadSpec) -> list[Request]:
-    """``spec``'s requests, all arriving at time zero, ids ascending."""
-    images = tuple(spec.resolution for _ in range(spec.images_per_request))
-    return [
-        Request(id=i, arrival_time=0.0, prompt_tokens=spec.prompt_tokens,
-                images=images, output_tokens=spec.output_tokens)
-        for i in range(spec.num_requests)
-    ]
-
-
 def offline_preset(seed: int = DEFAULT_SEED) -> ExperimentPreset:
-    """Batch-submitted workload for end-to-end throughput comparisons."""
+    """Batch-submitted workload for end-to-end throughput comparisons: an
+    infinite rate puts every arrival at time zero."""
     model = builtin_model(MINICPM)
     cost = SYNTHETIC_COSTS[MINICPM]
     workload = WorkloadSpec(
-        rate_lambda=1.0, num_requests=200, prompt_tokens=7,
+        rate_lambda=math.inf, num_requests=200, prompt_tokens=7,
         images_per_request=1, resolution=RES_LOW, output_tokens=10,
         seed=seed, slo=Slo(60.0, 1.0))  # throughput runs are not SLO-gated
     systems = {
@@ -225,8 +217,7 @@ def offline_preset(seed: int = DEFAULT_SEED) -> ExperimentPreset:
     }
     return ExperimentPreset(
         name="offline-throughput", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
-        workload=workload, systems=systems, rate_grid=(),
-        generate=offline_requests)
+        workload=workload, systems=systems, rate_grid=())
 
 
 def _named_presets() -> dict[str, Callable[[], ExperimentPreset]]:

@@ -48,7 +48,8 @@ class Request:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Parameters of a synthetic open-loop workload."""
+    """Parameters of a synthetic open-loop workload. An infinite
+    ``rate_lambda`` puts every arrival at time zero."""
 
     rate_lambda: float
     num_requests: int

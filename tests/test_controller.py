@@ -1,6 +1,6 @@
 import pytest
 
-from disaggsim.controller import (ControllerParams, StageLoad, SwitchDecision,
+from disaggsim.controller import (ControllerParams, StageLoad, SwitchEventRecord,
                                   migration_latency, monitor_and_decide)
 from disaggsim.costs import CostParams
 from disaggsim.engine import run_simulation
@@ -43,7 +43,7 @@ class TestMonitorAndDecide:
                       p_insts=[(10, 1.0)],
                       d_insts=[(20, 40.0), (21, 40.0)])
         decision = monitor_and_decide(state, params(), 100.0, 0.0)
-        assert decision == SwitchDecision(instance_id=0, source=E, target=D)
+        assert decision == SwitchEventRecord(time=100.0, instance_id=0, source=E, target=D)
 
     def test_source_at_min_instances_blocks_switch(self):
         state = loads(0, 1, 80,

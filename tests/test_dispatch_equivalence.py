@@ -77,6 +77,11 @@ class Stalled(Exception):
     """Requests were still open at ``STALL_TIME``."""
 
 
+def switching(sim: _Sim, inst) -> bool:
+    """Whether ``inst`` is the instance of the switch in flight."""
+    return sim.switch_rec is not None and sim.switch_rec.instance_id == inst.iid
+
+
 def rescan_errors(sim: _Sim) -> list[str]:
     """Every running total or block count that disagrees with a rescan."""
     errors = []
@@ -113,20 +118,22 @@ def rescan_errors(sim: _Sim) -> list[str]:
         errors.append(f"open requests {sorted(sim.rs)} != rescan {sorted(open_rids)}")
     for stage in ("encode", "prefill", "decode"):
         pool = [inst.iid for inst in sim.insts
-                if inst.state == "active" and getattr(inst.role, f"serves_{stage}")]
+                if not switching(sim, inst) and getattr(inst.role, f"serves_{stage}")]
         if [inst.iid for inst in sim.pools[stage]] != pool:
             errors.append(f"{stage} pool {[i.iid for i in sim.pools[stage]]} != rescan {pool}")
     for shape in {id(r.shape): r.shape for r in sim.rs.values()}.values():
-        if shape.judged != sim.pools_version:
+        if shape.judged is not sim.pools:
             continue  # judged again before it is next read
         for stage, pool in sim.pools.items():
             holders = [i.iid for i in pool if i.holds(shape)]
             if [i.iid for i in shape.holders[stage]] != holders:
                 errors.append(f"{stage} holders {[i.iid for i in shape.holders[stage]]} "
                               f"!= rescan {holders}")
-    offloading = [inst.iid for inst in sim.insts if inst.state == "offloading"]
-    if offloading and (sim.switch_rec is None or offloading != [sim.switch_rec.instance_id]):
-        errors.append(f"offloading {offloading} is not the switching instance")
+    rec = sim.switch_rec
+    if rec is not None and rec.offload_done is not None:
+        inst = sim.insts[rec.instance_id]
+        if inst.queue or inst.running or inst.seg_ends or inst.resident or inst.admit_wait:
+            errors.append(f"instance {inst.iid} migrates with work left")
     return errors
 
 
@@ -223,7 +230,7 @@ class FullScanSim(CheckedSim):
             return "context"
         mm_ok = kv_p_ok = kv_d_ok = False
         for inst in self.insts:
-            if inst.state != "active":
+            if switching(self, inst):
                 continue
             role, mm, kv = inst.role, inst.mm, inst.kv
             if role.serves_encode and mm is not None:
@@ -284,7 +291,7 @@ class PerStepSim(BoundedSim):
                 self._free(inst, inst.kv, rid)
                 inst.resident.remove(rid)
                 inst.resident_kv -= r.shape.total_tokens + r.emitted
-                self._complete(r, t)
+                self._complete(r)
         while inst.admit_wait and len(inst.resident) < inst.max_batch:
             self._reside(inst, inst.admit_wait.popleft())
 
@@ -335,6 +342,7 @@ class PerEventSim(BoundedSim):
             r = self.rs[rid]
             r.shards = [(k, p) for k, p in enumerate(irp_shard(r.shape.patches, inst.tp)) if p > 0]
             r.shards = r.shards or [(0, 0)]  # text-only still pays the batch base cost
+            r.ready_unsent = []
             r.rec.encode_start = t
             r.rec.shards = [ShardRecord(worker=k, patches=p) for k, p in r.shards]
             for shard_idx, (k, p) in enumerate(r.shards):
@@ -479,11 +487,15 @@ def test_admission_at_exact_cache_sizes(mm_cache_tokens):
 
 
 class StaleVerdictSim(BoundedSim):
-    """The engine, keeping its shapes' admission verdicts across pool changes."""
+    """The engine, keeping its shapes' admission verdicts across pool
+    changes: each rebuild refills its first pools object in place."""
 
     def _rebuild_pools(self) -> None:
+        first = getattr(self, "pools", None)
         super()._rebuild_pools()
-        self.pools_version = 1
+        if first is not None:
+            first.update(self.pools)
+            self.pools = first
 
 
 def test_admission_verdicts_follow_role_switches():

@@ -40,6 +40,10 @@ class TestPoisson:
         assert len(requests) == 1
         assert requests[0].arrival_time >= 0
 
+    def test_infinite_rate_puts_every_arrival_at_zero(self):
+        requests = generate_poisson(spec(rate_lambda=float("inf"), num_requests=5))
+        assert [(r.id, r.arrival_time) for r in requests] == [(i, 0.0) for i in range(5)]
+
     def test_fields_follow_spec(self):
         requests = generate_poisson(spec())
         r = requests[0]
