@@ -157,19 +157,21 @@ def cmd_simulate(args) -> int:
     inputs["systems"] = {label: to_dict(config) for label, config, _ in runs}
     inputs["workload_sha256"] = _digest(to_dict(workload))
 
+    # Named after the preset, so that two presets' runs share a directory.
+    prefix = f"simulate-{args.preset}" if args.preset else "simulate"
     summary_paths = []
     for label, config, workload in runs:
         trace = run_simulation(config, workload, seed=seed)
         trace.validate()
-        trace.write_events(out / f"simulate-{label}-events.jsonl")
-        trace.write_summary(out / f"simulate-{label}-summary.csv")
-        summary_paths.append(str(out / f"simulate-{label}-summary.csv"))
+        trace.write_events(out / f"{prefix}-{label}-events.jsonl")
+        trace.write_summary(out / f"{prefix}-{label}-summary.csv")
+        summary_paths.append(str(out / f"{prefix}-{label}-summary.csv"))
         if trace.switches:
             rows = [to_dict(record) for record in trace.switches]
-            _write_csv(out / f"simulate-{label}-switches.csv", list(rows[0].keys()), rows)
+            _write_csv(out / f"{prefix}-{label}-switches.csv", list(rows[0].keys()), rows)
         print(f"{label}: completed={trace.completed_count} rejected={trace.rejected_count} "
               f"horizon={trace.horizon:.3f}s switches={len(trace.switches)}")
-    _write_meta(out / "simulate-meta.json", "simulate", inputs,
+    _write_meta(out / f"{prefix}-meta.json", "simulate", inputs,
                 {**files, "outputs": summary_paths})
     return EXIT_OK
 
@@ -184,9 +186,10 @@ def cmd_sweep(args) -> int:
     spec = replace(preset.workload, seed=seed)
     rate_grid = args.rate_grid or list(preset.rate_grid)
     threshold = args.threshold
+    systems = {label: _apply_flags(preset.systems[label], args)
+               for label in sorted(preset.systems)}
     goodputs = {}
-    for label in sorted(preset.systems):
-        config = _apply_flags(preset.systems[label], args)
+    for label, config in systems.items():
         points = metrics_mod.sweep(config, spec, rate_grid, preset.generate)
         rows = [{"system": label, "model": preset.model.name,
                  "images_per_request": spec.images_per_request,
@@ -201,8 +204,7 @@ def cmd_sweep(args) -> int:
     _write_meta(out / f"{args.command}-{preset.name}-meta.json", args.command, {
         "preset": preset.name, "seed": seed, "rate_grid": rate_grid,
         "attainment_threshold": threshold,
-        "systems": {label: to_dict(_apply_flags(preset.systems[label], args))
-                    for label in sorted(preset.systems)},
+        "systems": {label: to_dict(config) for label, config in systems.items()},
     }, {"goodput": goodputs})
     return EXIT_OK
 

@@ -31,12 +31,12 @@ alive; a switch's beginning and its end each make a new pools object.
 Caches count blocks instead of naming them (:class:`BlockManager`). A route
 takes its stage's holders, keeps those with free blocks only when it
 reserves any, then the least-loaded or the next round-robin instance of
-those, by the policy of the pool's first instance. What depends only on a
-size is worked out once per run: a patch count's shard split over an encode
-width and an E→P shard's wire time; a shape keeps its P→D wire time; an
-encode batch times each distinct (patches, items) load of its workers once. Each instance keeps running
-patch and token sums of its queue and its running batch for the load reads
-and of its decode batch's KV tokens for the step time. Dispatch after an
+those, by the system's policy. What depends only on a size is worked out
+once per run: a patch count's shard split over an encode width and an E→P
+shard's wire time; a shape keeps its P→D wire time; an encode batch times
+each distinct (patches, items) load of its workers once. Each instance keeps
+running patch and token sums of its queue and its running batch for the load
+reads and of its decode batch's KV tokens for the step time. Dispatch after an
 event visits only the instances that event touched, retrying the wait
 queues only after a cache free or a pool change, and while one is not empty.
 Engine state is made at a request's arrival and kept only while it is
@@ -246,7 +246,6 @@ class _Instance:
         self.tp = cfg.tp
         self.pp = cfg.pp
         self.max_batch = cfg.max_batch
-        self.policy = cfg.policy
         self.queue: deque[int] = deque()
         self.running: Optional[tuple[int, ...]] = None  # the ids of the batch in flight
         # Patch and token sums over ``queue`` and over ``running``, kept in
@@ -519,10 +518,10 @@ class _Sim:
                mm: bool = False, kv: bool = False) -> Optional[_Instance]:
         """Assign ``r`` to an active ``stage`` instance that holds it and has
         room for the caches flagged, reserve them there, and record the
-        choice; None when no instance qualifies. The policy is the pool's
-        first instance's. Least-loaded takes the first of the lowest load, so
-        ties go to the lowest iid; round-robin (FCFS) cycles over the
-        qualifying instances by the stage's counter."""
+        choice; None when no instance qualifies. By the system's policy,
+        least-loaded takes the first of the lowest load, so ties go to the
+        lowest iid; round-robin (FCFS) cycles over the qualifying instances by
+        the stage's counter."""
         shape = r.shape
         if shape.judged is not self.pools:
             self._admission_reason(r)  # judged again, and its holders with it
@@ -533,7 +532,7 @@ class _Sim:
             fits = [i for i in fits if i.kv.can_allocate(i.kv_tokens(shape))]
         if not fits:
             return None
-        if self.pools[stage][0].policy is SchedulePolicy.LEAST_LOADED:
+        if self.system.policy is SchedulePolicy.LEAST_LOADED:
             inst = min(fits, key=load)
         else:
             inst = fits[self.rr[stage] % len(fits)]
@@ -640,8 +639,9 @@ class _Sim:
     def _on_switch_onload(self, t: float, iid: int) -> None:
         rec, inst = self.switch_rec, self.insts[iid]
         inst.role = rec.target
-        if self.system.role_max_batch:
-            inst.max_batch = self.system.role_max_batch.get(inst.role, inst.max_batch)
+        # Role switching needs dedicated E, P and D instances, so one is configured.
+        inst.max_batch = next(cfg.max_batch for cfg in self.system.instances
+                              if cfg.role is rec.target)
         inst.rebuild_caches(self.system)
         rec.onload_done = t
         self.switches.append(rec)

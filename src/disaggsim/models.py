@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from typing import Mapping
@@ -64,18 +64,8 @@ class ModelSpec:
     bytes_per_param: int = 2
 
     def __post_init__(self) -> None:
-        positive = {
-            "encoder_params": self.encoder_params,
-            "llm_params": self.llm_params,
-            "num_layers": self.num_layers,
-            "kv_heads": self.kv_heads,
-            "head_dim": self.head_dim,
-            "hidden_dim": self.hidden_dim,
-            "tokens_per_patch": self.tokens_per_patch,
-            "max_context_tokens": self.max_context_tokens,
-            "bytes_per_param": self.bytes_per_param,
-        }
-        for key, value in positive.items():
+        for key in _INT_FIELDS:
+            value = getattr(self, key)
             if value <= 0:
                 raise ValueError(f"{self.name}: {key} must be positive, got {value}")
         for res, patches in self.patch_table.items():
@@ -83,6 +73,10 @@ class ModelSpec:
                 raise ValueError(f"{self.name}: patch count for {res} must be >= 1")
         if self.max_context_tokens <= self.tokens_per_patch:
             raise ValueError(f"{self.name}: max_context_tokens must exceed tokens_per_patch")
+
+
+# The integer fields of a model: each must be positive, and a catalog gives it as text.
+_INT_FIELDS = tuple(f.name for f in fields(ModelSpec) if f.type == "int")
 
 
 @dataclass(frozen=True)
@@ -147,18 +141,6 @@ def tokens_for_request(model: ModelSpec, request) -> tuple[int, int]:
 
 
 # --- catalog file I/O -------------------------------------------------------
-
-_INT_FIELDS = (
-    "encoder_params",
-    "llm_params",
-    "num_layers",
-    "kv_heads",
-    "head_dim",
-    "hidden_dim",
-    "tokens_per_patch",
-    "max_context_tokens",
-    "bytes_per_param",
-)
 
 
 def _parse_patch_table(text: str) -> dict[Resolution, int]:

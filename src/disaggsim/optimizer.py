@@ -99,15 +99,15 @@ class Candidate:
         ], dtype=float)
 
     def deploy(self, base: SystemConfig) -> SystemConfig:
-        """``base`` (model, hardware, cost) running this candidate's instances."""
+        """``base`` (model, hardware, cost) running this candidate's instances
+        under its policy."""
         shape = f"{self.encode_instances}E{self.prefill_gpus}P{self.decode_gpus}D"
         instances = expand_shape(
             shape, tp={StageRole.ENCODE: self.encode_tp},
             max_batch={StageRole.ENCODE: self.encode_batch,
                        StageRole.PREFILL: self.prefill_batch,
-                       StageRole.DECODE: self.decode_batch},
-            policy=self.policy)
-        return replace(base, instances=instances)
+                       StageRole.DECODE: self.decode_batch})
+        return replace(base, instances=instances, policy=self.policy)
 
 
 @dataclass(frozen=True)
@@ -306,8 +306,9 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
     rng = np.random.default_rng(seed)
     log: list[TrialRecord] = []
     exhaustive = strategy is Strategy.EXHAUSTIVE
-    # Exhaustive only, by the deployed system's instances: every candidate shares ``base``.
-    results: dict[tuple[InstanceConfig, ...], EvalResult] = {}
+    # Exhaustive only, by the deployed system's instances and policy: every
+    # candidate shares the rest of ``base``, whose model makes it unhashable.
+    results: dict[tuple[tuple[InstanceConfig, ...], SchedulePolicy], EvalResult] = {}
     seen: list[tuple[np.ndarray, float]] = []
     best: Optional[tuple[float, Candidate, SystemConfig]] = None
 
@@ -326,11 +327,12 @@ def solve(space: ConfigSpace, workload_spec: WorkloadSpec, objective: Objective,
 
     for index, candidate in enumerate(candidates):
         config = candidate.deploy(base)
-        result = results.get(config.instances)
+        key = (config.instances, config.policy)
+        result = results.get(key)
         if result is None:
             result = evaluate(config, workload_spec, objective, rate_grid, generate)
             if exhaustive:
-                results[config.instances] = result
+                results[key] = result
         log.append(TrialRecord(index=index, candidate=candidate.describe(),
                                score=result.score, f_value=result.f_value,
                                cost_value=result.cost_value, feasible=result.feasible))

@@ -103,10 +103,9 @@ def build_system(model: ModelSpec, cost: CostParams, shape: str, *,
                  max_batch: Optional[dict[StageRole, int]] = None, **kwargs) -> SystemConfig:
     """A deployment on the eight-GPU node from xEyPzD shorthand, every stage
     assigning least-loaded first; ``kwargs`` set the other system fields."""
-    instances = expand_shape(shape, tp=tp, max_batch=max_batch,
-                             policy=SchedulePolicy.LEAST_LOADED)
-    return SystemConfig(instances=instances, hardware=EIGHT_GPU_NODE, model=model, cost=cost,
-                        **kwargs)
+    return SystemConfig(instances=expand_shape(shape, tp=tp, max_batch=max_batch),
+                        hardware=EIGHT_GPU_NODE, model=model, cost=cost,
+                        policy=SchedulePolicy.LEAST_LOADED, **kwargs)
 
 
 def offline_batches(batch: int) -> dict[StageRole, int]:
@@ -180,8 +179,7 @@ def switch_preset(seed: int = DEFAULT_SEED, role_switch: bool = True) -> Experim
         },
     ) if role_switch else None
     system = build_system(
-        model, cost, "5E1P2D", max_batch={StageRole.DECODE: 5}, role_switch=controller,
-        role_max_batch={StageRole.ENCODE: 1, StageRole.PREFILL: 1, StageRole.DECODE: 5})
+        model, cost, "5E1P2D", max_batch={StageRole.DECODE: 5}, role_switch=controller)
     return ExperimentPreset(
         name="switch-shifted", model=model, hardware=EIGHT_GPU_NODE, cost=cost,
         workload=workload, systems={"epd": system}, rate_grid=(3.0,),

@@ -49,7 +49,6 @@ class InstanceConfig:
     tp: int = 1
     pp: int = 1
     max_batch: int = 1
-    policy: SchedulePolicy = SchedulePolicy.FCFS
 
     def __post_init__(self) -> None:
         if self.tp < 1 or self.pp < 1:
@@ -73,19 +72,20 @@ _ROLE_FAMILIES = (
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A complete deployment: instances plus the shared physics and caches."""
+    """A complete deployment: instances plus the shared physics and caches.
+    ``policy`` assigns requests to instances in every stage."""
 
     instances: tuple[InstanceConfig, ...]
     hardware: HardwareSpec
     model: ModelSpec
     cost: CostParams = field(default_factory=CostParams)
+    policy: SchedulePolicy = SchedulePolicy.FCFS
     role_switch: Optional[ControllerParams] = None
     kv_fraction: float = 0.5
     mm_cache_tokens: int = 48_000
     block_size: int = 16
     transfer_channel: Channel = Channel.INTRA
     admission_control: bool = True
-    role_max_batch: Optional[dict[StageRole, int]] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.kv_fraction <= 1:
@@ -94,9 +94,6 @@ class SystemConfig:
             raise ValueError(f"block_size must be >= 1, not {self.block_size}")
         if self.mm_cache_tokens < 0:
             raise ValueError(f"mm_cache_tokens must be >= 0, not {self.mm_cache_tokens}")
-        for role, cap in (self.role_max_batch or {}).items():
-            if cap < 1:
-                raise ValueError(f"role_max_batch[{role.value}] must be >= 1, not {cap}")
 
     @property
     def gpu_count(self) -> int:
@@ -116,11 +113,6 @@ class SystemConfig:
                               (lambda r: r.serves_decode, "decode")):
             if not any(served(i.role) for i in self.instances):
                 raise ConfigInfeasible(f"no instance serves the {label} stage")
-        for stage_check in (lambda r: r.serves_encode, lambda r: r.serves_prefill,
-                            lambda r: r.serves_decode):
-            policies = {i.policy for i in self.instances if stage_check(i.role)}
-            if len(policies) > 1:
-                raise ConfigInfeasible("instances within one stage must share a policy")
         if self.role_switch is not None and not roles <= _ROLE_FAMILIES[0]:
             raise ConfigInfeasible("role switching requires dedicated E/P/D instances")
 
@@ -154,8 +146,7 @@ def parse_shape(shape: str) -> list[tuple[int, StageRole]]:
 
 def expand_shape(shape: str, *, tp: Optional[dict[StageRole, int]] = None,
                  pp: Optional[dict[StageRole, int]] = None,
-                 max_batch: Optional[dict[StageRole, int]] = None,
-                 policy: SchedulePolicy = SchedulePolicy.FCFS) -> tuple[InstanceConfig, ...]:
+                 max_batch: Optional[dict[StageRole, int]] = None) -> tuple[InstanceConfig, ...]:
     """Build instance configs from shorthand plus per-role settings."""
     tp = tp or {}
     pp = pp or {}
@@ -168,7 +159,6 @@ def expand_shape(shape: str, *, tp: Optional[dict[StageRole, int]] = None,
                 tp=tp.get(role, 1),
                 pp=pp.get(role, 1),
                 max_batch=max_batch.get(role, 1),
-                policy=policy,
             ))
     return tuple(out)
 
@@ -265,13 +255,13 @@ def _expect(value, *kinds):
 
 def system_from_dict(data: Mapping, catalog: Mapping[str, ModelSpec]) -> SystemConfig:
     """A system from its JSON mapping. ``"shape"`` shorthand such as ``5E1P2D``,
-    with optional per-role ``tp``/``pp``/``max_batch`` maps and one ``policy``,
-    may stand in for the ``instances`` list."""
+    with optional per-role ``tp``/``pp``/``max_batch`` maps, may stand in for
+    the ``instances`` list."""
     if "shape" in data:
         data = dict(data)
         hints = get_type_hints(expand_shape)
         options = {key: _field(key, hints[key], data.pop(key), catalog)
-                   for key in ("shape", "tp", "pp", "max_batch", "policy") if key in data}
+                   for key in ("shape", "tp", "pp", "max_batch") if key in data}
         data["instances"] = to_dict(expand_shape(**options))
     return from_dict(SystemConfig, data, catalog)
 

@@ -50,14 +50,18 @@ def config_file(tmp_path) -> Path:
     ("--config", {**SHAPE_CONFIG, "shape": "1X2P"}, "shape"),
     ("--switch-params", {"monitor_interval": -1}, "monitor_interval"),
     ("--space", {"gpu_budget": "8"}, "gpu_budget"),
-    ("--config", {**SHAPE_CONFIG, "role_max_batch": {"D": 0}}, "role_max_batch"),
+    ("--config", {**SHAPE_CONFIG, "role_max_batch": {"D": 5}}, "role_max_batch"),
+    ("--config", {"model": "minicpm-v-2.6", "hardware": HARDWARE,
+                  "instances": [{"role": "E"}, {"role": "P", "policy": "least_loaded"},
+                                {"role": "D"}]}, "policy"),
     ("--config", {**SHAPE_CONFIG, "block_size": 0}, "block_size"),
     ("--config", {**SHAPE_CONFIG, "mm_cache_tokens": -16}, "mm_cache_tokens"),
     ("--config", {**SHAPE_CONFIG, "kv_fraction": 1.5}, "kv_fraction"),
     ("--space", {"gpu_budget": 8, "encode_batches": [0]}, "encode_batches"),
     ("--space", {"gpu_budget": 8, "decode_gpus": []}, "decode_gpus"),
 ], ids=["kv_fraction", "tp", "gpu_memory", "decode_base-nan", "decode_base-inf", "enc_base-0",
-        "shape", "monitor_interval", "gpu_budget", "role_max_batch-0", "block_size-0",
+        "shape", "monitor_interval", "gpu_budget", "role_max_batch", "instance-policy",
+        "block_size-0",
         "mm_cache_tokens-negative", "kv_fraction-1.5", "encode_batches-0", "decode_gpus-empty"])
 def test_malformed_value_is_parse_error(tmp_path, workload_file, capsys, option, data, field):
     path = tmp_path / "input.json"
@@ -165,11 +169,14 @@ class TestSimulate:
         meta = json.loads((tmp_path / "simulate-meta.json").read_text())
         assert "config_hash" in meta
 
-    def test_preset_run(self, tmp_path):
-        code = run(tmp_path, "simulate", "--preset", "ttft-minicpm-2img",
-                   "--system", "epd")
-        assert code == EXIT_OK
-        assert (tmp_path / "simulate-epd-summary.csv").exists()
+    def test_preset_runs_share_a_directory(self, tmp_path):
+        presets = ("ttft-minicpm-2img", "ttft-internvl8-2img")
+        for preset in presets:
+            assert run(tmp_path, "simulate", "--preset", preset, "--system", "epd") == EXIT_OK
+        for preset in presets:
+            assert (tmp_path / f"simulate-{preset}-epd-summary.csv").exists()
+            meta = json.loads((tmp_path / f"simulate-{preset}-meta.json").read_text())
+            assert meta["preset"] == preset
 
     def test_infeasible_config_exit_code(self, tmp_path, config_file, workload_file):
         data = json.loads(config_file.read_text())
@@ -263,7 +270,7 @@ class TestSimulate:
     def test_config_hash_covers_inputs_only(self, tmp_path):
         def meta(out, *flags):
             assert run(out, "simulate", "--preset", "switch-shifted", *flags) == EXIT_OK
-            return json.loads((out / "simulate-meta.json").read_text())
+            return json.loads((out / "simulate-switch-shifted-meta.json").read_text())
 
         first, second = meta(tmp_path / "a"), meta(tmp_path / "b")
         off = meta(tmp_path / "c", "--role-switch", "off")
@@ -311,8 +318,7 @@ class TestSimulate:
         code = run(tmp_path, "simulate", "--preset", "ttft-minicpm-2img", "--system", "epd")
         assert code == EXIT_RUNTIME
         assert "token times" in capsys.readouterr().err
-        assert not (tmp_path / "simulate-epd-summary.csv").exists()
-        assert not (tmp_path / "simulate-epd-events.jsonl").exists()
+        assert not any(tmp_path.glob("simulate-*-epd-*"))
 
 
 class TestSweep:
@@ -463,7 +469,7 @@ class TestSwitchArtifacts:
     def test_switch_log_csv_written(self, tmp_path):
         code = run(tmp_path, "simulate", "--preset", "switch-shifted")
         assert code == EXIT_OK
-        log = (tmp_path / "simulate-epd-switches.csv").read_text().splitlines()
+        log = (tmp_path / "simulate-switch-shifted-epd-switches.csv").read_text().splitlines()
         assert log[0] == ("time,instance_id,source,target,redistributed,"
                           "offload_done,migration_done,onload_done")
         assert len(log) >= 2
@@ -472,7 +478,8 @@ class TestSwitchArtifacts:
         code = run(tmp_path, "simulate", "--preset", "switch-shifted",
                    "--role-switch", "off")
         assert code == EXIT_OK
-        assert not (tmp_path / "simulate-epd-switches.csv").exists()
+        assert (tmp_path / "simulate-switch-shifted-epd-summary.csv").exists()
+        assert not (tmp_path / "simulate-switch-shifted-epd-switches.csv").exists()
 
     def test_switch_params_file_overrides(self, tmp_path):
         params = tmp_path / "controller.json"
@@ -484,7 +491,7 @@ class TestSwitchArtifacts:
         code = run(tmp_path, "simulate", "--preset", "switch-shifted",
                    "--switch-params", str(params))
         assert code == EXIT_OK
-        assert (tmp_path / "simulate-epd-switches.csv").exists()
+        assert (tmp_path / "simulate-switch-shifted-epd-switches.csv").exists()
 
     def test_unknown_switch_param_is_parse_error(self, tmp_path, capsys):
         params = tmp_path / "controller.json"

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
 from disaggsim.controller import (ControllerParams, StageLoad, SwitchEventRecord,
                                   migration_latency, monitor_and_decide)
 from disaggsim.costs import CostParams
+from disaggsim import engine
 from disaggsim.engine import run_simulation
 from disaggsim.models import StageRole
 from disaggsim.presets import get_preset
@@ -178,6 +181,23 @@ class TestEngineIntegration:
         for switch in switches:
             active = active_roles_at(switched_trace, switch.time)
             assert active.count(switch.source) >= floor, (switch, active)
+
+    @pytest.mark.parametrize("caps", [None, {E: 2, P: 3, D: 7}], ids=["preset", "distinct"])
+    def test_switched_instance_takes_its_target_roles_cap(self, caps):
+        """An instance onloaded into a role takes the batch cap that role's
+        instances are configured with: on the preset, 1 for encode and
+        prefill and 5 for decode."""
+        preset = get_preset("switch-shifted")
+        config = preset.systems["epd"]
+        if caps is None:
+            caps = {E: 1, P: 1, D: 5}
+        else:
+            config = replace(config, instances=tuple(replace(i, max_batch=caps[i.role])
+                                                     for i in config.instances))
+        assert {i.role: i.max_batch for i in config.instances} == caps
+        sim = engine._Sim(config, preset.generate(preset.workload), preset.workload.seed)
+        assert {s.target for s in sim.run().switches} == {D}
+        assert [i.max_batch for i in sim.insts] == [caps[i.role] for i in sim.insts]
 
     def test_reaches_decode_majority(self, switched_trace):
         assert roles_at(switched_trace, float("inf")).count(D) >= 3

@@ -184,14 +184,12 @@ class CheckedSim(BoundedSim):
 class FullScanSim(CheckedSim):
     """Every instance and both wait queues revisited on every event,
     admission checked against every instance's cache, routes chosen from
-    (iid, load) candidates by the policy of the pool's first instance, and a
-    switch's stranding decided over every request that has arrived."""
+    (iid, load) candidates by the system's policy, and a switch's stranding
+    decided over every request that has arrived."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.max_waits = [0, 0]
-        # routes where the first qualifying instance's policy picks another instance
-        self.policy_splits = 0
 
     def _fits(self, inst, r, mm: bool, kv: bool) -> bool:
         mm_need, tokens = tokens_for_request(self.model, r.req)
@@ -203,19 +201,16 @@ class FullScanSim(CheckedSim):
                 and (not kv or inst.kv.can_allocate(kv_need)))
 
     def _route(self, stage: str, r, load, mm: bool = False, kv: bool = False):
-        pool = self.pools[stage]
-        candidates = [(i.iid, load(i)) for i in pool if self._fits(i, r, mm, kv)]
+        candidates = [(i.iid, load(i)) for i in self.pools[stage]
+                      if self._fits(i, r, mm, kv)]
         if not candidates:
             return None
-        picks = {policy: (min(candidates, key=lambda c: (c[1], c[0]))
-                          if policy is SchedulePolicy.LEAST_LOADED
-                          else candidates[self.rr[stage] % len(candidates)])[0]
-                 for policy in SchedulePolicy}
-        policy = pool[0].policy
-        self.policy_splits += picks[policy] != picks[self.insts[candidates[0][0]].policy]
-        if policy is not SchedulePolicy.LEAST_LOADED:
+        if self.system.policy is SchedulePolicy.LEAST_LOADED:
+            iid = min(candidates, key=lambda c: (c[1], c[0]))[0]
+        else:
+            iid = candidates[self.rr[stage] % len(candidates)][0]
             self.rr[stage] += 1
-        inst = self.insts[picks[policy]]
+        inst = self.insts[iid]
         self._allocate(inst, r, mm, kv)
         slot, column = _PLACED[stage]
         setattr(r, slot, inst.iid)
@@ -523,26 +518,6 @@ def test_admission_verdicts_follow_role_switches():
     assert outcome(StaleVerdictSim(config, workload, 7)) != outcome(FullScanSim(config, workload, 7))
 
 
-def test_mixed_stage_policies_route_by_the_pools_first_instance():
-    """Round-robin encode and prefill instances, least-loaded decode ones and
-    an eager controller, which moves round-robin instances into the decode
-    pool ahead of the least-loaded ones. A route takes the policy of the
-    pool's first instance even when that one has no room, and twice here the
-    first qualifying instance's policy would pick another instance."""
-    fcfs, least = SchedulePolicy.FCFS, SchedulePolicy.LEAST_LOADED
-    roles = ((StageRole.ENCODE, fcfs), (StageRole.PREFILL, fcfs), (StageRole.PREFILL, fcfs),
-             (StageRole.DECODE, least), (StageRole.DECODE, least))
-    config = replace(BASE, instances=tuple(InstanceConfig(role=role, max_batch=2, policy=policy)
-                                           for role, policy in roles),
-                     hardware=replace(BASE.hardware, num_gpus=len(roles)),
-                     role_switch=EAGER, kv_fraction=0.004)
-    workload = [Request(id=i, arrival_time=0.05 * i, prompt_tokens=20, images=((787, 444),),
-                        output_tokens=(30, 300)[i % 2]) for i in range(40)]
-    reference = assert_equivalent(config, workload)
-    assert reference.switches
-    assert reference.policy_splits == 2
-
-
 def random_case(seed: int) -> tuple[SystemConfig, list[Request]]:
     """An epd (with or without a controller), distserve or monolithic system
     with small caches, and up to 40 mixed requests, all drawn from ``seed``."""
@@ -553,10 +528,10 @@ def random_case(seed: int) -> tuple[SystemConfig, list[Request]]:
              "distserve": [(StageRole.ENCODE_PREFILL, 2), (StageRole.DECODE, 2)],
              "monolithic": [(StageRole.MONOLITHIC, 2)]}[family]
     instances = tuple(InstanceConfig(role=role, tp=int(rng.integers(1, 3)),
-                                     max_batch=int(rng.integers(1, 5)), policy=policy)
+                                     max_batch=int(rng.integers(1, 5)))
                       for role, most in roles for _ in range(rng.integers(1, most + 1)))
     controller = [None, EAGER, BASE.role_switch][rng.integers(3)] if family == "epd" else None
-    config = replace(BASE, instances=instances, role_switch=controller,
+    config = replace(BASE, instances=instances, role_switch=controller, policy=policy,
                      hardware=replace(BASE.hardware, num_gpus=24),
                      mm_cache_tokens=int(rng.choice([700, 1300, 2600, 48_000])),
                      kv_fraction=float(rng.choice([0.001, 0.002, 0.003, 0.01, 0.5])),

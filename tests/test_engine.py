@@ -25,8 +25,8 @@ def req(rid, arrival=0.0, images=1, prompt=10, output=4, res=(100, 100)):
                    images=tuple(res for _ in range(images)), output_tokens=output)
 
 
-def inst(role, tp=1, max_batch=1, policy=SchedulePolicy.FCFS, pp=1):
-    return InstanceConfig(role=role, tp=tp, pp=pp, max_batch=max_batch, policy=policy)
+def inst(role, tp=1, max_batch=1, pp=1):
+    return InstanceConfig(role=role, tp=tp, pp=pp, max_batch=max_batch)
 
 
 def fast_hw(bandwidth=float("inf"), gpus=8):
@@ -64,8 +64,8 @@ class TestRoute:
     def _sim(toy_model, cost, policy, encoders=3, prefills=1):
         roles = ([StageRole.ENCODE] * encoders + [StageRole.PREFILL] * prefills
                  + [StageRole.DECODE])
-        config = system([inst(role, policy=policy) for role in roles], toy_model, fast_hw(),
-                        cost)
+        config = system([inst(role) for role in roles], toy_model, fast_hw(), cost,
+                        policy=policy)
         sim = engine._Sim(config, [req(0)], 0)
         return sim, next(sim.arrivals)
 
@@ -391,13 +391,6 @@ class TestConfigValidation:
     def test_role_family_mixture_rejected(self, toy_model, simple_cost):
         config = system([inst(StageRole.ENCODE), inst(StageRole.MONOLITHIC)],
                         toy_model, fast_hw(), simple_cost)
-        with pytest.raises(ConfigInfeasible):
-            run_simulation(config, [req(0)])
-
-    def test_mixed_policies_within_stage_rejected(self, toy_model, simple_cost):
-        config = system([inst(StageRole.ENCODE), inst(StageRole.PREFILL),
-                         inst(StageRole.PREFILL, policy=SchedulePolicy.LEAST_LOADED),
-                         inst(StageRole.DECODE)], toy_model, fast_hw(), simple_cost)
         with pytest.raises(ConfigInfeasible):
             run_simulation(config, [req(0)])
 

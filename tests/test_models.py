@@ -133,11 +133,15 @@ class TestTokensForRequest:
 
 
 class TestValidationAndCatalog:
-    def test_rejects_nonpositive_counts(self):
-        with pytest.raises(ValueError):
-            ModelSpec(name="bad", encoder_params=0, llm_params=1, num_layers=1,
-                      kv_heads=1, head_dim=1, hidden_dim=1, tokens_per_patch=1,
-                      max_context_tokens=2, patch_table={})
+    @pytest.mark.parametrize("key", ["encoder_params", "llm_params", "num_layers", "kv_heads",
+                                     "head_dim", "hidden_dim", "tokens_per_patch",
+                                     "max_context_tokens", "bytes_per_param"])
+    def test_rejects_nonpositive_counts(self, key):
+        counts = dict(encoder_params=1, llm_params=1, num_layers=1, kv_heads=1, head_dim=1,
+                      hidden_dim=1, tokens_per_patch=1, max_context_tokens=2)
+        with pytest.raises(ValueError) as excinfo:
+            ModelSpec(name="bad", **{**counts, key: 0}, patch_table={})
+        assert str(excinfo.value) == f"bad: {key} must be positive, got 0"
 
     def test_rejects_context_not_exceeding_patch_tokens(self):
         with pytest.raises(ValueError):

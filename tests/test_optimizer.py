@@ -130,7 +130,7 @@ class TestSpace:
         for candidate in candidates:
             system = candidate.deploy(base)
             assert system.gpu_count == candidate.gpus
-            assert replace(system, instances=()) == base
+            assert replace(system, instances=(), policy=base.policy) == base
             encode = [i for i in system.instances if i.role is StageRole.ENCODE]
             if candidate.irp:
                 assert [i.tp for i in encode] == [candidate.encode_gpus]
@@ -140,7 +140,7 @@ class TestSpace:
                       for role in (StageRole.PREFILL, StageRole.DECODE)}
             assert counts == {StageRole.PREFILL: candidate.prefill_gpus,
                               StageRole.DECODE: candidate.decode_gpus}
-            assert {i.policy for i in system.instances} == {candidate.policy}
+            assert system.policy is candidate.policy
             batches = {StageRole.ENCODE: candidate.encode_batch,
                        StageRole.PREFILL: candidate.prefill_batch,
                        StageRole.DECODE: candidate.decode_batch}
@@ -184,12 +184,18 @@ class TestSolve:
         assert result.best_score == pytest.approx(brute[0])
         assert len(result.log) == space.size()
 
-    def test_each_deployed_system_is_simulated_once(self, monkeypatch):
+    @pytest.mark.parametrize("space, counts", [
+        (restricted_space(8), (504, 432, 432)),
+        (ConfigSpace(gpu_budget=3, encode_gpus=(1,), prefill_gpus=(1,), decode_gpus=(1,),
+                     encode_batches=(1,), prefill_batches=(1,), decode_batches=(8,),
+                     policies=tuple(SchedulePolicy)), (4, 2, 2)),
+    ], ids=["restricted", "two-policies"])
+    def test_each_deployed_system_is_simulated_once(self, monkeypatch, space, counts):
         # IRP on and off with one encode GPU deploy the same system; exhaustive
-        # search simulates it once.
+        # search simulates it once. The same instances under another policy
+        # are another system.
         preset = _tiny_preset()
         spec = replace(preset.workload, num_requests=3, output_tokens=2)
-        space = restricted_space(8)
         objective = Objective(metric=Metric.NEG_MEAN_TTFT)
         base = base_system(preset)
         calls = []
@@ -200,7 +206,7 @@ class TestSolve:
 
         monkeypatch.setattr(metrics, "run_simulation", counted)
         result = solve(space, spec, objective, base, strategy=Strategy.EXHAUSTIVE, seed=1)
-        assert (space.size(), len(calls), len(set(map(repr, calls)))) == (504, 432, 432)
+        assert (space.size(), len(calls), len(set(map(repr, calls)))) == counts
         each = []
         for index, candidate in enumerate(space.enumerate()):
             r = evaluate(candidate.deploy(base), spec, objective)

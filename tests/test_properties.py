@@ -30,32 +30,26 @@ def random_config(rng: np.random.Generator) -> SystemConfig:
         for _ in range(int(rng.integers(1, 3))):
             instances.append(InstanceConfig(role=StageRole.ENCODE,
                                             tp=int(rng.integers(1, 4)),
-                                            max_batch=int(rng.integers(1, 3)),
-                                            policy=policy))
+                                            max_batch=int(rng.integers(1, 3))))
         for _ in range(int(rng.integers(1, 3))):
             instances.append(InstanceConfig(role=StageRole.PREFILL,
-                                            max_batch=int(rng.integers(1, 3)),
-                                            policy=policy))
+                                            max_batch=int(rng.integers(1, 3))))
         for _ in range(int(rng.integers(1, 3))):
             instances.append(InstanceConfig(role=StageRole.DECODE,
-                                            max_batch=int(rng.integers(1, 9)),
-                                            policy=policy))
+                                            max_batch=int(rng.integers(1, 9))))
     elif family == "distserve":
         for _ in range(int(rng.integers(1, 4))):
             instances.append(InstanceConfig(role=StageRole.ENCODE_PREFILL,
                                             tp=int(rng.integers(1, 3)),
-                                            max_batch=int(rng.integers(1, 3)),
-                                            policy=policy))
+                                            max_batch=int(rng.integers(1, 3))))
         instances.append(InstanceConfig(role=StageRole.DECODE,
-                                        max_batch=int(rng.integers(1, 9)),
-                                        policy=policy))
+                                        max_batch=int(rng.integers(1, 9))))
     else:
         for _ in range(int(rng.integers(1, 5))):
             instances.append(InstanceConfig(role=StageRole.MONOLITHIC,
-                                            max_batch=int(rng.integers(1, 3)),
-                                            policy=policy))
+                                            max_batch=int(rng.integers(1, 3))))
     return SystemConfig(instances=tuple(instances), hardware=HW, model=MODEL,
-                        cost=COST)
+                        cost=COST, policy=policy)
 
 
 def random_workload(rng: np.random.Generator, n: int) -> list[Request]:

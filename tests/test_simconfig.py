@@ -39,8 +39,7 @@ def instances(roles):
     def instance(role):
         return st.builds(InstanceConfig, role=st.just(role), tp=st.integers(1, 8),
                          pp=st.just(1) if role is StageRole.ENCODE else st.integers(1, 4),
-                         max_batch=st.integers(1, 256),
-                         policy=st.sampled_from(SchedulePolicy))
+                         max_batch=st.integers(1, 256))
     return st.lists(st.sampled_from(roles).flatmap(instance), min_size=1,
                     max_size=8).map(tuple)
 
@@ -68,14 +67,13 @@ systems = st.sampled_from(FAMILIES).flatmap(lambda roles: st.builds(
     cost=st.builds(CostParams, enc_per_patch=finite(0.0, 1.0),
                    decode_per_kv_token=finite(0.0, 1e-3),
                    tp_efficiency=finite(1e-3, 1.0), transfer_setup=finite(0.0, 1.0)),
+    policy=st.sampled_from(SchedulePolicy),
     role_switch=st.none() | controllers,
     kv_fraction=st.floats(0.0, 1.0),
     mm_cache_tokens=st.integers(0, 10**6),
     block_size=st.integers(1, 64),
     transfer_channel=st.sampled_from(Channel),
-    admission_control=st.booleans(),
-    role_max_batch=st.none() | st.dictionaries(st.sampled_from(STAGES),
-                                               st.integers(1, 256))))
+    admission_control=st.booleans()))
 
 
 def round_trip(config: SystemConfig) -> SystemConfig:
@@ -96,7 +94,8 @@ class TestRoundTrip:
     def test_switch_preset_keeps_controller_and_batch_caps(self):
         data = to_dict(get_preset("switch-shifted").systems["epd"])
         assert data["role_switch"]["stage_work_scale"] == {"E": 10.0, "P": 662.0, "D": 1.0}
-        assert data["role_max_batch"] == {"E": 1, "P": 1, "D": 5}
+        assert [i["max_batch"] for i in data["instances"]] == [1] * 6 + [5] * 2
+        assert data["policy"] == "least_loaded"
 
     @settings(max_examples=100, deadline=None)
     @given(controllers)
@@ -150,25 +149,25 @@ class TestReading:
             "tp": {"E": 2}, "pp": {"P": 2}, "max_batch": {"D": 8},
             "policy": "least_loaded", "kv_fraction": 0.3,
         }, CATALOG)
-        policy = SchedulePolicy.LEAST_LOADED
         assert config.instances == (
-            InstanceConfig(StageRole.ENCODE, tp=2, policy=policy),
-            InstanceConfig(StageRole.ENCODE, tp=2, policy=policy),
-            InstanceConfig(StageRole.PREFILL, pp=2, policy=policy),
-            InstanceConfig(StageRole.DECODE, max_batch=8, policy=policy),
+            InstanceConfig(StageRole.ENCODE, tp=2),
+            InstanceConfig(StageRole.ENCODE, tp=2),
+            InstanceConfig(StageRole.PREFILL, pp=2),
+            InstanceConfig(StageRole.DECODE, max_batch=8),
         )
+        assert config.policy is SchedulePolicy.LEAST_LOADED
         assert config.kv_fraction == 0.3
         assert config.cost == CostParams()
 
     def test_round_robin_reads_as_fcfs(self):
         explicit = system_from_dict({"model": MODEL.name, "hardware": HARDWARE,
-                                     "instances": [{"role": "M", "policy": "round_robin"}]},
+                                     "instances": [{"role": "M"}], "policy": "round_robin"},
                                     CATALOG)
         shorthand = system_from_dict({"model": MODEL.name, "hardware": HARDWARE,
                                       "shape": "1M", "policy": "round_robin"}, CATALOG)
         space = space_from_dict({"gpu_budget": 8, "policies": ["round_robin"]})
-        assert explicit.instances[0].policy is SchedulePolicy.FCFS
-        assert shorthand.instances[0].policy is SchedulePolicy.FCFS
+        assert explicit.policy is SchedulePolicy.FCFS
+        assert shorthand.policy is SchedulePolicy.FCFS
         assert space.policies == (SchedulePolicy.FCFS,)
 
     @pytest.mark.parametrize("key, value, field", [
@@ -179,7 +178,6 @@ class TestReading:
         ("hardware", {**HARDWARE, "num_gpus": "8"}, "num_gpus"),
         ("instances", [{"role": "M", "max_batch": "4"}], "max_batch"),
         ("instances", {"role": "M"}, "instances"),
-        ("role_max_batch", [8], "role_max_batch"),
     ])
     def test_wrong_value_type_is_named(self, key, value, field):
         data = {"model": MODEL.name, "hardware": HARDWARE, "instances": [{"role": "M"}]}
@@ -229,8 +227,6 @@ class TestOwnValueChecks:
     @pytest.mark.parametrize("key, value", [
         ("kv_fraction", 1.5), ("kv_fraction", -0.1), ("kv_fraction", float("nan")),
         ("block_size", 0), ("mm_cache_tokens", -16),
-        ("role_max_batch", {StageRole.ENCODE: 1, StageRole.DECODE: 0}),
-        ("role_max_batch", {StageRole.DECODE: -3}),
     ])
     def test_system_value_is_named(self, key, value):
         system = get_preset("switch-shifted").systems["epd"]
@@ -239,7 +235,7 @@ class TestOwnValueChecks:
 
     @pytest.mark.parametrize("changes", [
         {"kv_fraction": 0.0, "mm_cache_tokens": 0, "block_size": 1},
-        {"kv_fraction": 1.0, "role_max_batch": {StageRole.DECODE: 1}},
+        {"kv_fraction": 1.0, "policy": SchedulePolicy.FCFS},
     ])
     def test_system_edge_values_are_kept(self, changes):
         system = replace(get_preset("switch-shifted").systems["epd"], **changes)

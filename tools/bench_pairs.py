@@ -9,13 +9,16 @@ checkout's working tree. For each workload and seeds 2 to 11 the two sides run
 ``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s ``run_seconds``, one
 after the other, the parent first on even seeds and the change first on odd
 ones, so that host drift does not favour either side. Then each side runs
-once more with ``--trace 1`` at seed 3 for the per-layer counts.
+``TRACED_RUNS`` times more with ``--trace 1`` at seed 3 for the per-layer
+metrics, alternating which side goes first.
 
 Per workload and end-to-end metric the output holds each side's median and
 quartiles (``numpy.percentile``, linear), the pairs the change won, the
 median's relative change and whether it is within the metric's bound in
-``BENCHMARK.json``; every run's row is kept too. Per workload the traced
-section also holds ``counts_equal``, whether every ``count``-unit metric of
+``BENCHMARK.json``; every run's row is kept too. Per workload and side the
+traced section holds each time (unit ``s``) metric's median and quartiles
+over the traced runs, and each other metric's median. It also holds
+``counts_equal``, whether every ``count``-unit metric of
 ``BENCHMARK.json`` is the same on both sides, and ``counts_differ``, the
 names of those that are not: a change that claims the same work shows it
 there, and so does a counter whose meaning changed. The file is rewritten
@@ -40,6 +43,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 3
 SEEDS = range(2, 12)
+# Per-layer times of one traced run spread wider between runs than most
+# changes move them, so each side runs this many.
+TRACED_RUNS = 3
 
 
 def extract(ref: str, dest: Path) -> Path:
@@ -64,10 +70,23 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return json.loads(lines[-1])
 
 
-def quartiles(values: list[float]) -> dict:
+def quartiles(values: list[float], digits: int = 4) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
+    return {"median": round(float(median), digits), "q1": round(float(q1), digits),
+            "q3": round(float(q3), digits)}
+
+
+def traced_summary(results: list[dict]) -> dict:
+    """One side's traced runs of one workload: their correctness and
+    operations, each time metric's quartiles and each other metric's median."""
+    out = {"correct": all(r["correct"] for r in results),
+           "attempted": sum(r["attempted"] for r in results),
+           "failed": sum(r["failed"] for r in results), "runs": len(results)}
+    for name, metric in results[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in results]
+        out[name] = (quartiles(values, 6) if metric["unit"] == "s"
+                     else round(float(np.median(values)), 6))
+    return out
 
 
 def summarise(runs: list[dict], workload: str, metrics: list[dict]) -> dict:
@@ -139,7 +158,8 @@ def main(argv=None) -> int:
         "harness": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                    "--trace 0, each side from its own files, one run at a time, "
                    "even seeds parent first, odd seeds change first; traced: --seed "
-                   f"{TRACE_SEED} --trace 1, one run per side and workload",
+                   f"{TRACE_SEED} --trace 1, {TRACED_RUNS} runs per side and workload, "
+                   "alternating which side goes first",
         "seeds": list(SEEDS),
         "quartiles": "numpy.percentile, linear interpolation, over each side's runs",
         "summary": {}, "traced": {}, "runs": [],
@@ -173,13 +193,13 @@ def main(argv=None) -> int:
                     print(json.dumps(row), file=sys.stderr, flush=True)
                     write()
             traced = report["traced"].setdefault(workload, {})
-            for side in ("parent", "change"):
-                result = perfbench(sides[side], workload, TRACE_SEED, seconds, 1)
-                traced[side] = {
-                    "correct": result["correct"], "attempted": result["attempted"],
-                    "failed": result["failed"],
-                    **{k: round(v["value"], 6) for k, v in result["metrics"].items()}}
-                write()
+            results: dict[str, list[dict]] = {"parent": [], "change": []}
+            for index in range(TRACED_RUNS):
+                for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
+                    results[side].append(perfbench(sides[side], workload, TRACE_SEED,
+                                                   seconds, 1))
+                    traced[side] = traced_summary(results[side])
+                    write()
             differ = [name for name in counts
                       if traced["parent"].get(name) != traced["change"].get(name)]
             traced.update(counts_equal=not differ, counts_differ=differ)
